@@ -5,92 +5,4 @@ Gumbel-Softmax relaxation and an exact, differentiable expected-cost
 resource loss computed on the partition lattice of task groupings.
 """
 
-from .errors import (
-    BmtasError,
-    BoundsError,
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    ModeError,
-    NumericError,
-    SearchError,
-)
-from .eval import (
-    Dataset,
-    MetricRecord,
-    SyntheticTaskSpec,
-    delta_m,
-    generate_tasks,
-    load_dataset,
-    rsa_matrix,
-    save_dataset,
-)
-from .graph import (
-    BranchedStructure,
-    CostTable,
-    RoutingMask,
-    SupergraphSpec,
-    count_structures,
-    derive_groupings,
-    export_dot,
-    grouping_cost,
-    structure_cost,
-    structure_from_json,
-    structure_hash,
-    structure_to_json,
-)
-from .nncore import (
-    Adam,
-    LossWeights,
-    OperationParams,
-    SGD,
-    Tensor,
-    backward,
-    candidate_forward,
-    head_forward,
-    mixed_layer_forward,
-    task_loss,
-    weighted_task_loss,
-)
-from .partition import (
-    Partition,
-    ancestors,
-    enumerate_partitions,
-    meet,
-    num_parts,
-    refines,
-)
-from .relax import (
-    GumbelSample,
-    TemperatureSchedule,
-    discretize,
-    draw_sample,
-    gumbel_noise,
-    sample_soft,
-    schedule_tau,
-    soft_row,
-)
-from .resloss import (
-    ArchitectureParams,
-    GroupingDistribution,
-    brute_force_expected_cost,
-    edge_probabilities,
-    expected_cost,
-    expected_cost_grad,
-    grouping_distribution,
-    resource_loss,
-    transition_kernel,
-)
-from .search import (
-    RetrainedModel,
-    SearchConfig,
-    SearchResult,
-    TraceRow,
-    retrain,
-    retrain_model,
-    search,
-    warm_up,
-)
-from .seeding import rng_stream
-
 __version__ = "0.1.0"

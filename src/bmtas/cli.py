@@ -11,9 +11,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -21,14 +24,14 @@ import jsonschema
 from .errors import BmtasError, ConfigError
 from .eval import MetricRecord, SyntheticTaskSpec, delta_m, generate_tasks
 from .graph import (
+    CostTable,
     SupergraphSpec,
     export_dot,
     structure_from_json,
     structure_to_json,
 )
 from .nncore import LossWeights
-from .partition import Partition, enumerate_partitions
-from .relax import TemperatureSchedule
+from .partition import MAX_TASKS, Partition, enumerate_partitions
 from .resloss import (
     ArchitectureParams,
     brute_force_expected_cost,
@@ -72,7 +75,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["num_tasks", "input_dim", "hidden_dim", "target_dim", "relatedness"],
             "properties": {
-                "num_tasks": {"type": "integer", "minimum": 1, "maximum": 8},
+                "num_tasks": {"type": "integer", "minimum": 1, "maximum": MAX_TASKS},
                 "input_dim": {"type": "integer", "minimum": 1},
                 "hidden_dim": {"type": "integer", "minimum": 1},
                 "target_dim": {"type": "integer", "minimum": 1},
@@ -136,14 +139,37 @@ def _write_atomic(path: Path, text: str):
     os.replace(tmp, path)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
 def _load_json(path) -> dict:
+    """Parse a JSON input file; numbers that overflow to inf, NaN and
+    Infinity are rejected."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _reading_input():
+    """Report a rejection of outside input while building objects from it
+    as a ConfigError, so that it exits 2 rather than 1 or with a traceback."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -174,46 +200,22 @@ def _build_supergraph(cfg: dict) -> SupergraphSpec:
 
 def _build_task_spec(cfg: dict) -> SyntheticTaskSpec:
     b = cfg["benchmark"]
-    return SyntheticTaskSpec(
-        num_tasks=b["num_tasks"],
-        input_dim=b["input_dim"],
-        hidden_dim=b["hidden_dim"],
-        target_dim=b["target_dim"],
-        relatedness=Partition.from_json(b["relatedness"]),
-        noise_std=b.get("noise_std", 0.01),
-        train_samples=b.get("train_samples", 512),
-        test_samples=b.get("test_samples", 256),
-        signal_scale=b.get("signal_scale", 0.2),
-        share_private=b.get("share_private", False),
-    )
+    return SyntheticTaskSpec(**{**b, "relatedness": Partition.from_json(b["relatedness"])})
 
 
 def _build_search_config(cfg: dict, seed: int) -> SearchConfig:
-    s = cfg.get("search", {})
-    search_steps = s.get("search_steps", 300)
-    schedule = TemperatureSchedule(
-        start=s.get("tau_start", 5.0),
-        end=s.get("tau_end", 0.1),
-        total_steps=max(search_steps - 1, 1),
-    )
-    omega = s.get("omega")
-    return SearchConfig(
-        resource_weight=s.get("lambda", 0.0),
-        warmup_steps=s.get("warmup_steps", 300),
-        search_steps=search_steps,
-        alpha_data_fraction=s.get("alpha_data_fraction", 0.2),
-        schedule=schedule,
-        theta_lr=s.get("theta_lr", 0.3),
-        theta_momentum=s.get("theta_momentum", 0.9),
-        theta_weight_decay=s.get("theta_weight_decay", 1e-4),
-        alpha_lr=s.get("alpha_lr", 0.01),
-        alpha_weight_decay=s.get("alpha_weight_decay", 5e-5),
-        batch_size=s.get("batch_size", 32),
-        retrain_steps=s.get("retrain_steps", 400),
-        retrain_lr=s.get("retrain_lr"),
-        seed=seed,
-        omega=LossWeights(tuple(omega)) if omega else None,
-    )
+    """Only the keys present are passed on, so SearchConfig's defaults apply.
+    Keys equal field names except lambda, tau_start/tau_end and omega."""
+    s = dict(cfg.get("search", {}))
+    tau = {k: s.pop(f"tau_{k}") for k in ("start", "end") if f"tau_{k}" in s}
+    if "lambda" in s:
+        s["resource_weight"] = s.pop("lambda")
+    if "omega" in s:
+        s["omega"] = LossWeights(tuple(s["omega"]))
+    config = SearchConfig(seed=seed, **s)
+    if tau:
+        config = replace(config, schedule=replace(config.schedule, **tau))
+    return config
 
 
 def _trace_csv(result, task_names) -> str:
@@ -233,25 +235,23 @@ def _trace_csv(result, task_names) -> str:
     return buf.getvalue()
 
 
-def _run_seed(cfg: dict, seed: int) -> dict:
+def _run_seed(job) -> dict:
     """One full search + retrain; returns artifact payloads, writes nothing."""
     from .graph import structure_cost, structure_hash
 
-    supergraph = _build_supergraph(cfg)
-    task_spec = _build_task_spec(cfg)
+    experiment, supergraph, task_spec, config = job
+    seed = config.seed
     data = generate_tasks(task_spec, rng_stream(seed, "data"))
     data.seed = seed
-    config = _build_search_config(cfg, seed)
     result = search(config, supergraph, data)
     metrics = retrain(result.structure, supergraph, data, config, seed)
-    result.retrained_metrics = metrics
     return {
         "seed": seed,
         "structure": structure_to_json(result.structure, data.task_names),
         "dot": export_dot(result.structure, data.task_names),
         "trace_csv": _trace_csv(result, data.task_names),
         "metrics": {
-            "experiment": cfg["experiment"],
+            "experiment": experiment,
             "seed": seed,
             "lambda": config.resource_weight,
             "structure_hash": structure_hash(result.structure),
@@ -261,25 +261,26 @@ def _run_seed(cfg: dict, seed: int) -> dict:
     }
 
 
-def _run_seed_payload(payload) -> dict:
-    cfg, seed = payload
-    return _run_seed(cfg, seed)
-
-
 def cmd_search(args) -> int:
     cfg = load_config(args.config)
     seeds = [args.seed] if args.seed is not None else cfg.get("seeds", [0])
     if args.lambda_override is not None:
         cfg.setdefault("search", {})["lambda"] = args.lambda_override
     out_root = Path(args.out or cfg.get("output_dir", "runs")) / cfg["experiment"]
+    with _reading_input():
+        supergraph = _build_supergraph(cfg)
+        task_spec = _build_task_spec(cfg)
+        jobs = [
+            (cfg["experiment"], supergraph, task_spec, _build_search_config(cfg, seed))
+            for seed in seeds
+        ]
 
     workers = int(os.environ.get("BMTAS_WORKERS", "1"))
-    payloads = [(cfg, seed) for seed in seeds]
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_seed_payload, payloads))
+            results = list(pool.map(_run_seed, jobs))
     else:
-        results = [_run_seed_payload(p) for p in payloads]
+        results = [_run_seed(job) for job in jobs]
 
     for res in results:
         seed_dir = out_root / f"seed{res['seed']}"
@@ -304,13 +305,17 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _unit_costs(text: str, num_layers: int) -> list[float]:
+    costs = [float(u) for u in text.split(",")]
+    if len(costs) != num_layers:
+        raise ConfigError("unit costs must cover every layer")
+    return costs
+
+
 def _spec_from_args(args, num_tasks: int, num_layers: int) -> SupergraphSpec:
     if args.unit_costs:
-        costs = [float(u) for u in args.unit_costs.split(",")]
-        if len(costs) != num_layers:
-            raise ConfigError("unit costs must cover every layer")
         return SupergraphSpec.chain(
-            [1] * (num_layers + 1), num_tasks, costs
+            [1] * (num_layers + 1), num_tasks, _unit_costs(args.unit_costs, num_layers)
         )
     if args.widths:
         widths = [int(w) for w in args.widths.split(",")]
@@ -321,8 +326,9 @@ def _spec_from_args(args, num_tasks: int, num_layers: int) -> SupergraphSpec:
 
 
 def cmd_expected_cost(args) -> int:
-    alpha = ArchitectureParams.from_json(_load_json(args.alpha))
-    spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
+    with _reading_input():
+        alpha = ArchitectureParams.from_json(_load_json(args.alpha))
+        spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
     cost = expected_cost(alpha, spec)
     dist = grouping_distribution(alpha, spec)
     report = {
@@ -354,14 +360,14 @@ def cmd_expected_cost(args) -> int:
 def cmd_enumerate(args) -> int:
     from .graph import count_structures
 
+    with _reading_input():
+        table = CostTable(
+            _unit_costs(args.unit_costs, args.layers)
+            if args.unit_costs
+            else [1.0] * args.layers
+        )
     parts = enumerate_partitions(args.tasks)
-    if args.unit_costs:
-        costs = [float(u) for u in args.unit_costs.split(",")]
-        if len(costs) != args.layers:
-            raise ConfigError("unit costs must cover every layer")
-    else:
-        costs = [1.0] * args.layers
-    total = sum(costs)
+    total = table.fully_shared_cost
     # cost extremes: one block everywhere vs an immediate full branch
     report = {
         "tasks": args.tasks,
@@ -376,14 +382,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = MetricRecord.from_json(_load_json(args.model))
-    baseline = MetricRecord.from_json(_load_json(args.baseline))
+    with _reading_input():
+        model = MetricRecord.from_json(_load_json(args.model))
+        baseline = MetricRecord.from_json(_load_json(args.baseline))
     print(f"{delta_m(model, baseline):.2f}")
     return 0
 
 
 def cmd_export_dot(args) -> int:
-    structure, names = structure_from_json(_load_json(args.structure))
+    with _reading_input():
+        structure, names = structure_from_json(_load_json(args.structure))
     print(export_dot(structure, names), end="")
     return 0
 

@@ -14,7 +14,7 @@ class DimensionMismatch(BmtasError, ValueError):
 
 
 class ModeError(BmtasError, ValueError):
-    """A routing mask was used in the wrong mode (soft vs discrete)."""
+    """An argument is of the wrong kind, such as a value off the autodiff tape."""
 
 
 class DomainError(BmtasError, ValueError):

@@ -5,19 +5,14 @@ truth grouping is known by construction.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import spearmanr
 
-from .errors import ConfigError, DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError
 from .partition import Partition
-
-CACHE_MAGIC = b"BMTB"
-CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -42,15 +37,6 @@ class MetricRecord:
                 raise DimensionMismatch("one name per metric required")
         if not all(np.isfinite(v) for v in values):
             raise DomainError("metric values must be finite")
-
-    def to_json(self) -> dict:
-        names = self.names or tuple(f"t{i}" for i in range(len(self.values)))
-        return {
-            "tasks": [
-                {"name": n, "value": v, "lower_better": b}
-                for n, v, b in zip(names, self.values, self.lower_better)
-            ]
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "MetricRecord":
@@ -249,48 +235,3 @@ def generate_tasks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> Dataset
         targets_test=targets(x_test),
     )
 
-
-def save_dataset(dataset: Dataset, path):
-    """Binary cache: magic, version, JSON meta, then the arrays in order."""
-    meta = {
-        "tasks": list(dataset.task_names),
-        "train_samples": int(dataset.inputs_train.shape[0]),
-        "test_samples": int(dataset.inputs_test.shape[0]),
-        "input_dim": int(dataset.input_dim),
-        "target_dims": [int(d) for d in dataset.target_dims],
-        "seed": dataset.seed,
-    }
-    blob = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", CACHE_VERSION, len(blob)))
-        fh.write(blob)
-        np.save(fh, dataset.inputs_train)
-        np.save(fh, dataset.inputs_test)
-        for y in dataset.targets_train:
-            np.save(fh, y)
-        for y in dataset.targets_test:
-            np.save(fh, y)
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != CACHE_MAGIC:
-            raise ConfigError(f"{path} is not a benchmark cache file")
-        version, meta_len = struct.unpack("<II", fh.read(8))
-        if version != CACHE_VERSION:
-            raise ConfigError(f"unsupported cache version {version}")
-        meta = json.loads(fh.read(meta_len).decode())
-        inputs_train = np.load(fh)
-        inputs_test = np.load(fh)
-        n = len(meta["tasks"])
-        targets_train = tuple(np.load(fh) for _ in range(n))
-        targets_test = tuple(np.load(fh) for _ in range(n))
-    return Dataset(
-        task_names=tuple(meta["tasks"]),
-        inputs_train=inputs_train,
-        inputs_test=inputs_test,
-        targets_train=targets_train,
-        targets_test=targets_test,
-        seed=meta.get("seed"),
-    )

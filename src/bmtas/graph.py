@@ -10,19 +10,13 @@ refinement chain that never re-merges.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DimensionMismatch, ModeError
+from .errors import BoundsError, DimensionMismatch, DomainError
 from .partition import Partition, enumerate_partitions, meet, refines
-
-SOFT = "soft"
-DISCRETE = "discrete"
-
-ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,30 +104,19 @@ class SupergraphSpec:
 
 @dataclass
 class RoutingMask:
-    """Per-layer candidate selection for one task.
-
-    Rows are probability vectors over the T candidates of each layer:
-    one-hot in discrete mode, strictly positive mixtures in soft mode.
-    """
+    """Per-layer candidate selection for one task: one one-hot row per layer."""
 
     task: int
     rows: np.ndarray
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in (SOFT, DISCRETE):
-            raise ModeError(f"unknown mask mode {self.mode!r}")
         rows = np.array(self.rows, dtype=np.float64)
         if rows.ndim != 2:
             raise DimensionMismatch("mask rows must be a (layers, candidates) matrix")
-        sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            raise ValueError("every mask row must sum to 1")
-        if self.mode == DISCRETE:
-            ones = (rows == 1.0).sum(axis=1)
-            zeros = (rows == 0.0).sum(axis=1)
-            if np.any(ones != 1) or np.any(zeros != rows.shape[1] - 1):
-                raise ModeError("discrete mask rows must be exactly one-hot")
+        ones = (rows == 1.0).sum(axis=1)
+        zeros = (rows == 0.0).sum(axis=1)
+        if np.any(ones != 1) or np.any(zeros != rows.shape[1] - 1):
+            raise DomainError("mask rows must be exactly one-hot")
         rows.setflags(write=False)
         self.rows = rows
 
@@ -151,11 +134,9 @@ class RoutingMask:
     ) -> "RoutingMask":
         rows = np.zeros((len(choices), num_candidates))
         rows[np.arange(len(choices)), list(choices)] = 1.0
-        return cls(task=task, rows=rows, mode=DISCRETE)
+        return cls(task=task, rows=rows)
 
     def choices(self) -> tuple[int, ...]:
-        if self.mode != DISCRETE:
-            raise ModeError("choices are only defined for discrete masks")
         return tuple(int(j) for j in self.rows.argmax(axis=1))
 
 
@@ -191,9 +172,6 @@ class BranchedStructure:
                 )
             prev = k
 
-    def cost(self, table: CostTable) -> float:
-        return structure_cost(self, table)
-
 
 def grouping_cost(k: Partition, layer: int, table: CostTable) -> float:
     """MAdds of grouping ``k`` at 1-based layer ``layer``."""
@@ -205,7 +183,7 @@ def grouping_cost(k: Partition, layer: int, table: CostTable) -> float:
 
 
 def derive_groupings(masks: Sequence[RoutingMask]) -> BranchedStructure:
-    """Fold per-task discrete routings into the grouping chain they induce.
+    """Fold per-task routings into the grouping chain they induce.
 
     Tasks share a block at layer l iff their chosen edges coincide at
     every layer 1..l, so each layer's grouping is the meet of the previous
@@ -217,9 +195,6 @@ def derive_groupings(masks: Sequence[RoutingMask]) -> BranchedStructure:
     if sorted(m.task for m in masks) != list(range(num_tasks)):
         raise DimensionMismatch("need exactly one mask per task 0..T-1")
     by_task = sorted(masks, key=lambda m: m.task)
-    for m in by_task:
-        if m.mode != DISCRETE:
-            raise ModeError("derive_groupings requires discrete masks")
     num_layers = by_task[0].num_layers
     if any(
         m.num_layers != num_layers or m.num_candidates != by_task[0].num_candidates

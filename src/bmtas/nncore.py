@@ -262,40 +262,6 @@ class OperationParams:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def to_json(self) -> dict:
-        return {
-            name: {"shape": list(p.shape), "data": p.data.ravel().tolist()}
-            for name, p in self.named_parameters()
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OperationParams":
-        def read(name):
-            rec = obj[name]
-            return Tensor(np.array(rec["data"]).reshape(rec["shape"]))
-
-        layers = sorted(
-            {int(n.split(".")[0][1:]) for n in obj if n.startswith("l")}
-        )
-        weights, biases = [], []
-        for l in layers:
-            cands = sorted(
-                int(n.split(".")[1][1:])
-                for n in obj
-                if n.startswith(f"l{l}.") and n.endswith(".w")
-            )
-            weights.append([read(f"l{l}.c{j}.w") for j in cands])
-            biases.append([read(f"l{l}.c{j}.b") for j in cands])
-        tasks = sorted(
-            int(n.split(".")[1]) for n in obj if n.startswith("head.") and n.endswith(".w")
-        )
-        return cls(
-            weights,
-            biases,
-            [read(f"head.{t}.w") for t in tasks],
-            [read(f"head.{t}.b") for t in tasks],
-        )
-
 
 def candidate_forward(params: OperationParams, layer: int, candidate: int, x) -> Tensor:
     """tanh(x W + b) for one candidate op; layer is 1-based."""
@@ -339,26 +305,13 @@ def head_forward(params: OperationParams, task: int, features) -> Tensor:
     return features @ params.head_weights[task] + params.head_biases[task]
 
 
-def task_loss(prediction, target, task_kind: str = "regression") -> Tensor:
-    if task_kind != "regression":
-        raise ModeError(f"unknown task kind {task_kind!r}")
+def task_loss(prediction, target) -> Tensor:
     prediction = _wrap(prediction)
     target = _wrap(target)
     if prediction.shape != target.shape:
         raise DimensionMismatch("prediction and target shapes disagree")
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def weighted_task_loss(losses, omega) -> Tensor:
-    weights = omega.omega if isinstance(omega, LossWeights) else tuple(omega)
-    if len(losses) != len(weights):
-        raise DimensionMismatch("one weight per task loss required")
-    total = None
-    for loss, w in zip(losses, weights):
-        term = float(w) * _wrap(loss)
-        total = term if total is None else total + term
-    return total
 
 
 class SGD:
@@ -422,10 +375,3 @@ class Adam:
             v_hat = v / (1.0 - b2 ** self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-def sgd_step(state: SGD, grads=None):
-    state.step(grads)
-
-
-def adam_step(state: Adam, grads=None):
-    state.step(grads)

@@ -15,8 +15,11 @@ from typing import Iterable, Sequence
 
 from .errors import BoundsError, DimensionMismatch
 
-# B_8 = 4140 groupings per layer and 8^8 joint edge choices keep the exact
-# expected-cost machinery tractable; beyond that it is not.
+# Largest task count a grouping may cover; the config schema's num_tasks
+# bound reads it. Enumeration and counting handle T=8, but the exact
+# expected cost does not finish there: its tables take B_T^2 meets and a
+# T^T x T assignment array, 17M meets and about 1 GB at T=8 against 0.77M
+# meets and a cold build of 11-13 s at T=7.
 MAX_TASKS = 8
 
 
@@ -78,9 +81,6 @@ class Partition:
             out[b].append(task)
         return out
 
-    def to_json(self) -> list[list[int]]:
-        return self.blocks()
-
     @classmethod
     def from_json(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         """Rebuild from a block list; must cover 0..T-1 exactly once."""
@@ -98,14 +98,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.rgs)
-
-
-@dataclass(frozen=True)
-class AncestorSet:
-    """A grouping together with every grouping it refines (itself included)."""
-
-    base: Partition
-    members: tuple[Partition, ...]
 
 
 @lru_cache(maxsize=None)
@@ -155,13 +147,3 @@ def meet(a: Partition, b: Partition) -> Partition:
     _check_same_tasks(a, b)
     return Partition.from_labels(list(zip(a.rgs, b.rgs)))
 
-
-def ancestors(k: Partition) -> AncestorSet:
-    """Every grouping of which ``k`` is a refinement, in enumeration order."""
-    members = tuple(m for m in enumerate_partitions(k.num_tasks) if refines(k, m))
-    return AncestorSet(base=k, members=members)
-
-
-def num_parts(k: Partition) -> int:
-    """Number of blocks, i.e. distinct operations the grouping requires."""
-    return k.num_blocks

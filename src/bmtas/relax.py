@@ -19,8 +19,6 @@ from .resloss import ArchitectureParams
 # keeps -log(-log(u)) finite at both ends of the uniform draw
 NOISE_EPS = 1e-12
 
-ROW_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
@@ -37,63 +35,24 @@ class TemperatureSchedule:
             raise DomainError("need at least one step")
 
 
-@dataclass(frozen=True)
-class GumbelSample:
-    """One task's soft routing rows, with the noise that produced them."""
-
-    z: np.ndarray
-    noise: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=np.float64)
-        noise = np.array(self.noise, dtype=np.float64)
-        if z.shape != noise.shape:
-            raise DomainError("z and noise shapes disagree")
-        if np.any(z <= 0) or np.any(np.abs(z.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            raise DomainError("soft rows must be positive and sum to 1")
-        z.setflags(write=False)
-        noise.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "noise", noise)
-
-
 def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
     """Standard Gumbel draws via -log(-log(u)), u kept away from {0, 1}."""
     u = rng.uniform(NOISE_EPS, 1.0 - NOISE_EPS, size=shape)
     return -np.log(-np.log(u))
 
 
-def soft_row(logits_row: np.ndarray, noise_row: np.ndarray, tau: float) -> np.ndarray:
-    """softmax((logits + g) / tau) for an explicit, fixed noise row."""
-    if tau <= 0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-    return softmax((np.asarray(logits_row) + np.asarray(noise_row)) / tau)
-
-
 def sample_soft(
     alpha: ArchitectureParams, task: int, layer: int, tau: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one soft routing row for (task, 1-based layer)."""
+    """Draw one soft routing row softmax((logits + g) / tau) for (task, 1-based layer)."""
     if not 0 <= task < alpha.num_tasks:
         raise BoundsError(f"task {task} out of range")
     if not 1 <= layer <= alpha.num_layers:
         raise BoundsError(f"layer {layer} out of range")
-    g = gumbel_noise((alpha.num_candidates,), rng)
-    return soft_row(alpha.logits[task, layer - 1], g, tau)
-
-
-def draw_sample(
-    alpha: ArchitectureParams, task: int, tau: float, rng: np.random.Generator
-) -> GumbelSample:
-    """All layers of one task in a single draw."""
-    if not 0 <= task < alpha.num_tasks:
-        raise BoundsError(f"task {task} out of range")
     if tau <= 0:
         raise DomainError(f"temperature must be positive, got {tau}")
-    g = gumbel_noise((alpha.num_layers, alpha.num_candidates), rng)
-    z = softmax((alpha.logits[task] + g) / tau, axis=1)
-    return GumbelSample(z=z, noise=g, tau=tau)
+    g = gumbel_noise((alpha.num_candidates,), rng)
+    return softmax((alpha.logits[task, layer - 1] + g) / tau)
 
 
 def schedule_tau(schedule: TemperatureSchedule, step: int) -> float:

@@ -62,9 +62,6 @@ class ArchitectureParams:
     def zeros(cls, num_tasks: int, num_layers: int) -> "ArchitectureParams":
         return cls(np.zeros((num_tasks, num_layers, num_tasks)))
 
-    def to_json(self) -> list:
-        return self.logits.tolist()
-
     @classmethod
     def from_json(cls, obj: Sequence) -> "ArchitectureParams":
         return cls(np.array(obj, dtype=np.float64))
@@ -131,15 +128,6 @@ def _check_dims(alpha: ArchitectureParams, spec: SupergraphSpec):
         raise DimensionMismatch("logits layer dim does not match the supergraph")
 
 
-def edge_probabilities(alpha: ArchitectureParams, task: int, layer: int) -> np.ndarray:
-    """Softmax over task `task`'s candidate edges at 1-based layer `layer`."""
-    if not 0 <= task < alpha.num_tasks:
-        raise BoundsError(f"task {task} out of range")
-    if not 1 <= layer <= alpha.num_layers:
-        raise BoundsError(f"layer {layer} out of range")
-    return softmax(alpha.logits[task, layer - 1])
-
-
 def _layer_probs(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     """(T, T) matrix of edge probabilities, one row per task."""
     return softmax(alpha.logits[:, layer - 1, :], axis=1)
@@ -151,11 +139,7 @@ def _assignment_weights(pi: np.ndarray, tables: _EdgeTables) -> np.ndarray:
     return pi[np.arange(t)[None, :], tables.assignments].prod(axis=1)
 
 
-def transition_kernel(
-    alpha: ArchitectureParams,
-    layer: int,
-    partitions: tuple[Partition, ...] | None = None,
-) -> np.ndarray:
+def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     """P[m][k] = probability that meet(m, edge partition at `layer`) equals k.
 
     Rows are distributions over the partition list; support stays inside
@@ -166,8 +150,6 @@ def transition_kernel(
     if alpha.num_candidates != alpha.num_tasks:
         raise DimensionMismatch("expected one candidate edge per task")
     tables = _edge_tables(alpha.num_tasks)
-    if partitions is not None and tuple(partitions) != tables.partitions:
-        raise DimensionMismatch("partition list does not match enumerate_partitions")
     w = _assignment_weights(_layer_probs(alpha, layer), tables)
     n = len(tables.partitions)
     q = np.bincount(tables.induced, weights=w, minlength=n)
@@ -215,11 +197,6 @@ def expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
     tables = _edge_tables(alpha.num_tasks)
     layers = _chain(alpha, spec, clamp=True)
     return float((layers * _cost_rows(spec, tables.num_blocks)).sum())
-
-
-def resource_loss(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
-    """Expected cost normalized by the fully-shared cost, so 1.0 means one branch."""
-    return expected_cost(alpha, spec) / spec.cost_table.fully_shared_cost
 
 
 def expected_cost_grad(alpha: ArchitectureParams, spec: SupergraphSpec) -> np.ndarray:

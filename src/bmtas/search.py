@@ -64,8 +64,10 @@ class SearchConfig:
     omega: LossWeights | None = None
 
     def __post_init__(self):
-        if self.resource_weight < 0:
-            raise ConfigError("resource_weight must be non-negative")
+        if not 0 <= self.resource_weight < float("inf"):
+            raise ConfigError("resource_weight must be non-negative and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0 < self.alpha_data_fraction < 1:
             raise ConfigError("alpha_data_fraction must lie strictly in (0, 1)")
         if min(self.warmup_steps, self.retrain_steps) < 0 or self.search_steps < 1:
@@ -101,7 +103,6 @@ class SearchResult:
     structure: BranchedStructure
     alpha_final: ArchitectureParams
     trace: list[TraceRow]
-    retrained_metrics: dict[str, float] | None = None
 
 
 def _batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
@@ -113,23 +114,28 @@ def warm_up(
     data: Dataset,
     steps: int,
     rng: np.random.Generator,
-    lr: float = 0.3,
-    momentum: float = 0.9,
-    weight_decay: float = 1e-4,
-    batch_size: int = 32,
+    config: SearchConfig | None = None,
 ) -> OperationParams:
     """Assign candidate j to task j for a few steps of plain SGD.
 
     Candidates start identical; warm-up is what differentiates them, giving
-    the later search a meaningful candidate-task affinity to exploit.
+    the later search a meaningful candidate-task affinity to exploit. The
+    SGD and batch settings are config's theta_* and batch_size.
     """
     if data.num_tasks != supergraph.num_tasks:
         raise ConfigError("dataset task count does not match the supergraph")
+    if config is None:
+        config = SearchConfig()
     params = OperationParams.init(supergraph, data.target_dims, rng)
-    opt = SGD(params.parameters(), lr, momentum, weight_decay)
+    opt = SGD(
+        params.parameters(),
+        config.theta_lr,
+        config.theta_momentum,
+        config.theta_weight_decay,
+    )
     all_rows = np.arange(data.inputs_train.shape[0])
     for _ in range(steps):
-        idx = _batch(rng, all_rows, batch_size)
+        idx = _batch(rng, all_rows, config.batch_size)
         x = Tensor(data.inputs_train[idx])
         reset_grads(params.parameters())
         for t in range(data.num_tasks):
@@ -177,14 +183,7 @@ def search(
 
     if params is None:
         params = warm_up(
-            supergraph,
-            data,
-            config.warmup_steps,
-            rng_stream(config.seed, "warmup"),
-            lr=config.theta_lr,
-            momentum=config.theta_momentum,
-            weight_decay=config.theta_weight_decay,
-            batch_size=config.batch_size,
+            supergraph, data, config.warmup_steps, rng_stream(config.seed, "warmup"), config
         )
 
     split_rng = rng_stream(config.seed, "search", "split")
@@ -253,10 +252,10 @@ def search(
                     expected_cost_grad(at, supergraph)
                 )
             alpha_opt.step([grad])
+            alpha_now = ArchitectureParams(alpha_param.data.copy())
         except NumericError as exc:
             raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
 
-        alpha_now = ArchitectureParams(alpha_param.data.copy())
         structure = derive_groupings(discretize(alpha_now))
         digest = structure_hash(structure)
         if digest != prev_hash:

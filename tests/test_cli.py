@@ -98,6 +98,76 @@ class TestExitCodes:
         assert json.loads(err.splitlines()[-1])["event"] == "runtime_error"
 
 
+def bad_config(tmp_path, **edits):
+    """search argv for base_config with edits {section: {key: value}}; the
+    strings "INF" and "BIG" are written as the JSON numbers 1e400 and 10**400."""
+    cfg = base_config()
+    for section, values in edits.items():
+        cfg[section].update(values)
+    path = tmp_path / "run.json"
+    text = json.dumps(cfg).replace('"INF"', "1e400").replace('"BIG"', str(10**400))
+    path.write_text(text)
+    return ["search", "--config", str(path)]
+
+
+def input_file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+ALPHA_2x1 = "[[[0, 0]], [[0, 0]]]"
+
+BAD_INPUTS = {
+    "relatedness-repeats-a-task": lambda p: bad_config(
+        p, benchmark={"relatedness": [[0, 0]]}
+    ),
+    "relatedness-misses-a-task": lambda p: bad_config(
+        p, benchmark={"relatedness": [[0, 1]]}
+    ),
+    "tau_start-below-tau_end": lambda p: bad_config(
+        p, search={"tau_start": 0.05, "tau_end": 0.5}
+    ),
+    "unit-cost-overflows-to-inf": lambda p: bad_config(
+        p, supergraph={"unit_costs": ["INF", 1]}
+    ),
+    "unit-cost-integer-too-large-for-a-float": lambda p: bad_config(
+        p, supergraph={"unit_costs": ["BIG", 1]}
+    ),
+    "search-lambda-override-NaN": lambda p: bad_config(p) + ["--lambda", "nan"],
+    "search-negative-seed": lambda p: bad_config(p) + ["--seed", "-1"],
+    "enumerate-non-numeric-unit-costs": lambda p: [
+        "enumerate", "--tasks", "2", "--layers", "2", "--unit-costs", "a,b"
+    ],
+    "enumerate-zero-layers": lambda p: ["enumerate", "--tasks", "2", "--layers", "0"],
+    "expected-cost-non-numeric-widths": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x1), "--widths", "a,b"
+    ],
+    "expected-cost-zero-unit-cost": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x1), "--unit-costs", "0"
+    ],
+    "expected-cost-NaN-logit": lambda p: [
+        "expected-cost", "--alpha", input_file(p, "[[[NaN, 0]], [[0, 0]]]")
+    ],
+    "eval-record-without-tasks": lambda p: [
+        "eval", "--model", input_file(p, "{}"), "--baseline", input_file(p, "{}")
+    ],
+    "export-dot-structure-without-layers": lambda p: [
+        "export-dot", "--structure", input_file(p, '{"tasks": ["a"]}')
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_config_error(case, tmp_path, capsys):
+    assert main(BAD_INPUTS[case](tmp_path)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["event"] == "config_error"
+    assert captured.out == ""
+
+
 class TestEnumerate:
     def test_counts(self, capsys):
         assert main(["enumerate", "--tasks", "3", "--layers", "2"]) == 0

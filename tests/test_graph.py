@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmtas.errors import BoundsError, DimensionMismatch, ModeError
+from bmtas.errors import BoundsError, DimensionMismatch, DomainError
 from bmtas.graph import (
     BranchedStructure,
     CostTable,
@@ -77,27 +77,16 @@ class TestSupergraphSpec:
 
 
 class TestRoutingMask:
-    def test_soft_rows_must_sum_to_one(self):
-        ok = RoutingMask(task=0, rows=[[0.3, 0.7], [0.5, 0.5]], mode="soft")
-        assert ok.num_layers == 2 and ok.num_candidates == 2
-        with pytest.raises(ValueError):
-            RoutingMask(task=0, rows=[[0.3, 0.6]], mode="soft")
-
     def test_discrete_rows_must_be_one_hot(self):
-        with pytest.raises(ModeError):
-            RoutingMask(task=0, rows=[[0.5, 0.5]], mode="discrete")
+        for rows in ([[0.5, 0.5]], [[0.3, 0.6]], [[1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(DomainError):
+                RoutingMask(task=0, rows=rows)
+        with pytest.raises(DimensionMismatch):
+            RoutingMask(task=0, rows=[1.0, 0.0])
         mask = RoutingMask.from_choices(1, [0, 2, 1], 3)
         assert mask.choices() == (0, 2, 1)
         assert mask.task == 1
-
-    def test_choices_needs_discrete_mode(self):
-        soft = RoutingMask(task=0, rows=[[0.5, 0.5]], mode="soft")
-        with pytest.raises(ModeError):
-            soft.choices()
-
-    def test_unknown_mode(self):
-        with pytest.raises(ModeError):
-            RoutingMask(task=0, rows=[[1.0]], mode="hard")
+        assert mask.num_layers == 3 and mask.num_candidates == 3
 
     def test_rows_are_read_only(self):
         mask = RoutingMask.from_choices(0, [1], 2)
@@ -118,12 +107,6 @@ class TestDeriveGroupings:
         masks = routing_fixture([(0, 0), (1, 0)])
         s = derive_groupings(masks)
         assert [str(k) for k in s.groupings] == ["01", "01"]
-
-    def test_requires_discrete(self):
-        soft = RoutingMask(task=0, rows=[[0.5, 0.5]], mode="soft")
-        other = RoutingMask.from_choices(1, [0], 2)
-        with pytest.raises(ModeError):
-            derive_groupings([soft, other])
 
     def test_requires_one_mask_per_task(self):
         masks = routing_fixture([(0,), (1,)])
@@ -165,7 +148,6 @@ class TestBranchedStructure:
         table = CostTable((10.0, 100.0))
         assert grouping_cost(s.groupings[0], 1, table) == 20.0
         assert structure_cost(s, table) == 20.0 + 300.0
-        assert s.cost(table) == 320.0
 
     def test_grouping_cost_layer_bounds(self):
         table = CostTable((1.0,))

@@ -15,16 +15,13 @@ from bmtas.nncore import (
     OperationParams,
     SGD,
     Tensor,
-    adam_step,
     backward,
     candidate_forward,
     collect_grads,
     head_forward,
     mixed_layer_forward,
     reset_grads,
-    sgd_step,
     task_loss,
-    weighted_task_loss,
 )
 from bmtas.seeding import rng_stream
 from conftest import central_diff, relative_error
@@ -188,13 +185,6 @@ class TestOperationParams:
         assert "head.0.w" in names and "head.1.b" in names
         assert len(names) == 2 * 2 * 2 + 2 * 2
 
-    def test_json_round_trip(self, small_params):
-        _, params = small_params
-        back = OperationParams.from_json(params.to_json())
-        for (na, a), (nb, b) in zip(params.named_parameters(), back.named_parameters()):
-            assert na == nb
-            assert np.array_equal(a.data, b.data)
-
     def test_layer_shape_agreement_enforced(self):
         with pytest.raises(DimensionMismatch):
             OperationParams(
@@ -270,17 +260,8 @@ class TestLosses:
         assert float(task_loss(pred, target).data) == pytest.approx((4 + 9) / 4)
 
     def test_mse_contract(self):
-        with pytest.raises(ModeError):
-            task_loss(Tensor([1.0]), np.array([1.0]), task_kind="classification")
         with pytest.raises(DimensionMismatch):
             task_loss(Tensor([1.0]), np.array([1.0, 2.0]))
-
-    def test_weighted_sum(self):
-        losses = [Tensor(2.0), Tensor(3.0)]
-        total = weighted_task_loss(losses, LossWeights((1.0, 2.0)))
-        assert float(total.data) == 8.0
-        with pytest.raises(DimensionMismatch):
-            weighted_task_loss(losses, (1.0,))
 
 
 def reference_sgd(x0, grads, lr, momentum, weight_decay, steps):
@@ -303,7 +284,7 @@ class TestSGD:
         opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.01)
         want = reference_sgd(x0, grads, 0.1, 0.9, 0.01, 4)
         for i in range(4):
-            sgd_step(opt, [grads[i]])
+            opt.step([grads[i]])
             assert np.allclose(p.data, want[i])
 
     def test_lr_scales(self):
@@ -353,7 +334,7 @@ class TestAdam:
         opt = Adam([p], lr=0.05, betas=(0.9, 0.999), weight_decay=0.02)
         want = reference_adam(x0, grads, 0.05, (0.9, 0.999), 1e-8, 0.02, 5)
         for i in range(5):
-            adam_step(opt, [grads[i]])
+            opt.step([grads[i]])
             assert np.allclose(p.data, want[i])
 
     def test_minimizes_quadratic(self):

@@ -1,17 +1,15 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bmtas.errors import BoundsError, DimensionMismatch
 from bmtas.partition import (
     MAX_TASKS,
     Partition,
-    ancestors,
     enumerate_partitions,
     meet,
-    num_parts,
     refines,
 )
 
@@ -87,12 +85,14 @@ def test_coarsest_finest():
 def test_blocks_ordered_by_smallest_member():
     p = Partition((0, 1, 0, 2, 1))
     assert p.blocks() == [[0, 2], [1, 4], [3]]
-    assert num_parts(p) == 3
+    assert p.num_blocks == 3
 
 
 def test_json_round_trip():
+    assert Partition.from_json([[0, 2], [1, 4], [3]]) == Partition((0, 1, 0, 2, 1))
+    assert Partition.from_json([[3, 0], [1], [2]]) == Partition((0, 1, 2, 0))
     for p in enumerate_partitions(4):
-        assert Partition.from_json(p.to_json()) == p
+        assert Partition.from_json(p.blocks()) == p
 
 
 def test_from_json_rejects_bad_blocks():
@@ -146,22 +146,6 @@ def test_meet_algebra(a, data):
     assert meet(a, b) == meet(b, a)
     assert meet(a, Partition.coarsest(n)) == a
     assert meet(a, Partition.finest(n)) == Partition.finest(n)
-
-
-def test_ancestors_of_extremes():
-    top = ancestors(Partition.coarsest(4))
-    assert top.members == (Partition.coarsest(4),)
-    bottom = ancestors(Partition.finest(4))
-    assert len(bottom.members) == BELL[4]
-    assert bottom.base == Partition.finest(4)
-
-
-@given(partitions_st)
-@settings(max_examples=40)
-def test_ancestors_members_are_exactly_the_coarsenings(p):
-    members = set(ancestors(p).members)
-    for q in enumerate_partitions(p.num_tasks):
-        assert (q in members) == refines(p, q)
 
 
 def test_str_and_properties():

@@ -4,14 +4,11 @@ from scipy.special import softmax
 
 from bmtas.errors import BoundsError, DomainError
 from bmtas.relax import (
-    GumbelSample,
     TemperatureSchedule,
     discretize,
-    draw_sample,
     gumbel_noise,
     sample_soft,
     schedule_tau,
-    soft_row,
 )
 from bmtas.resloss import ArchitectureParams
 from bmtas.seeding import rng_stream
@@ -59,19 +56,17 @@ class TestGumbelNoise:
 
 class TestSoftSampling:
     def test_soft_row_formula(self):
-        logits = np.array([1.0, -0.5, 0.2])
-        noise = np.array([0.3, 0.0, -0.7])
+        a = ArchitectureParams(np.random.default_rng(0).normal(size=(3, 2, 3)))
         tau = 0.7
-        assert np.allclose(
-            soft_row(logits, noise, tau), softmax((logits + noise) / tau)
-        )
+        row = sample_soft(a, 1, 2, tau, rng_stream(4, "gumbel"))
+        noise = gumbel_noise((3,), rng_stream(4, "gumbel"))
+        assert np.allclose(row, softmax((a.logits[1, 1] + noise) / tau))
 
     def test_positive_temperature_required(self):
-        with pytest.raises(DomainError):
-            soft_row(np.zeros(2), np.zeros(2), 0.0)
         a = ArchitectureParams.zeros(2, 1)
-        with pytest.raises(DomainError):
-            draw_sample(a, 0, -1.0, rng_stream(0))
+        for tau in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                sample_soft(a, 0, 1, tau, rng_stream(0))
 
     def test_sample_soft_is_a_distribution(self):
         a = ArchitectureParams.zeros(3, 2)
@@ -87,34 +82,11 @@ class TestSoftSampling:
             sample_soft(a, 2, 1, 1.0, rng)
         with pytest.raises(BoundsError):
             sample_soft(a, 0, 3, 1.0, rng)
-        with pytest.raises(BoundsError):
-            draw_sample(a, 5, 1.0, rng)
-
-    def test_draw_sample_reproducible_from_noise(self):
-        a = ArchitectureParams(np.random.default_rng(0).normal(size=(2, 3, 2)))
-        sample = draw_sample(a, 0, 0.8, rng_stream(4, "gumbel"))
-        rebuilt = softmax((a.logits[0] + sample.noise) / 0.8, axis=1)
-        assert np.allclose(sample.z, rebuilt)
 
     def test_low_tau_concentrates(self):
         a = ArchitectureParams.zeros(2, 1)
-        z = draw_sample(a, 0, 0.001, rng_stream(5)).z
+        z = sample_soft(a, 0, 1, 0.001, rng_stream(5))
         assert z.max() > 0.999
-
-
-class TestGumbelSample:
-    def test_validates_rows(self):
-        with pytest.raises(DomainError):
-            GumbelSample(z=np.array([[0.5, 0.6]]), noise=np.zeros((1, 2)), tau=1.0)
-        with pytest.raises(DomainError):
-            GumbelSample(z=np.array([[1.0, 0.0]]), noise=np.zeros((1, 2)), tau=1.0)
-        with pytest.raises(DomainError):
-            GumbelSample(z=np.array([[0.5, 0.5]]), noise=np.zeros((2, 2)), tau=1.0)
-
-    def test_read_only(self):
-        s = GumbelSample(z=np.array([[0.5, 0.5]]), noise=np.zeros((1, 2)), tau=1.0)
-        with pytest.raises(ValueError):
-            s.z[0, 0] = 0.9
 
 
 class TestDiscretize:
@@ -127,7 +99,6 @@ class TestDiscretize:
         masks = discretize(ArchitectureParams(logits))
         assert masks[0].choices() == (2, 1)
         assert masks[1].choices() == (0, 2)
-        assert all(m.mode == "discrete" for m in masks)
 
     def test_ties_pick_lowest_index(self):
         masks = discretize(ArchitectureParams.zeros(3, 2))

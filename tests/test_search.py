@@ -46,8 +46,11 @@ def quick_config(**overrides):
 
 class TestSearchConfig:
     def test_validation(self):
+        for weight in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                SearchConfig(resource_weight=weight)
         with pytest.raises(ConfigError):
-            SearchConfig(resource_weight=-0.1)
+            SearchConfig(seed=-1)
         with pytest.raises(ConfigError):
             SearchConfig(alpha_data_fraction=0.0)
         with pytest.raises(ConfigError):
@@ -147,6 +150,24 @@ class TestSearch:
             with np.errstate(over="ignore", invalid="ignore"):
                 search(cfg, sg, data)
         assert isinstance(err.value.trace, list)
+
+    def test_non_finite_logits_raise_search_error_with_step(self):
+        spec = SyntheticTaskSpec(
+            num_tasks=2,
+            input_dim=4,
+            hidden_dim=3,
+            target_dim=2,
+            relatedness=Partition((0, 1)),
+            train_samples=64,
+            test_samples=16,
+        )
+        data = generate_tasks(spec, rng_stream(0, "data"))
+        sg = SupergraphSpec.chain([4, 3, 3], 2)
+        cfg = quick_config(alpha_lr=1.7e308, warmup_steps=0, search_steps=10)
+        with pytest.raises(SearchError, match="at step 2") as err:
+            with np.errstate(all="ignore"):
+                search(cfg, sg, data)
+        assert [row.step for row in err.value.trace] == [1]
 
     def test_heavy_resource_weight_collapses_to_shared(self):
         data, sg = small_benchmark(train=256)
