@@ -328,6 +328,8 @@ def _spec_from_args(args, num_tasks: int, num_layers: int) -> SupergraphSpec:
 def cmd_expected_cost(args) -> int:
     with _reading_input():
         alpha = ArchitectureParams.from_json(_load_json(args.alpha))
+        if alpha.num_candidates != alpha.num_tasks:
+            raise ConfigError("logits need one candidate per task")
         spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
     cost = expected_cost(alpha, spec)
     dist = grouping_distribution(alpha, spec)
@@ -366,7 +368,7 @@ def cmd_enumerate(args) -> int:
             if args.unit_costs
             else [1.0] * args.layers
         )
-    parts = enumerate_partitions(args.tasks)
+        parts = enumerate_partitions(args.tasks)
     total = table.fully_shared_cost
     # cost extremes: one block everywhere vs an immediate full branch
     report = {
@@ -385,7 +387,8 @@ def cmd_eval(args) -> int:
     with _reading_input():
         model = MetricRecord.from_json(_load_json(args.model))
         baseline = MetricRecord.from_json(_load_json(args.baseline))
-    print(f"{delta_m(model, baseline):.2f}")
+        delta = delta_m(model, baseline)
+    print(f"{delta:.2f}")
     return 0
 
 

@@ -56,6 +56,8 @@ def delta_m(model: MetricRecord, baseline: MetricRecord) -> float:
     """
     if len(model.values) != len(baseline.values):
         raise DimensionMismatch("records cover different task counts")
+    if not baseline.values:
+        raise DomainError("records cover no tasks")
     if model.lower_better != baseline.lower_better:
         raise DimensionMismatch("records disagree on metric directions")
     if model.names is not None and baseline.names is not None:

@@ -199,11 +199,11 @@ class LossWeights:
 
 
 class OperationParams:
-    """Supergraph weights: per (layer, candidate) an affine op, per task a head.
-
-    Candidates within a layer are shape-identical duplicates; `init` draws
-    one weight matrix per layer and copies it so that, before any training,
-    the mixed output is independent of the routing.
+    """Branched-network weights: per (layer, operation) an affine op, per task
+    a head. A layer holds one operation per task in the supergraph and one
+    per block once retrained; all of a layer's operations share one shape.
+    `init` draws one weight matrix per layer and copies it to every candidate,
+    so that before any training the mixed output is independent of routing.
     """
 
     def __init__(self, weights, biases, head_weights, head_biases):
@@ -241,10 +241,6 @@ class OperationParams:
         return len(self.weights)
 
     @property
-    def num_candidates(self) -> int:
-        return len(self.weights[0])
-
-    @property
     def num_heads(self) -> int:
         return len(self.head_weights)
 
@@ -267,7 +263,7 @@ def candidate_forward(params: OperationParams, layer: int, candidate: int, x) ->
     """tanh(x W + b) for one candidate op; layer is 1-based."""
     if not 1 <= layer <= params.num_layers:
         raise BoundsError(f"layer {layer} out of range")
-    if not 0 <= candidate < params.num_candidates:
+    if not 0 <= candidate < len(params.weights[layer - 1]):
         raise BoundsError(f"candidate {candidate} out of range")
     x = _wrap(x)
     w = params.weights[layer - 1][candidate]
@@ -284,13 +280,16 @@ def mixed_layer_forward(params: OperationParams, layer: int, z_row, x) -> Tensor
     A Tensor z_row participates in differentiation (soft routing); a plain
     array is treated as constants (discrete or frozen routing).
     """
+    if not 1 <= layer <= params.num_layers:
+        raise BoundsError(f"layer {layer} out of range")
+    count = len(params.weights[layer - 1])
     values = z_row.data if isinstance(z_row, Tensor) else np.asarray(z_row, dtype=np.float64)
-    if values.shape != (params.num_candidates,):
-        raise DimensionMismatch("routing row length must equal candidate count")
+    if values.shape != (count,):
+        raise DimensionMismatch("routing row length must equal the operation count")
     if abs(float(values.sum()) - 1.0) > 1e-9:
         raise DomainError("routing row must sum to 1")
     out = None
-    for j in range(params.num_candidates):
+    for j in range(count):
         zj = z_row[(j,)] if isinstance(z_row, Tensor) else float(values[j])
         term = zj * candidate_forward(params, layer, j, x)
         out = term if out is None else out + term

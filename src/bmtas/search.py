@@ -2,6 +2,11 @@
 an annealed Gumbel-Softmax, argmax discretization, and from-scratch
 retraining of the found structure.
 
+One branched network serves every stage. `_features` runs a task's encoder,
+routed per layer by one operation's index or a row of mixture weights, and
+`_backward_tasks` backpropagates the omega-weighted task losses. Warm-up,
+search, retraining and prediction differ only in the routing they pass.
+
 Every iteration draws fresh routing noise, takes one weight step on the
 large data split, one architecture step (task loss plus the weighted,
 normalized expected cost) on the small split, and resets weight momentum
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import softmax
 
-from .errors import ConfigError, NumericError, SearchError
+from .errors import BoundsError, ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
 from .nncore import (
@@ -109,6 +114,49 @@ def _batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
     return pool[rng.choice(len(pool), size=min(size, len(pool)), replace=False)]
 
 
+def _features(params: OperationParams, routing, x) -> Tensor:
+    """One task's encoder output. routing[l] is either the index of the
+    operation the task takes at layer l+1 or a row of mixture weights over
+    that layer's operations."""
+    h = x
+    for layer, choice in enumerate(routing, start=1):
+        if isinstance(choice, int):
+            h = candidate_forward(params, layer, choice, h)
+        else:
+            h = mixed_layer_forward(params, layer, choice, h)
+    return h
+
+
+def _backward_tasks(params: OperationParams, routings, data: Dataset, idx, omega):
+    """Fresh gradients of sum_t omega[t] * loss_t on the training rows idx,
+    task t routed by routings[t]; returns the unweighted losses."""
+    reset_grads(params.parameters())
+    x = Tensor(data.inputs_train[idx])
+    losses = []
+    for t, routing in enumerate(routings):
+        pred = head_forward(params, t, _features(params, routing, x))
+        loss = task_loss(pred, data.targets_train[t][idx])
+        backward(loss, omega[t])
+        losses.append(float(loss.data))
+    return losses
+
+
+def _fit(params, routings, data, omega, steps, rng, config, lr, lr_scales=None):
+    """Plain momentum SGD with config's theta_* settings, one batch a step."""
+    opt = SGD(
+        params.parameters(),
+        lr,
+        config.theta_momentum,
+        config.theta_weight_decay,
+        lr_scales=lr_scales,
+    )
+    all_rows = np.arange(data.inputs_train.shape[0])
+    for _ in range(steps):
+        idx = _batch(rng, all_rows, config.batch_size)
+        _backward_tasks(params, routings, data, idx, omega)
+        opt.step()
+
+
 def warm_up(
     supergraph: SupergraphSpec,
     data: Dataset,
@@ -127,24 +175,9 @@ def warm_up(
     if config is None:
         config = SearchConfig()
     params = OperationParams.init(supergraph, data.target_dims, rng)
-    opt = SGD(
-        params.parameters(),
-        config.theta_lr,
-        config.theta_momentum,
-        config.theta_weight_decay,
-    )
-    all_rows = np.arange(data.inputs_train.shape[0])
-    for _ in range(steps):
-        idx = _batch(rng, all_rows, config.batch_size)
-        x = Tensor(data.inputs_train[idx])
-        reset_grads(params.parameters())
-        for t in range(data.num_tasks):
-            h = x
-            for layer in range(1, supergraph.num_layers + 1):
-                h = candidate_forward(params, layer, t, h)
-            loss = task_loss(head_forward(params, t, h), data.targets_train[t][idx])
-            backward(loss)
-        opt.step()
+    routings = [[t] * supergraph.num_layers for t in range(data.num_tasks)]
+    ones = (1.0,) * data.num_tasks
+    _fit(params, routings, data, ones, steps, rng, config, config.theta_lr)
     return params
 
 
@@ -155,13 +188,6 @@ def _soft_rows_tape(alpha_param: Tensor, task: int, noise: np.ndarray, tau: floa
         scores = (alpha_param[(task, layer)] + Tensor(noise[layer])) * (1.0 / tau)
         rows.append(scores.softmax1d())
     return rows
-
-
-def _forward_mixed(params, supergraph, task, rows, x) -> Tensor:
-    h = x
-    for layer in range(1, supergraph.num_layers + 1):
-        h = mixed_layer_forward(params, layer, rows[layer - 1], h)
-    return head_forward(params, task, h)
 
 
 def search(
@@ -226,25 +252,17 @@ def search(
             # weight phase: routing is a constant sample
             z_const = softmax((alpha_param.data + noise) / tau, axis=2)
             idx = _batch(theta_batches, theta_rows, config.batch_size)
-            x = Tensor(data.inputs_train[idx])
-            reset_grads(params.parameters())
-            losses = []
-            for t in range(num_tasks):
-                pred = _forward_mixed(params, supergraph, t, list(z_const[t]), x)
-                loss = omega[t] * task_loss(pred, data.targets_train[t][idx])
-                backward(loss)
-                losses.append(float(loss.data) / omega[t])
+            routings = [list(z) for z in z_const]
+            losses = _backward_tasks(params, routings, data, idx, omega)
             theta_opt.step()
 
             # architecture phase: same noise, routing on the tape
             idx = _batch(alpha_batches, alpha_rows, config.batch_size)
-            x = Tensor(data.inputs_train[idx])
-            reset_grads(params.parameters())
             reset_grads([alpha_param])
-            for t in range(num_tasks):
-                rows = _soft_rows_tape(alpha_param, t, noise[t], tau)
-                pred = _forward_mixed(params, supergraph, t, rows, x)
-                backward(omega[t] * task_loss(pred, data.targets_train[t][idx]))
+            routings = [
+                _soft_rows_tape(alpha_param, t, noise[t], tau) for t in range(num_tasks)
+            ]
+            _backward_tasks(params, routings, data, idx, omega)
             grad = collect_grads([alpha_param])[0]
             if config.resource_weight > 0:
                 at = ArchitectureParams(alpha_param.data.copy())
@@ -273,39 +291,33 @@ def search(
             )
         )
 
-    alpha_final = ArchitectureParams(alpha_param.data.copy())
-    return SearchResult(
-        structure=derive_groupings(discretize(alpha_final)),
-        alpha_final=alpha_final,
-        trace=trace,
-    )
+    return SearchResult(structure=structure, alpha_final=alpha_now, trace=trace)
 
 
 @dataclass
 class RetrainedModel:
-    """A branched network trained from scratch on a fixed structure."""
+    """A branched network trained from scratch on a fixed structure.
+
+    params holds one operation per (layer, block), in the order of
+    `structure.groupings[l].blocks()`, so task t takes operation
+    `groupings[l].rgs[t]` at layer l+1.
+    """
 
     structure: BranchedStructure
     task_names: tuple[str, ...]
-    block_params: list[dict]
-    heads: dict[str, tuple[np.ndarray, np.ndarray]]
+    params: OperationParams
     test_mse: dict[str, float]
 
     def encoder_features(self, task: int, inputs: np.ndarray) -> np.ndarray:
-        """Final shared-trunk output for one task, plain numpy forward."""
-        h = np.asarray(inputs, dtype=np.float64)
-        for layer_blocks in self.block_params:
-            for tasks, (w, b) in layer_blocks.items():
-                if task in tasks:
-                    h = np.tanh(h @ w + b)
-                    break
-            else:
-                raise SearchError(f"task {task} missing from a layer", [])
-        return h
+        """Final shared-trunk output for one task."""
+        if not 0 <= task < len(self.task_names):
+            raise BoundsError(f"task {task} out of range")
+        routing = [g.rgs[task] for g in self.structure.groupings]
+        return _features(self.params, routing, inputs).data
 
     def predict(self, task: int, inputs: np.ndarray) -> np.ndarray:
-        w, b = self.heads[self.task_names[task]]
-        return self.encoder_features(task, inputs) @ w + b
+        features = self.encoder_features(task, inputs)
+        return head_forward(self.params, task, features).data
 
 
 def retrain_model(
@@ -331,69 +343,37 @@ def retrain_model(
     omega = config.weights_for(data).omega
     lr = config.retrain_lr if config.retrain_lr is not None else config.theta_lr
 
-    tensors, scales = [], []
-    layer_blocks = []
-    for layer in range(1, structure.num_layers + 1):
+    weights, biases, scales = [], [], []
+    for layer, grouping in enumerate(structure.groupings, start=1):
         in_dim, out_dim = supergraph.layer_dims[layer - 1]
-        here = []
-        for block in structure.groupings[layer - 1].blocks():
+        weights.append([])
+        biases.append([])
+        for block in grouping.blocks():
             stream = rng_stream(
                 seed, "retrain-op", layer, *(names[t] for t in block)
             )
-            w = Tensor(stream.normal(0.0, 1.0 / np.sqrt(in_dim), (in_dim, out_dim)))
-            b = Tensor(np.zeros(out_dim))
-            here.append((tuple(block), w, b))
-            tensors += [w, b]
+            w = stream.normal(0.0, 1.0 / np.sqrt(in_dim), (in_dim, out_dim))
+            weights[-1].append(Tensor(w))
+            biases[-1].append(Tensor(np.zeros(out_dim)))
             scales += [1.0 / len(block)] * 2
-        layer_blocks.append(here)
 
     enc_out = supergraph.layer_dims[-1][1]
-    heads = {}
+    head_w, head_b = [], []
     for t, name in enumerate(names):
         stream = rng_stream(seed, "retrain-head", name)
-        hw = Tensor(
-            stream.normal(0.0, 1.0 / np.sqrt(enc_out), (enc_out, data.target_dims[t]))
-        )
-        hb = Tensor(np.zeros(data.target_dims[t]))
-        heads[name] = (hw, hb)
-        tensors += [hw, hb]
+        dim = data.target_dims[t]
+        w = stream.normal(0.0, 1.0 / np.sqrt(enc_out), (enc_out, dim))
+        head_w.append(Tensor(w))
+        head_b.append(Tensor(np.zeros(dim)))
         scales += [1.0, 1.0]
 
-    opt = SGD(
-        tensors,
-        lr,
-        config.theta_momentum,
-        config.theta_weight_decay,
-        lr_scales=scales,
-    )
+    params = OperationParams(weights, biases, head_w, head_b)
+    routings = [[g.rgs[t] for g in structure.groupings] for t in range(len(names))]
     batches = rng_stream(seed, "retrain-batches")
-    all_rows = np.arange(data.inputs_train.shape[0])
-    for _ in range(config.retrain_steps):
-        idx = _batch(batches, all_rows, config.batch_size)
-        x = Tensor(data.inputs_train[idx])
-        reset_grads(tensors)
-        for t in range(data.num_tasks):
-            h = x
-            for here in layer_blocks:
-                for tasks, w, b in here:
-                    if t in tasks:
-                        h = (h @ w + b).tanh()
-                        break
-            hw, hb = heads[names[t]]
-            pred = h @ hw + hb
-            backward(omega[t] * task_loss(pred, data.targets_train[t][idx]))
-        opt.step()
+    steps = config.retrain_steps
+    _fit(params, routings, data, omega, steps, batches, config, lr, scales)
 
-    model = RetrainedModel(
-        structure=structure,
-        task_names=names,
-        block_params=[
-            {tasks: (w.data.copy(), b.data.copy()) for tasks, w, b in here}
-            for here in layer_blocks
-        ],
-        heads={n: (hw.data.copy(), hb.data.copy()) for n, (hw, hb) in heads.items()},
-        test_mse={},
-    )
+    model = RetrainedModel(structure, names, params, test_mse={})
     for t, name in enumerate(names):
         err = model.predict(t, data.inputs_test) - data.targets_test[t]
         model.test_mse[name] = float((err * err).mean())

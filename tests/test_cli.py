@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from bmtas.cli import load_config, main
@@ -92,8 +93,10 @@ class TestExitCodes:
         assert main(["search", "--config", str(tmp_path / "absent.json")]) == 2
 
     def test_runtime_problems_exit_1(self, tmp_path, capsys):
-        # enumerate with a task count past the supported range
-        assert main(["enumerate", "--tasks", "9", "--layers", "2"]) == 1
+        # a valid config whose weight steps diverge: SearchError
+        argv = bad_config(tmp_path, search={"theta_lr": 1e8, "warmup_steps": 0})
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out", str(tmp_path / "runs")]) == 1
         err = capsys.readouterr().err
         assert json.loads(err.splitlines()[-1])["event"] == "runtime_error"
 
@@ -110,13 +113,28 @@ def bad_config(tmp_path, **edits):
     return ["search", "--config", str(path)]
 
 
-def input_file(tmp_path, text):
-    path = tmp_path / "input.json"
+def input_file(tmp_path, text, name="input.json"):
+    path = tmp_path / name
     path.write_text(text)
     return str(path)
 
 
 ALPHA_2x1 = "[[[0, 0]], [[0, 0]]]"
+
+
+def record(*rows):
+    """Metric record JSON with one higher-is-better task per (name, value)."""
+    tasks = [{"name": n, "value": v, "lower_better": False} for n, v in rows]
+    return json.dumps({"tasks": tasks})
+
+
+def eval_argv(tmp_path, model, baseline):
+    return [
+        "eval",
+        "--model", input_file(tmp_path, model, "model.json"),
+        "--baseline", input_file(tmp_path, baseline, "baseline.json"),
+    ]
+
 
 BAD_INPUTS = {
     "relatedness-repeats-a-task": lambda p: bad_config(
@@ -140,6 +158,7 @@ BAD_INPUTS = {
         "enumerate", "--tasks", "2", "--layers", "2", "--unit-costs", "a,b"
     ],
     "enumerate-zero-layers": lambda p: ["enumerate", "--tasks", "2", "--layers", "0"],
+    "enumerate-nine-tasks": lambda p: ["enumerate", "--tasks", "9", "--layers", "2"],
     "expected-cost-non-numeric-widths": lambda p: [
         "expected-cost", "--alpha", input_file(p, ALPHA_2x1), "--widths", "a,b"
     ],
@@ -149,9 +168,19 @@ BAD_INPUTS = {
     "expected-cost-NaN-logit": lambda p: [
         "expected-cost", "--alpha", input_file(p, "[[[NaN, 0]], [[0, 0]]]")
     ],
+    "expected-cost-three-candidates-for-two-tasks": lambda p: [
+        "expected-cost", "--alpha", input_file(p, "[[[0, 0, 0]], [[0, 0, 0]]]")
+    ],
     "eval-record-without-tasks": lambda p: [
         "eval", "--model", input_file(p, "{}"), "--baseline", input_file(p, "{}")
     ],
+    "eval-records-with-empty-task-lists": lambda p: eval_argv(p, record(), record()),
+    "eval-zero-baseline": lambda p: eval_argv(
+        p, record(("a", 1.0)), record(("a", 0.0))
+    ),
+    "eval-records-name-different-tasks": lambda p: eval_argv(
+        p, record(("a", 1.0)), record(("b", 1.0))
+    ),
     "export-dot-structure-without-layers": lambda p: [
         "export-dot", "--structure", input_file(p, '{"tasks": ["a"]}')
     ],

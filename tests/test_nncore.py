@@ -243,6 +243,23 @@ class TestForwardOps:
         z0 = np.array([0.2, -0.4])
         assert relative_error(grad_of(build, z0), fd_of(build, z0)) < 1e-7
 
+    def test_layers_hold_their_own_operation_counts(self):
+        # two operations at layer 1, one at layer 2, as in a retrained network
+        rng = rng_stream(13)
+        weights = [[Tensor(rng.normal(size=(4, 3))) for _ in range(2)]]
+        weights.append([Tensor(rng.normal(size=(3, 3)))])
+        biases = [[Tensor(np.zeros(3))] * 2, [Tensor(np.zeros(3))]]
+        params = OperationParams(weights, biases, [], [])
+        x = rng.normal(size=(2, 4))
+        h = candidate_forward(params, 1, 1, x)
+        with pytest.raises(BoundsError):
+            candidate_forward(params, 2, 1, h)
+        got = mixed_layer_forward(params, 2, [1.0], h)
+        np.testing.assert_array_equal(got.data, candidate_forward(params, 2, 0, h).data)
+        for layer in (0, 3):
+            with pytest.raises(BoundsError):
+                mixed_layer_forward(params, layer, [0.5, 0.5], x)
+
     def test_head_forward(self, small_params):
         _, params = small_params
         feats = rng_stream(12).normal(size=(4, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bmtas.errors import ConfigError, DomainError, SearchError
+from bmtas.errors import BoundsError, ConfigError, DomainError, SearchError
 from bmtas.eval import SyntheticTaskSpec, generate_tasks
 from bmtas.graph import (
     RoutingMask,
@@ -220,11 +220,12 @@ class TestRetrain:
             )
             assert joint.test_mse[name] == solo.test_mse[name]
             np.testing.assert_array_equal(
-                joint.heads[name][0], solo.heads[name][0]
+                joint.params.head_weights[t].data, solo.params.head_weights[0].data
             )
+            # fully branched: task t's block is operation t of every layer
             for layer in range(2):
-                w_joint = joint.block_params[layer][(t,)][0]
-                w_solo = solo.block_params[layer][(0,)][0]
+                w_joint = joint.params.weights[layer][t].data
+                w_solo = solo.params.weights[layer][0].data
                 np.testing.assert_array_equal(w_joint, w_solo)
 
     def test_learns_the_tasks(self):
@@ -243,8 +244,11 @@ class TestRetrain:
         )
         feats = model.encoder_features(1, data.inputs_test)
         assert feats.shape == (64, 6)
-        w, b = model.heads[data.task_names[1]]
+        w, b = model.params.head_weights[1].data, model.params.head_biases[1].data
         np.testing.assert_allclose(model.predict(1, data.inputs_test), feats @ w + b)
+        for task in (-1, 3):
+            with pytest.raises(BoundsError):
+                model.encoder_features(task, data.inputs_test)
 
     def test_structure_mismatches_rejected(self):
         data, sg = small_benchmark()
