@@ -1,6 +1,7 @@
-"""Expected resource cost under stochastic routing, three ways: the
-layer-by-layer Markov chain, literal enumeration of every joint routing,
-and finite differences against the analytic gradient."""
+"""Expected resource cost under stochastic routing, three ways:
+inclusion-exclusion over task subsets, literal enumeration of every joint
+routing, and finite differences against the analytic gradient. The
+layer-by-layer Markov chain gives the grouping distribution."""
 
 import numpy as np
 
@@ -20,7 +21,7 @@ spec = SupergraphSpec.chain([4, 4, 4], num_tasks=2, unit_costs=[1.0, 1.0])
 
 print("== uniform routing over two tasks, two layers ==")
 alpha = ArchitectureParams.zeros(2, 2)
-print(f"chain DP : {expected_cost(alpha, spec):.6f}")
+print(f"subsets  : {expected_cost(alpha, spec):.6f}")
 print(f"oracle   : {brute_force_expected_cost(alpha, spec):.6f}")
 
 dist = grouping_distribution(alpha, spec)
@@ -34,7 +35,7 @@ logits = rng.normal(scale=2.0, size=(3, 3, 3))
 alpha3 = ArchitectureParams(logits)
 fast = expected_cost(alpha3, spec3)
 slow = brute_force_expected_cost(alpha3, spec3)
-print(f"chain DP : {fast:.9f}")
+print(f"subsets  : {fast:.9f}")
 print(f"oracle   : {slow:.9f}")
 print(f"|diff|   : {abs(fast - slow):.2e}")
 

@@ -331,8 +331,8 @@ def cmd_expected_cost(args) -> int:
         if alpha.num_candidates != alpha.num_tasks:
             raise ConfigError("logits need one candidate per task")
         spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
-    cost = expected_cost(alpha, spec)
     dist = grouping_distribution(alpha, spec)
+    cost = expected_cost(alpha, spec)
     report = {
         "expected_cost": cost,
         "normalized": cost / spec.cost_table.fully_shared_cost,

@@ -1,17 +1,27 @@
 """Exact expected resource cost of a routing distribution, and its gradient.
 
-The grouping chain kappa_1, ..., kappa_L is Markov: kappa_l is the meet of
-kappa_{l-1} with the edge-equality partition of layer l, and edge choices
-are independent across layers. The expected cost therefore folds through
-a per-layer transition kernel over the partition lattice instead of the
-T^(T*L) joint routings. A literal enumeration oracle is kept alongside to
-check that claim.
+Tasks share an operation at layer l while their edge picks agree at every
+layer 1..l, so the number of blocks at layer l is the number of distinct
+pick paths. Counting distinct paths by inclusion-exclusion over nonempty
+task subsets M (Moebius inversion on the Boolean lattice, Rota 1964):
+
+    E[#blocks_l] = sum_M (-1)^(|M|-1) prod_{j<=l} A_j(M),
+    A_j(M) = sum_c prod_{u in M} pi_j[u, c],
+
+where A_j(M) is the probability that all tasks of M pick one edge at layer
+j. Cost and gradient take O(2^T * T^2 * L) work and no partition lattice.
+
+The full grouping distribution needs the lattice: the grouping chain
+kappa_1, ..., kappa_L is Markov, kappa_l being the meet of kappa_{l-1} with
+the edge-equality partition of layer l, so it folds through a per-layer
+transition kernel. The chain serves that distribution only; a literal
+enumeration of every joint routing is kept alongside as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,12 +29,16 @@ from scipy.special import softmax
 
 from .errors import BoundsError, DimensionMismatch, NumericError
 from .graph import SupergraphSpec
-from .partition import Partition, enumerate_partitions, meet
+from .partition import Partition, enumerate_partitions
+from .partition import meet  # benchmarks/tracing.py counts calls through this name
 
 ENUM_GUARD = 10 ** 6
 
 # grouping-chain probabilities below this are zeroed and the layer renormalized
 CLAMP_EPS = 1e-15
+
+# label rows canonicalized per pass while the lattice tables are built
+_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -86,38 +100,50 @@ class _EdgeTables(NamedTuple):
     partitions: tuple[Partition, ...]
     num_blocks: np.ndarray
     meet_idx: np.ndarray
-    assignments: np.ndarray
     induced: np.ndarray
-    top: int
+
+
+def _rgs_codes(labels: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """Base-T code of the canonical RGS of each label row.
+
+    Each task takes the block of the first task with its label; blocks are
+    numbered by counting the tasks that are first with their label.
+    """
+    first = (labels[:, :, None] == labels[:, None, :]).argmax(axis=2)
+    block = np.cumsum(first == np.arange(labels.shape[1]), axis=1) - 1
+    return np.take_along_axis(block, first, axis=1) @ place
 
 
 @lru_cache(maxsize=None)
 def _edge_tables(num_tasks: int) -> _EdgeTables:
-    """Partition-lattice lookup tables shared by the kernel, gradient and oracle.
+    """Partition-lattice lookup tables shared by the kernel and the oracle.
 
-    assignments holds every joint edge choice of one layer (T^T rows);
-    induced[a] is the index of the edge-equality partition of row a.
+    meet_idx[i, j] is the index of meet(partitions[i], partitions[j]).
+    induced[a] is the index of the edge-equality partition of joint edge
+    choice a, where task u picks edge (a // T^(T-1-u)) % T.
     """
     parts = enumerate_partitions(num_tasks)
-    index = {p.rgs: i for i, p in enumerate(parts)}
-    n = len(parts)
-    meet_idx = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
-            meet_idx[i, j] = index[meet(a, b).rgs]
-    grids = np.meshgrid(*[np.arange(num_tasks)] * num_tasks, indexing="ij")
-    assignments = np.stack(grids, axis=-1).reshape(-1, num_tasks)
-    induced = np.array(
-        [index[Partition.from_labels(row).rgs] for row in assignments],
-        dtype=np.int32,
-    )
+    rgs = np.array([p.rgs for p in parts])
+    n, t = len(parts), num_tasks
+    place = t ** np.arange(t - 1, -1, -1)
+    # lexicographic RGS order is ascending base-T code order
+    codes = rgs @ place
+
+    def index_of(labels_of, count: int) -> np.ndarray:
+        out = np.empty(count, dtype=np.int32)
+        for lo in range(0, count, _CHUNK):
+            rows = labels_of(np.arange(lo, min(lo + _CHUNK, count)))
+            out[lo : lo + len(rows)] = np.searchsorted(codes, _rgs_codes(rows, place))
+        return out
+
+    # the meet groups tasks whose label pairs agree; pair (a, b) is a*T + b
+    meet_idx = index_of(lambda r: rgs[r // n] * t + rgs[r % n], n * n).reshape(n, n)
+    induced = index_of(lambda a: a[:, None] // place % t, t ** t)
     return _EdgeTables(
         partitions=parts,
-        num_blocks=np.array([p.num_blocks for p in parts], dtype=np.float64),
+        num_blocks=rgs.max(axis=1) + 1.0,
         meet_idx=meet_idx,
-        assignments=assignments,
         induced=induced,
-        top=index[Partition.coarsest(num_tasks).rgs],
     )
 
 
@@ -133,10 +159,10 @@ def _layer_probs(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     return softmax(alpha.logits[:, layer - 1, :], axis=1)
 
 
-def _assignment_weights(pi: np.ndarray, tables: _EdgeTables) -> np.ndarray:
-    """Probability of every joint edge assignment under per-task rows pi."""
-    t = pi.shape[0]
-    return pi[np.arange(t)[None, :], tables.assignments].prod(axis=1)
+def _assignment_weights(pi: np.ndarray) -> np.ndarray:
+    """Probability of every joint edge assignment under per-task rows pi,
+    in the order of _EdgeTables.induced."""
+    return reduce(np.multiply.outer, pi).ravel()
 
 
 def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
@@ -150,7 +176,7 @@ def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     if alpha.num_candidates != alpha.num_tasks:
         raise DimensionMismatch("expected one candidate edge per task")
     tables = _edge_tables(alpha.num_tasks)
-    w = _assignment_weights(_layer_probs(alpha, layer), tables)
+    w = _assignment_weights(_layer_probs(alpha, layer))
     n = len(tables.partitions)
     q = np.bincount(tables.induced, weights=w, minlength=n)
     kernel = np.zeros((n, n))
@@ -159,90 +185,74 @@ def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     return kernel
 
 
-def _chain(alpha: ArchitectureParams, spec: SupergraphSpec, clamp: bool) -> np.ndarray:
-    """(L, B) grouping-chain probabilities, optionally clamped per layer."""
+def grouping_distribution(
+    alpha: ArchitectureParams, spec: SupergraphSpec
+) -> GroupingDistribution:
+    """Distribution of the task grouping at every layer under softmax(alpha),
+    clamped at CLAMP_EPS per layer."""
     _check_dims(alpha, spec)
     tables = _edge_tables(alpha.num_tasks)
     n = len(tables.partitions)
     layers = np.empty((spec.num_layers, n))
     p = np.zeros(n)
-    p[tables.top] = 1.0
+    p[0] = 1.0  # all tasks share: the all-zero RGS is listed first
     for l in range(1, spec.num_layers + 1):
         p = p @ transition_kernel(alpha, l)
-        if clamp:
-            p = np.where(p < CLAMP_EPS, 0.0, p)
-            p = p / p.sum()
+        p = np.where(p < CLAMP_EPS, 0.0, p)
+        p = p / p.sum()
         layers[l - 1] = p
-    return layers
+    return GroupingDistribution(partitions=tables.partitions, layers=layers)
 
 
-def grouping_distribution(
-    alpha: ArchitectureParams, spec: SupergraphSpec
-) -> GroupingDistribution:
-    """Distribution of the task grouping at every layer under softmax(alpha)."""
-    tables = _edge_tables(alpha.num_tasks)
-    return GroupingDistribution(
-        partitions=tables.partitions, layers=_chain(alpha, spec, clamp=True)
-    )
-
-
-def _cost_rows(spec: SupergraphSpec, num_blocks: np.ndarray) -> np.ndarray:
-    """(L, B) cost of each grouping at each layer."""
-    units = np.array(spec.cost_table.unit_cost)
-    return units[:, None] * num_blocks[None, :]
+def _subsets(alpha: ArchitectureParams, spec: SupergraphSpec) -> tuple:
+    """Edge probabilities pi (T, L, T), unit costs (L,), and over task
+    subsets M, indexed by the bitmask with bit u set iff u is in M: the sign
+    (-1)^(|M|-1), 0 for the empty subset; prod[M] = prod_{u in M} pi[u]; and
+    agree[M, l] = A_l(M), the chance that all of M pick one edge at layer l."""
+    _check_dims(alpha, spec)
+    pi = softmax(alpha.logits, axis=2)
+    prod = np.ones((1,) + pi.shape[1:])
+    sign = np.array([-1.0])
+    for u in range(alpha.num_tasks):
+        # subsets holding u follow, in the same order, those without it
+        prod = np.concatenate([prod, prod * pi[u]])
+        sign = np.concatenate([sign, -sign])
+    sign[0] = 0.0
+    costs = np.asarray(spec.cost_table.unit_cost, dtype=np.float64)
+    return pi, costs, sign, prod, prod.sum(axis=2)
 
 
 def expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
     """Expected MAdds of the discretized model under the routing distribution."""
-    tables = _edge_tables(alpha.num_tasks)
-    layers = _chain(alpha, spec, clamp=True)
-    return float((layers * _cost_rows(spec, tables.num_blocks)).sum())
+    _, costs, sign, _, agree = _subsets(alpha, spec)
+    return float(sign @ np.cumprod(agree, axis=1) @ costs)
 
 
 def expected_cost_grad(alpha: ArchitectureParams, spec: SupergraphSpec) -> np.ndarray:
     """Exact d expected_cost / d logits, shape (T, L, T).
 
-    Reverse accumulation through the chain recursion: with g_l the adjoint
-    of the layer-l grouping vector, g_L = c_L and g_{l-1} = c_{l-1} + P_l g_l.
-    The kernel entries are sums of joint-assignment weights, so the adjoint
-    of each per-task edge probability is a weight-partitioned bincount, and
-    the softmax chain rule finishes the job.
+    With before_j(M) = prod_{i<j} A_i(M) and the tail G_j = c_j + A_{j+1}
+    G_{j+1}, G_L = c_L, the cost's derivative in A_j(M) is
+    sign_M * before_j(M) * G_j(M), and A_j(M)'s derivative in pi_j[u, c] is
+    prod[M - u, j, c] for u in M. The softmax chain rule finishes the job.
     """
-    _check_dims(alpha, spec)
-    tables = _edge_tables(alpha.num_tasks)
-    num_tasks = alpha.num_tasks
-    n = len(tables.partitions)
-    costs = _cost_rows(spec, tables.num_blocks)
+    pi, costs, sign, prod, agree = _subsets(alpha, spec)
+    num_tasks, num_layers = alpha.num_tasks, alpha.num_layers
+    tail = np.empty_like(agree)
+    tail[:, -1] = costs[-1]
+    for j in range(num_layers - 2, -1, -1):
+        tail[:, j] = costs[j] + agree[:, j + 1] * tail[:, j + 1]
+    before = np.ones_like(agree)
+    before[:, 1:] = np.cumprod(agree[:, :-1], axis=1)
+    weight = sign[:, None] * before * tail
 
-    pis = [_layer_probs(alpha, l) for l in range(1, spec.num_layers + 1)]
-    kernels = [transition_kernel(alpha, l) for l in range(1, spec.num_layers + 1)]
-    # forward states p_0 .. p_{L-1}; the gradient path skips the clamping,
-    # whose effect is below every tolerance in play
-    states = np.zeros((spec.num_layers, n))
-    states[0, tables.top] = 1.0
-    for l in range(1, spec.num_layers):
-        states[l] = states[l - 1] @ kernels[l - 1]
-
-    grad = np.empty_like(np.asarray(alpha.logits))
-    adjoint = np.zeros(n)
-    for l in range(spec.num_layers, 0, -1):
-        adjoint_p = costs[l - 1] + adjoint
-        # d cost / d q[e]: pair every previous state m with edge partition e
-        adjoint_q = states[l - 1] @ adjoint_p[tables.meet_idx]
-        w = _assignment_weights(pis[l - 1], tables)
-        coeff = adjoint_q[tables.induced] * w
-        dpi = np.stack(
-            [
-                np.bincount(
-                    tables.assignments[:, t], weights=coeff, minlength=num_tasks
-                )
-                for t in range(num_tasks)
-            ]
-        ) / pis[l - 1]
-        inner = (dpi * pis[l - 1]).sum(axis=1, keepdims=True)
-        grad[:, l - 1, :] = pis[l - 1] * (dpi - inner)
-        adjoint = kernels[l - 1] @ adjoint_p
-    return grad
+    dpi = np.empty_like(pi)
+    for u in range(num_tasks):
+        # split subsets by bit u: [:, 1] holds u, [:, 0] is the same subset without it
+        w = weight.reshape(-1, 2, 1 << u, num_layers)[:, 1]
+        rest = prod.reshape(-1, 2, 1 << u, num_layers, num_tasks)[:, 0]
+        dpi[u] = np.einsum("abl,ablc->lc", w, rest)
+    return pi * (dpi - (dpi * pi).sum(axis=2, keepdims=True))
 
 
 def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
@@ -261,15 +271,15 @@ def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -
             "use Monte Carlo sampling instead"
         )
     tables = _edge_tables(num_tasks)
-    per_layer = tables.assignments.shape[0]
+    per_layer = num_tasks ** num_tasks
     units = spec.cost_table.unit_cost
 
     routing = np.arange(total)
     prob = np.ones(total)
     cost = np.zeros(total)
-    kappa = np.full(total, tables.top, dtype=np.int64)
+    kappa = np.zeros(total, dtype=np.int64)  # all tasks share: index 0
     for l in range(num_layers):
-        w = _assignment_weights(_layer_probs(alpha, l + 1), tables)
+        w = _assignment_weights(_layer_probs(alpha, l + 1))
         col = (routing // per_layer ** (num_layers - 1 - l)) % per_layer
         prob *= w[col]
         kappa = tables.meet_idx[kappa, tables.induced[col]]

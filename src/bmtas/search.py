@@ -153,8 +153,11 @@ def _fit(params, routings, data, omega, steps, rng, config, lr, lr_scales=None):
     all_rows = np.arange(data.inputs_train.shape[0])
     for _ in range(steps):
         idx = _batch(rng, all_rows, config.batch_size)
-        _backward_tasks(params, routings, data, idx, omega)
-        opt.step()
+        # a diverging step overflows; the finiteness checks of Tensor and
+        # ArchitectureParams raise NumericError for it, so numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            _backward_tasks(params, routings, data, idx, omega)
+            opt.step()
 
 
 def warm_up(
@@ -249,28 +252,30 @@ def search(
             (num_tasks, supergraph.num_layers, num_tasks), gumbel_rng
         )
         try:
-            # weight phase: routing is a constant sample
-            z_const = softmax((alpha_param.data + noise) / tau, axis=2)
-            idx = _batch(theta_batches, theta_rows, config.batch_size)
-            routings = [list(z) for z in z_const]
-            losses = _backward_tasks(params, routings, data, idx, omega)
-            theta_opt.step()
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _fit
+                # weight phase: routing is a constant sample
+                z_const = softmax((alpha_param.data + noise) / tau, axis=2)
+                idx = _batch(theta_batches, theta_rows, config.batch_size)
+                routings = [list(z) for z in z_const]
+                losses = _backward_tasks(params, routings, data, idx, omega)
+                theta_opt.step()
 
-            # architecture phase: same noise, routing on the tape
-            idx = _batch(alpha_batches, alpha_rows, config.batch_size)
-            reset_grads([alpha_param])
-            routings = [
-                _soft_rows_tape(alpha_param, t, noise[t], tau) for t in range(num_tasks)
-            ]
-            _backward_tasks(params, routings, data, idx, omega)
-            grad = collect_grads([alpha_param])[0]
-            if config.resource_weight > 0:
-                at = ArchitectureParams(alpha_param.data.copy())
-                grad = grad + (config.resource_weight / shared_cost) * (
-                    expected_cost_grad(at, supergraph)
-                )
-            alpha_opt.step([grad])
-            alpha_now = ArchitectureParams(alpha_param.data.copy())
+                # architecture phase: same noise, routing on the tape
+                idx = _batch(alpha_batches, alpha_rows, config.batch_size)
+                reset_grads([alpha_param])
+                routings = [
+                    _soft_rows_tape(alpha_param, t, noise[t], tau)
+                    for t in range(num_tasks)
+                ]
+                _backward_tasks(params, routings, data, idx, omega)
+                grad = collect_grads([alpha_param])[0]
+                if config.resource_weight > 0:
+                    at = ArchitectureParams(alpha_param.data.copy())
+                    grad = grad + (config.resource_weight / shared_cost) * (
+                        expected_cost_grad(at, supergraph)
+                    )
+                alpha_opt.step([grad])
+                alpha_now = ArchitectureParams(alpha_param.data.copy())
         except NumericError as exc:
             raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
 

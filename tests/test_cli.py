@@ -1,11 +1,12 @@
 import csv
 import json
+import warnings
 
-import numpy as np
 import pytest
 
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
+from bmtas.resloss import _edge_tables
 
 
 def base_config(**overrides):
@@ -95,10 +96,13 @@ class TestExitCodes:
     def test_runtime_problems_exit_1(self, tmp_path, capsys):
         # a valid config whose weight steps diverge: SearchError
         argv = bad_config(tmp_path, search={"theta_lr": 1e8, "warmup_steps": 0})
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(argv + ["--out", str(tmp_path / "runs")]) == 1
-        err = capsys.readouterr().err
-        assert json.loads(err.splitlines()[-1])["event"] == "runtime_error"
+        # a warning would print among the JSON lines of stderr
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["event"] for line in lines][-1] == "runtime_error"
 
 
 def bad_config(tmp_path, **edits):
@@ -334,6 +338,29 @@ class TestSearchCommand:
         assert code == 0
         metrics = json.loads((exp_dir / "seed0" / "metrics.json").read_text())
         assert metrics["lambda"] == 0.25
+
+    def test_eight_tasks_run_without_lattice_tables(self, tmp_path):
+        # the search's resource term needs no partition lattice, so the
+        # largest admitted task count runs
+        cfg = base_config(
+            supergraph={"widths": [16, 8, 8]},
+            benchmark={
+                "num_tasks": 8,
+                "input_dim": 16,
+                "hidden_dim": 4,
+                "target_dim": 2,
+                "relatedness": [[0, 1], [2, 3], [4, 5], [6, 7]],
+                "train_samples": 64,
+                "test_samples": 16,
+            },
+            search={"warmup_steps": 3, "search_steps": 3, "retrain_steps": 3},
+        )
+        before = _edge_tables.cache_info()
+        code, exp_dir = self.run_search(tmp_path, cfg)
+        assert code == 0
+        metrics = json.loads((exp_dir / "seed0" / "metrics.json").read_text())
+        assert len(metrics["test_mse"]) == 8
+        assert _edge_tables.cache_info() == before
 
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         cfg = base_config(seeds=[0, 1])

@@ -1,16 +1,22 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import softmax
 
 from bmtas.errors import BoundsError, DimensionMismatch, NumericError
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_cost
 from bmtas.graph import RoutingMask
-from bmtas.partition import Partition, refines
+from bmtas.partition import Partition, meet, refines
 from bmtas.resloss import (
     ENUM_GUARD,
     ArchitectureParams,
+    _assignment_weights,
+    _edge_tables,
     brute_force_expected_cost,
     expected_cost,
     expected_cost_grad,
@@ -219,3 +225,96 @@ def test_clamped_chain_survives_extreme_logits():
     assert np.all(np.isfinite(dist.layers))
     assert np.allclose(dist.layers.sum(axis=1), 1.0)
     assert expected_cost(a, spec) == pytest.approx(6.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("num_tasks", range(1, 7))
+def test_edge_tables_match_python_loops(num_tasks):
+    tables = _edge_tables(num_tasks)
+    parts = tables.partitions
+    index = {p: i for i, p in enumerate(parts)}
+    rows = list(itertools.product(range(num_tasks), repeat=num_tasks))
+    assert np.array_equal(
+        tables.meet_idx, [[index[meet(a, b)] for b in parts] for a in parts]
+    )
+    assert np.array_equal(
+        tables.induced, [index[Partition.from_labels(row)] for row in rows]
+    )
+    assert np.array_equal(tables.num_blocks, [p.num_blocks for p in parts])
+    logits = random_alpha(np.random.default_rng(num_tasks), num_tasks, 1)
+    pi = softmax(logits[:, 0], axis=1)
+    weights = [math.prod(pi[u, c] for u, c in enumerate(row)) for row in rows]
+    assert np.array_equal(_assignment_weights(pi), weights)
+
+
+def chain_cost(a, spec):
+    """Expected cost folded from the clamped grouping chain."""
+    layers = grouping_distribution(a, spec).layers
+    units = np.asarray(spec.cost_table.unit_cost)
+    return float(units @ layers @ _edge_tables(a.num_tasks).num_blocks)
+
+
+def chain_adjoint_grad(a, spec):
+    """d cost / d logits by reverse accumulation through the unclamped chain.
+
+    With g_l the adjoint of the layer-l grouping vector, g_L = c_L and
+    g_{l-1} = c_{l-1} + P_l g_l; each kernel entry is a sum of joint
+    assignment weights, so the adjoint of every per-task edge probability
+    is a weight-partitioned bincount.
+    """
+    tables = _edge_tables(a.num_tasks)
+    num_tasks, num_layers = a.num_tasks, a.num_layers
+    n = len(tables.partitions)
+    costs = np.asarray(spec.cost_table.unit_cost)[:, None] * tables.num_blocks
+    assignments = np.array(list(itertools.product(range(num_tasks), repeat=num_tasks)))
+    kernels = [transition_kernel(a, l) for l in range(1, num_layers + 1)]
+    states = np.zeros((num_layers, n))
+    states[0, 0] = 1.0
+    for l in range(1, num_layers):
+        states[l] = states[l - 1] @ kernels[l - 1]
+    grad = np.empty(a.logits.shape)
+    adjoint = np.zeros(n)
+    for l in range(num_layers, 0, -1):
+        adjoint_p = costs[l - 1] + adjoint
+        adjoint_q = states[l - 1] @ adjoint_p[tables.meet_idx]
+        pi = softmax(a.logits[:, l - 1], axis=1)
+        coeff = adjoint_q[tables.induced] * _assignment_weights(pi)
+        dpi = np.stack(
+            [
+                np.bincount(assignments[:, t], weights=coeff, minlength=num_tasks)
+                for t in range(num_tasks)
+            ]
+        ) / pi
+        grad[:, l - 1, :] = pi * (dpi - (dpi * pi).sum(axis=1, keepdims=True))
+        adjoint = kernels[l - 1] @ adjoint_p
+    return grad
+
+
+# up to T=7, where every task's count sums 2^(T-1) terms of alternating sign
+wide_alpha_st = st.tuples(st.integers(1, 7), st.integers(1, 4)).flatmap(
+    lambda tl: arrays(
+        np.float64,
+        (tl[0], tl[1], tl[0]),
+        elements=st.floats(-30, 30, allow_nan=False),
+    )
+)
+
+
+def costed_spec(num_tasks, num_layers):
+    return SupergraphSpec.chain([3, 5, 2, 4, 6][: num_layers + 1], num_tasks)
+
+
+@given(wide_alpha_st)
+@settings(max_examples=60, deadline=None)
+def test_inclusion_exclusion_matches_clamped_chain(logits):
+    a = ArchitectureParams(logits)
+    spec = costed_spec(a.num_tasks, a.num_layers)
+    assert relative_error(expected_cost(a, spec), chain_cost(a, spec)) <= 1e-10
+
+
+@given(wide_alpha_st)
+@settings(max_examples=30, deadline=None)
+def test_gradient_matches_chain_adjoint(logits):
+    a = ArchitectureParams(logits)
+    spec = costed_spec(a.num_tasks, a.num_layers)
+    diff = np.abs(expected_cost_grad(a, spec) - chain_adjoint_grad(a, spec)).max()
+    assert diff <= 1e-10 * spec.cost_table.fully_shared_cost
