@@ -1,10 +1,16 @@
-"""Dense-tensor reverse-mode differentiation and the toy operation vocabulary.
+"""Branched-network parameters, optimizers, and a reverse-mode tape.
 
-Everything is double precision and define-by-run: ops record their parents
+Training does not run on the tape: `search._features` and
+`search._backward_tasks` compute the branched network's forward and backward
+by hand over the stacked arrays of `OperationParams`, reading each
+parameter's `.data` and writing its `.grad` for `SGD` and `Adam`. The tape
+(`Tensor`, `backward`, and the ops `candidate_forward`, `mixed_layer_forward`,
+`head_forward` and `task_loss`) is the slow, define-by-run reference that
+checks that engine and the end-to-end gradients: ops record their parents
 and a closure that maps the output gradient to parent gradients, and
-`backward` replays the tape in reverse topological order. The vocabulary
-is deliberately small (affine + tanh candidates, affine task heads, MSE),
-just enough to train the supergraph and branched networks.
+`backward` replays the tape in reverse topological order. Everything is
+double precision; the vocabulary is affine + tanh operations, affine task
+heads and MSE.
 """
 
 from __future__ import annotations
@@ -199,11 +205,13 @@ class LossWeights:
 
 
 class OperationParams:
-    """Branched-network weights: per (layer, operation) an affine op, per task
-    a head. A layer holds one operation per task in the supergraph and one
-    per block once retrained; all of a layer's operations share one shape.
-    `init` draws one weight matrix per layer and copies it to every candidate,
-    so that before any training the mixed output is independent of routing.
+    """Branched-network weights. Layer l's operations are stacked: weights[l-1]
+    is one Tensor of shape (C_l, in, out) and biases[l-1] one of shape
+    (C_l, out), with one operation per task in the supergraph and one per
+    block once retrained. Heads are one Tensor per task, as their widths may
+    differ. `init` draws one weight matrix per layer and copies it to every
+    candidate, so that before any training the mixed output is independent
+    of routing.
     """
 
     def __init__(self, weights, biases, head_weights, head_biases):
@@ -211,10 +219,9 @@ class OperationParams:
         self.biases = biases
         self.head_weights = head_weights
         self.head_biases = head_biases
-        for layer in weights:
-            shapes = {w.shape for w in layer}
-            if len(shapes) != 1:
-                raise DimensionMismatch("candidates in a layer must share shapes")
+        for w, b in zip(weights, biases):
+            if w.data.ndim != 3 or b.shape != (w.shape[0], w.shape[2]):
+                raise DimensionMismatch("layer weights must be (C, in, out), biases (C, out)")
 
     @classmethod
     def init(
@@ -226,8 +233,8 @@ class OperationParams:
         weights, biases = [], []
         for in_dim, out_dim in spec.layer_dims:
             w = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, out_dim))
-            weights.append([Tensor(w.copy()) for _ in range(spec.num_tasks)])
-            biases.append([Tensor(np.zeros(out_dim)) for _ in range(spec.num_tasks)])
+            weights.append(Tensor(np.repeat(w[None], spec.num_tasks, axis=0)))
+            biases.append(Tensor(np.zeros((spec.num_tasks, out_dim))))
         enc_out = spec.layer_dims[-1][1]
         head_w, head_b = [], []
         for dim in head_dims:
@@ -246,13 +253,10 @@ class OperationParams:
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = []
-        for l, (ws, bs) in enumerate(zip(self.weights, self.biases), start=1):
-            for j, (w, b) in enumerate(zip(ws, bs)):
-                named.append((f"l{l}.c{j}.w", w))
-                named.append((f"l{l}.c{j}.b", b))
+        for l, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
+            named += [(f"l{l}.w", w), (f"l{l}.b", b)]
         for t, (w, b) in enumerate(zip(self.head_weights, self.head_biases)):
-            named.append((f"head.{t}.w", w))
-            named.append((f"head.{t}.b", b))
+            named += [(f"head.{t}.w", w), (f"head.{t}.b", b)]
         return named
 
     def parameters(self) -> list[Tensor]:
@@ -263,7 +267,7 @@ def candidate_forward(params: OperationParams, layer: int, candidate: int, x) ->
     """tanh(x W + b) for one candidate op; layer is 1-based."""
     if not 1 <= layer <= params.num_layers:
         raise BoundsError(f"layer {layer} out of range")
-    if not 0 <= candidate < len(params.weights[layer - 1]):
+    if not 0 <= candidate < params.weights[layer - 1].shape[0]:
         raise BoundsError(f"candidate {candidate} out of range")
     x = _wrap(x)
     w = params.weights[layer - 1][candidate]
@@ -282,7 +286,7 @@ def mixed_layer_forward(params: OperationParams, layer: int, z_row, x) -> Tensor
     """
     if not 1 <= layer <= params.num_layers:
         raise BoundsError(f"layer {layer} out of range")
-    count = len(params.weights[layer - 1])
+    count = params.weights[layer - 1].shape[0]
     values = z_row.data if isinstance(z_row, Tensor) else np.asarray(z_row, dtype=np.float64)
     if values.shape != (count,):
         raise DimensionMismatch("routing row length must equal the operation count")
@@ -317,8 +321,9 @@ class SGD:
     """Momentum SGD, L2 weight decay folded into the gradient.
 
     lr_scales supports the shared-op rule of dividing the learning rate by
-    the number of tasks using a parameter; reset_momentum implements the
-    restart that follows an architecture change.
+    the number of tasks using an operation: one factor per parameter, a
+    float or an array that broadcasts against it. reset_momentum implements
+    the restart that follows an architecture change.
     """
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0, lr_scales=None):
@@ -327,7 +332,7 @@ class SGD:
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         scales = lr_scales if lr_scales is not None else [1.0] * len(self.params)
-        self.lr_scales = [float(s) for s in scales]
+        self.lr_scales = [np.asarray(s, dtype=np.float64) for s in scales]
         if len(self.lr_scales) != len(self.params):
             raise DimensionMismatch("one lr scale per parameter required")
         self.velocity = [np.zeros_like(p.data) for p in self.params]

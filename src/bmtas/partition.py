@@ -17,7 +17,7 @@ from .errors import BoundsError, DimensionMismatch
 
 # Largest task count a grouping may cover; the config schema's num_tasks
 # bound reads it. The expected cost needs no lattice tables: a default-length
-# T=8 four-pair `bmtas search` took 16 s and 107 MB on a 2-core machine. The
+# T=8 four-pair `bmtas search` took 3.7 s and 107 MB on a 2-core machine. The
 # grouping distribution of `bmtas expected-cost` builds B_T^2 meets and T^T
 # induced partitions: 23 s and 512 MB at T=8 (L=4), against 0.7 s at T=7.
 MAX_TASKS = 8

@@ -224,12 +224,16 @@ def _subsets(alpha: ArchitectureParams, spec: SupergraphSpec) -> tuple:
 
 def expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
     """Expected MAdds of the discretized model under the routing distribution."""
-    _, costs, sign, _, agree = _subsets(alpha, spec)
-    return float(sign @ np.cumprod(agree, axis=1) @ costs)
+    return _cost_and_grad(alpha, spec, grad=False)[0]
 
 
 def expected_cost_grad(alpha: ArchitectureParams, spec: SupergraphSpec) -> np.ndarray:
-    """Exact d expected_cost / d logits, shape (T, L, T).
+    """Exact d expected_cost / d logits, shape (T, L, T)."""
+    return _cost_and_grad(alpha, spec)[1]
+
+
+def _cost_and_grad(alpha: ArchitectureParams, spec: SupergraphSpec, grad: bool = True):
+    """expected_cost and, if grad, expected_cost_grad from one subset pass.
 
     With before_j(M) = prod_{i<j} A_i(M) and the tail G_j = c_j + A_{j+1}
     G_{j+1}, G_L = c_L, the cost's derivative in A_j(M) is
@@ -237,6 +241,9 @@ def expected_cost_grad(alpha: ArchitectureParams, spec: SupergraphSpec) -> np.nd
     prod[M - u, j, c] for u in M. The softmax chain rule finishes the job.
     """
     pi, costs, sign, prod, agree = _subsets(alpha, spec)
+    cost = float(sign @ np.cumprod(agree, axis=1) @ costs)
+    if not grad:
+        return cost, None
     num_tasks, num_layers = alpha.num_tasks, alpha.num_layers
     tail = np.empty_like(agree)
     tail[:, -1] = costs[-1]
@@ -252,7 +259,7 @@ def expected_cost_grad(alpha: ArchitectureParams, spec: SupergraphSpec) -> np.nd
         w = weight.reshape(-1, 2, 1 << u, num_layers)[:, 1]
         rest = prod.reshape(-1, 2, 1 << u, num_layers, num_tasks)[:, 0]
         dpi[u] = np.einsum("abl,ablc->lc", w, rest)
-    return pi * (dpi - (dpi * pi).sum(axis=2, keepdims=True))
+    return cost, pi * (dpi - (dpi * pi).sum(axis=2, keepdims=True))
 
 
 def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:

@@ -2,10 +2,15 @@
 an annealed Gumbel-Softmax, argmax discretization, and from-scratch
 retraining of the found structure.
 
-One branched network serves every stage. `_features` runs a task's encoder,
-routed per layer by one operation's index or a row of mixture weights, and
-`_backward_tasks` backpropagates the omega-weighted task losses. Warm-up,
-search, retraining and prediction differ only in the routing they pass.
+One batched engine carries every stage. `_features` runs all tasks'
+encoders at once over the stacked operation arrays of `OperationParams`, each
+layer routed by a (tasks, operations) array of mixture rows, and
+`_backward_tasks` is its hand-written reverse pass: it writes the gradients
+of the omega-weighted task losses into the parameters' `.grad` and returns
+the gradient of each routing row. Warm-up, retraining and prediction pass
+one-hot rows, the search Gumbel-Softmax rows; the architecture gradient is
+the softmax's chain rule on the row gradients. Arrays are combined in the
+order of the `nncore` tape's ops, which stays as the engine's test oracle.
 
 Every iteration draws fresh routing noise, takes one weight step on the
 large data split, one architecture step (task loss plus the weighted,
@@ -23,22 +28,17 @@ from scipy.special import softmax
 from .errors import BoundsError, ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
-from .nncore import (
-    SGD,
-    Adam,
-    LossWeights,
-    OperationParams,
-    Tensor,
+from .nncore import SGD, Adam, LossWeights, OperationParams, Tensor
+from .nncore import (  # benchmarks/tracing.py patches these names here
     backward,
     candidate_forward,
-    collect_grads,
     head_forward,
     mixed_layer_forward,
-    reset_grads,
     task_loss,
 )
 from .relax import TemperatureSchedule, discretize, gumbel_noise, schedule_tau
-from .resloss import ArchitectureParams, expected_cost, expected_cost_grad
+from .resloss import ArchitectureParams, _cost_and_grad
+from .resloss import expected_cost, expected_cost_grad  # as above, for the tracer
 from .seeding import rng_stream
 
 
@@ -114,34 +114,72 @@ def _batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
     return pool[rng.choice(len(pool), size=min(size, len(pool)), replace=False)]
 
 
-def _features(params: OperationParams, routing, x) -> Tensor:
-    """One task's encoder output. routing[l] is either the index of the
-    operation the task takes at layer l+1 or a row of mixture weights over
-    that layer's operations."""
-    h = x
-    for layer, choice in enumerate(routing, start=1):
-        if isinstance(choice, int):
-            h = candidate_forward(params, layer, choice, h)
-        else:
-            h = mixed_layer_forward(params, layer, choice, h)
-    return h
+def _features(params: OperationParams, rows, x: np.ndarray):
+    """Every routed task's encoder output, shape (T, B, out), and per layer
+    the (input, operation outputs) pair that `_backward_tasks` reuses.
+
+    rows[l] is a (T, C) array whose row t mixes layer l+1's C operations for
+    task t; a one-hot row picks one operation exactly, as 1*a + 0*b = a for
+    finite b. Layer 1 runs each operation once on x, (1, C, B, out); deeper
+    layers run every operation on every task's input, (T, C, B, out).
+    """
+    h, cache = x[None], []
+    for w, b, z in zip(params.weights, params.biases, rows):
+        pre = h[:, None] @ w.data + b.data[:, None]
+        if not np.isfinite(pre).all():  # before tanh, which would hide it
+            raise NumericError("tensor holds NaN or Inf")
+        y = np.tanh(pre)
+        cache.append((h, y))
+        # one operation at a time, in the tape's order, so sums match it bitwise
+        h = z[:, 0, None, None] * y[:, 0]
+        for c in range(1, z.shape[1]):
+            h = h + z[:, c, None, None] * y[:, c]
+    return h, cache
 
 
-def _backward_tasks(params: OperationParams, routings, data: Dataset, idx, omega):
-    """Fresh gradients of sum_t omega[t] * loss_t on the training rows idx,
-    task t routed by routings[t]; returns the unweighted losses."""
-    reset_grads(params.parameters())
-    x = Tensor(data.inputs_train[idx])
-    losses = []
-    for t, routing in enumerate(routings):
-        pred = head_forward(params, t, _features(params, routing, x))
-        loss = task_loss(pred, data.targets_train[t][idx])
-        backward(loss, omega[t])
-        losses.append(float(loss.data))
-    return losses
+def _backward_tasks(
+    params: OperationParams, rows, data: Dataset, idx, omega, row_grads=False
+):
+    """Fresh .grad on every parameter for sum_t omega[t] * loss_t on the
+    training rows idx, task t routed by row t of every rows[l]. Returns the
+    unweighted losses and, if row_grads, per layer the gradient of rows[l],
+    (T, C)."""
+    h, cache = _features(params, rows, data.inputs_train[idx])
+    losses, dh = [], np.empty_like(h)
+    for t, (w, b) in enumerate(zip(params.head_weights, params.head_biases)):
+        diff = h[t] @ w.data + b.data - data.targets_train[t][idx]
+        losses.append(float((diff * diff).mean()))
+        if not np.isfinite(losses[-1]):
+            raise NumericError("tensor holds NaN or Inf")
+        g = float(omega[t]) / diff.size * diff
+        g = g + g  # d/d diff of diff * diff, one term per factor
+        w.grad, b.grad = h[t].T @ g, g.sum(axis=0)
+        dh[t] = g @ w.data.T
+    dz = []
+    for l in reversed(range(params.num_layers)):
+        w, b, z, (h, y) = params.weights[l], params.biases[l], rows[l], cache[l]
+        if row_grads:
+            dz.insert(0, (dh[:, None] * y).sum(axis=2).sum(axis=2))
+        dpre = dh[:, None] * z[:, :, None, None] * (1.0 - y * y)
+        w.grad = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
+        b.grad = dpre.sum(axis=2).sum(axis=0)
+        if l:
+            dh = (dpre @ w.data.swapaxes(1, 2)).sum(axis=1)
+    return losses, dz
 
 
-def _fit(params, routings, data, omega, steps, rng, config, lr, lr_scales=None):
+def _architecture_grad(params, logits, noise, tau, data, idx, omega) -> np.ndarray:
+    """d sum_t omega[t] * loss_t / d logits under the routing rows
+    softmax((logits + noise) / tau), the softmax's chain rule on the row
+    gradients."""
+    inv_tau = 1.0 / tau
+    z = softmax((logits + noise) * inv_tau, axis=2)
+    dz = _backward_tasks(params, list(z.swapaxes(0, 1)), data, idx, omega, True)[1]
+    dz = np.stack(dz, axis=1)
+    return z * (dz - (z[..., None, :] @ dz[..., None])[..., 0]) * inv_tau
+
+
+def _fit(params, rows, data, omega, steps, rng, config, lr, lr_scales=None):
     """Plain momentum SGD with config's theta_* settings, one batch a step."""
     opt = SGD(
         params.parameters(),
@@ -153,10 +191,10 @@ def _fit(params, routings, data, omega, steps, rng, config, lr, lr_scales=None):
     all_rows = np.arange(data.inputs_train.shape[0])
     for _ in range(steps):
         idx = _batch(rng, all_rows, config.batch_size)
-        # a diverging step overflows; the finiteness checks of Tensor and
+        # a diverging step overflows; the finiteness checks of the engine and
         # ArchitectureParams raise NumericError for it, so numpy stays quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            _backward_tasks(params, routings, data, idx, omega)
+            _backward_tasks(params, rows, data, idx, omega)
             opt.step()
 
 
@@ -178,19 +216,10 @@ def warm_up(
     if config is None:
         config = SearchConfig()
     params = OperationParams.init(supergraph, data.target_dims, rng)
-    routings = [[t] * supergraph.num_layers for t in range(data.num_tasks)]
+    rows = [np.eye(data.num_tasks)] * supergraph.num_layers
     ones = (1.0,) * data.num_tasks
-    _fit(params, routings, data, ones, steps, rng, config, config.theta_lr)
+    _fit(params, rows, data, ones, steps, rng, config, config.theta_lr)
     return params
-
-
-def _soft_rows_tape(alpha_param: Tensor, task: int, noise: np.ndarray, tau: float):
-    """Per-layer soft routing rows that keep the architecture on the tape."""
-    rows = []
-    for layer in range(noise.shape[0]):
-        scores = (alpha_param[(task, layer)] + Tensor(noise[layer])) * (1.0 / tau)
-        rows.append(scores.softmax1d())
-    return rows
 
 
 def search(
@@ -239,9 +268,11 @@ def search(
         weight_decay=config.alpha_weight_decay,
     )
     shared_cost = supergraph.cost_table.fully_shared_cost
-    prev_hash = structure_hash(
-        derive_groupings(discretize(ArchitectureParams(alpha_param.data.copy())))
-    )
+    penalized = config.resource_weight > 0
+    alpha_now = ArchitectureParams(alpha_param.data.copy())
+    prev_hash = structure_hash(derive_groupings(discretize(alpha_now)))
+    # each step's cost pass also yields the gradient the next step uses
+    cost_grad = _cost_and_grad(alpha_now, supergraph, penalized)[1]
 
     trace: list[TraceRow] = []
     for step in range(1, config.search_steps + 1):
@@ -256,26 +287,20 @@ def search(
                 # weight phase: routing is a constant sample
                 z_const = softmax((alpha_param.data + noise) / tau, axis=2)
                 idx = _batch(theta_batches, theta_rows, config.batch_size)
-                routings = [list(z) for z in z_const]
-                losses = _backward_tasks(params, routings, data, idx, omega)
+                rows = list(z_const.swapaxes(0, 1))
+                losses = _backward_tasks(params, rows, data, idx, omega)[0]
                 theta_opt.step()
 
-                # architecture phase: same noise, routing on the tape
+                # architecture phase: same noise, routing differentiated
                 idx = _batch(alpha_batches, alpha_rows, config.batch_size)
-                reset_grads([alpha_param])
-                routings = [
-                    _soft_rows_tape(alpha_param, t, noise[t], tau)
-                    for t in range(num_tasks)
-                ]
-                _backward_tasks(params, routings, data, idx, omega)
-                grad = collect_grads([alpha_param])[0]
-                if config.resource_weight > 0:
-                    at = ArchitectureParams(alpha_param.data.copy())
-                    grad = grad + (config.resource_weight / shared_cost) * (
-                        expected_cost_grad(at, supergraph)
-                    )
+                grad = _architecture_grad(
+                    params, alpha_param.data, noise, tau, data, idx, omega
+                )
+                if penalized:
+                    grad = grad + (config.resource_weight / shared_cost) * cost_grad
                 alpha_opt.step([grad])
                 alpha_now = ArchitectureParams(alpha_param.data.copy())
+                cost, cost_grad = _cost_and_grad(alpha_now, supergraph, penalized)
         except NumericError as exc:
             raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
 
@@ -284,7 +309,6 @@ def search(
         if digest != prev_hash:
             theta_opt.reset_momentum()
             prev_hash = digest
-        cost = expected_cost(alpha_now, supergraph)
         trace.append(
             TraceRow(
                 step=step,
@@ -317,12 +341,13 @@ class RetrainedModel:
         """Final shared-trunk output for one task."""
         if not 0 <= task < len(self.task_names):
             raise BoundsError(f"task {task} out of range")
-        routing = [g.rgs[task] for g in self.structure.groupings]
-        return _features(self.params, routing, inputs).data
+        rows = [np.eye(g.num_blocks)[[g.rgs[task]]] for g in self.structure.groupings]
+        return _features(self.params, rows, inputs)[0][0]
 
     def predict(self, task: int, inputs: np.ndarray) -> np.ndarray:
         features = self.encoder_features(task, inputs)
-        return head_forward(self.params, task, features).data
+        w, b = self.params.head_weights[task], self.params.head_biases[task]
+        return features @ w.data + b.data
 
 
 def retrain_model(
@@ -351,16 +376,15 @@ def retrain_model(
     weights, biases, scales = [], [], []
     for layer, grouping in enumerate(structure.groupings, start=1):
         in_dim, out_dim = supergraph.layer_dims[layer - 1]
-        weights.append([])
-        biases.append([])
-        for block in grouping.blocks():
-            stream = rng_stream(
-                seed, "retrain-op", layer, *(names[t] for t in block)
-            )
-            w = stream.normal(0.0, 1.0 / np.sqrt(in_dim), (in_dim, out_dim))
-            weights[-1].append(Tensor(w))
-            biases[-1].append(Tensor(np.zeros(out_dim)))
-            scales += [1.0 / len(block)] * 2
+        blocks = grouping.blocks()
+        w = []
+        for block in blocks:
+            stream = rng_stream(seed, "retrain-op", layer, *(names[t] for t in block))
+            w.append(stream.normal(0.0, 1.0 / np.sqrt(in_dim), (in_dim, out_dim)))
+        weights.append(Tensor(np.stack(w)))
+        biases.append(Tensor(np.zeros((len(blocks), out_dim))))
+        share = np.array([1.0 / len(block) for block in blocks])
+        scales += [share[:, None, None], share[:, None]]
 
     enc_out = supergraph.layer_dims[-1][1]
     head_w, head_b = [], []
@@ -373,10 +397,10 @@ def retrain_model(
         scales += [1.0, 1.0]
 
     params = OperationParams(weights, biases, head_w, head_b)
-    routings = [[g.rgs[t] for g in structure.groupings] for t in range(len(names))]
+    rows = [np.eye(g.num_blocks)[list(g.rgs)] for g in structure.groupings]
     batches = rng_stream(seed, "retrain-batches")
     steps = config.retrain_steps
-    _fit(params, routings, data, omega, steps, batches, config, lr, scales)
+    _fit(params, rows, data, omega, steps, batches, config, lr, scales)
 
     model = RetrainedModel(structure, names, params, test_mse={})
     for t, name in enumerate(names):

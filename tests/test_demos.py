@@ -1,8 +1,4 @@
-"""Smoke test: the quick demos run to the end and print their key lines.
-
-demos/search_walkthrough.py is left out; it sweeps the resource weight over
-full searches and takes about 25 s.
-"""
+"""Smoke test: the demos run to the end and print their key lines."""
 
 import os
 import subprocess
@@ -17,6 +13,7 @@ DEMOS = {
     "partition_walk.py": "15 partitions (Bell number B_4):",
     "expected_cost_vs_oracle.py": "max |analytic - FD| over 27 logits:",
     "metrics_and_rsa.py": "within generating pairs:",
+    "search_walkthrough.py": "lambda = 0.5    groupings 0000 | 0000 | 0000",
 }
 
 

@@ -166,9 +166,9 @@ def small_params():
 class TestOperationParams:
     def test_candidates_start_identical(self, small_params):
         _, params = small_params
-        for ws in params.weights:
-            for w in ws[1:]:
-                assert np.array_equal(w.data, ws[0].data)
+        for w in params.weights:
+            assert w.shape[0] == 2
+            assert np.array_equal(w.data[1], w.data[0])
 
     def test_mixture_invariant_at_init(self, small_params):
         # identical candidates make the mixed output routing-independent
@@ -180,19 +180,25 @@ class TestOperationParams:
 
     def test_named_parameters_cover_everything(self, small_params):
         _, params = small_params
-        names = [n for n, _ in params.named_parameters()]
-        assert "l1.c0.w" in names and "l2.c1.b" in names
-        assert "head.0.w" in names and "head.1.b" in names
-        assert len(names) == 2 * 2 * 2 + 2 * 2
+        named = params.named_parameters()
+        names = [n for n, _ in named]
+        assert names == ["l1.w", "l1.b", "l2.w", "l2.b"] + [
+            "head.0.w", "head.0.b", "head.1.w", "head.1.b"
+        ]
+        shapes = [p.shape for _, p in named]
+        assert shapes[:4] == [(2, 4, 3), (2, 3), (2, 3, 3), (2, 3)]
 
     def test_layer_shape_agreement_enforced(self):
         with pytest.raises(DimensionMismatch):
             OperationParams(
-                weights=[[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3)))]],
-                biases=[[Tensor(np.zeros(2)), Tensor(np.zeros(3))]],
+                weights=[Tensor(np.zeros((2, 2, 3)))],
+                biases=[Tensor(np.zeros((3, 3)))],
                 head_weights=[],
                 head_biases=[],
             )
+        with pytest.raises(DimensionMismatch):
+            flat = Tensor(np.zeros((2, 3)))  # one unstacked matrix
+            OperationParams([flat], [Tensor(np.zeros((2, 3)))], [], [])
 
 
 class TestForwardOps:
@@ -200,7 +206,7 @@ class TestForwardOps:
         _, params = small_params
         x = rng_stream(9).normal(size=(3, 4))
         got = candidate_forward(params, 1, 0, x)
-        want = np.tanh(x @ params.weights[0][0].data + params.biases[0][0].data)
+        want = np.tanh(x @ params.weights[0].data[0] + params.biases[0].data[0])
         assert np.allclose(got.data, want)
 
     def test_candidate_forward_bounds(self, small_params):
@@ -215,7 +221,7 @@ class TestForwardOps:
 
     def test_mixed_layer_is_convex_combination(self, small_params):
         _, params = small_params
-        params.weights[0][1].data = params.weights[0][1].data + 1.0  # split candidates
+        params.weights[0].data[1] += 1.0  # split candidates
         x = rng_stream(10).normal(size=(2, 4))
         z = np.array([0.3, 0.7])
         got = mixed_layer_forward(params, 1, z, x)
@@ -234,7 +240,7 @@ class TestForwardOps:
 
     def test_mixed_layer_differentiates_tensor_routing(self, small_params):
         _, params = small_params
-        params.weights[0][1].data = params.weights[0][1].data * -1.0
+        params.weights[0].data[1] *= -1.0
         x = rng_stream(11).normal(size=(3, 4))
 
         def build(z):
@@ -246,9 +252,8 @@ class TestForwardOps:
     def test_layers_hold_their_own_operation_counts(self):
         # two operations at layer 1, one at layer 2, as in a retrained network
         rng = rng_stream(13)
-        weights = [[Tensor(rng.normal(size=(4, 3))) for _ in range(2)]]
-        weights.append([Tensor(rng.normal(size=(3, 3)))])
-        biases = [[Tensor(np.zeros(3))] * 2, [Tensor(np.zeros(3))]]
+        weights = [Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=(1, 3, 3)))]
+        biases = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3)))]
         params = OperationParams(weights, biases, [], [])
         x = rng.normal(size=(2, 4))
         h = candidate_forward(params, 1, 1, x)
@@ -311,6 +316,13 @@ class TestSGD:
         assert p.data[0] == -1.0 and q.data[0] == -0.25
         with pytest.raises(DimensionMismatch):
             SGD([p], lr=1.0, lr_scales=[1.0, 2.0])
+
+    def test_array_lr_scales_scale_each_operation(self):
+        # one factor per stacked operation, as retraining's 1/|block|
+        w = Tensor(np.zeros((2, 1, 3)))
+        opt = SGD([w], lr=1.0, momentum=0.0, lr_scales=[np.array([[[1.0]], [[0.5]]])])
+        opt.step([np.ones((2, 1, 3))])
+        np.testing.assert_array_equal(w.data[:, 0], [[-1.0] * 3, [-0.5] * 3])
 
     def test_reset_momentum(self):
         p = Tensor(np.zeros(2))

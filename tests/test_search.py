@@ -1,7 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import softmax
 
-from bmtas.errors import BoundsError, ConfigError, DomainError, SearchError
+import bmtas.resloss
+from bmtas.errors import BoundsError, ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import SyntheticTaskSpec, generate_tasks
 from bmtas.graph import (
     RoutingMask,
@@ -9,12 +15,25 @@ from bmtas.graph import (
     derive_groupings,
     structure_hash,
 )
-from bmtas.nncore import LossWeights, candidate_forward
+from bmtas.nncore import (
+    LossWeights,
+    OperationParams,
+    Tensor,
+    backward,
+    candidate_forward,
+    collect_grads,
+    head_forward,
+    mixed_layer_forward,
+    task_loss,
+)
 from bmtas.partition import Partition
 from bmtas.relax import TemperatureSchedule
 from bmtas.search import (
     SearchConfig,
     SearchResult,
+    _architecture_grad,
+    _backward_tasks,
+    _fit,
     retrain,
     retrain_model,
     search,
@@ -80,8 +99,8 @@ class TestWarmUp:
     def test_differentiates_candidates_and_learns(self):
         data, sg = small_benchmark()
         params = warm_up(sg, data, 60, rng_stream(0, "warmup"))
-        w = params.weights[0]
-        assert not np.allclose(w[0].data, w[1].data)
+        w = params.weights[0].data
+        assert not np.allclose(w[0], w[1])
 
         def own_loss(t):
             h = data.inputs_test
@@ -224,8 +243,8 @@ class TestRetrain:
             )
             # fully branched: task t's block is operation t of every layer
             for layer in range(2):
-                w_joint = joint.params.weights[layer][t].data
-                w_solo = solo.params.weights[layer][0].data
+                w_joint = joint.params.weights[layer].data[t]
+                w_solo = solo.params.weights[layer].data[0]
                 np.testing.assert_array_equal(w_joint, w_solo)
 
     def test_learns_the_tasks(self):
@@ -266,3 +285,127 @@ class TestRetrain:
             s, sg, data, quick_config(omega=LossWeights((8.0, 1.0, 1.0))), seed=0
         )
         assert plain != tilted
+
+
+def random_network(rng, num_tasks, counts, widths):
+    """OperationParams with counts[l] random operations at layer l+1 and a
+    head of random width per task."""
+    weights = [
+        Tensor(rng.normal(size=(c, widths[l], widths[l + 1])))
+        for l, c in enumerate(counts)
+    ]
+    biases = [Tensor(rng.normal(size=(c, widths[l + 1]))) for l, c in enumerate(counts)]
+    dims = rng.integers(1, 4, num_tasks)
+    head_w = [Tensor(rng.normal(size=(widths[-1], d))) for d in dims]
+    head_b = [Tensor(rng.normal(size=d)) for d in dims]
+    return OperationParams(weights, biases, head_w, head_b)
+
+
+def tape_pass(params, rows_by_task, x, targets, omega):
+    """Losses from the nncore tape, gradients left in every .grad."""
+    losses = []
+    for t, rows in enumerate(rows_by_task):
+        h = Tensor(x)
+        for layer, row in enumerate(rows, start=1):
+            h = mixed_layer_forward(params, layer, row, h)
+        loss = task_loss(head_forward(params, t, h), targets[t])
+        backward(loss, omega[t])
+        losses.append(float(loss.data))
+    return losses
+
+
+def max_diff(got, want):
+    return max(np.max(np.abs(np.asarray(g) - w), initial=0.0) for g, w in zip(got, want))
+
+
+@given(
+    num_tasks=st.integers(1, 4),
+    num_layers=st.integers(1, 3),
+    batch=st.integers(1, 6),
+    soft=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_tasks=1, num_layers=1, batch=3, soft=True, seed=0)
+@example(num_tasks=1, num_layers=1, batch=3, soft=False, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
+    # soft: search routing, C_l = T mixture rows from logits, and the
+    # architecture gradient; otherwise ragged op counts picked by one-hot rows
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 6, num_layers + 1)
+    if soft:
+        counts = [num_tasks] * num_layers
+        logits = 2.0 * rng.normal(size=(num_tasks, num_layers, num_tasks))
+        noise = rng.gumbel(size=logits.shape)
+        tau = float(rng.uniform(0.1, 5.0))
+        rows = list(softmax((logits + noise) * (1.0 / tau), axis=2).swapaxes(0, 1))
+    else:
+        counts = rng.integers(1, num_tasks + 1, num_layers)
+        rows = [np.eye(c)[rng.integers(0, c, num_tasks)] for c in counts]
+    params = random_network(rng, num_tasks, counts, widths)
+    x = rng.normal(size=(batch, widths[0]))
+    targets = [rng.normal(size=(batch, w.shape[1])) for w in params.head_weights]
+    omega = rng.uniform(0.5, 2.0, num_tasks)
+    data = SimpleNamespace(inputs_train=x, targets_train=targets)
+    idx = np.arange(batch)
+
+    leaves = [[Tensor(r[t]) for r in rows] for t in range(num_tasks)]
+    want_losses = tape_pass(params, leaves, x, targets, omega)
+    want_theta = collect_grads(params.parameters())
+    want_rows = [np.stack([task[l].grad for task in leaves]) for l in range(num_layers)]
+    losses, dz = _backward_tasks(params, rows, data, idx, omega, row_grads=True)
+    assert max_diff(losses, want_losses) <= 1e-10
+    assert max_diff([p.grad for p in params.parameters()], want_theta) <= 1e-10
+    assert max_diff(dz, want_rows) <= 1e-10
+
+    if soft:
+        # the search's routing rows, with the logits on the tape
+        alpha = Tensor(logits)
+        on_tape = [
+            [
+                ((alpha[(t, l)] + Tensor(noise[t, l])) * (1.0 / tau)).softmax1d()
+                for l in range(num_layers)
+            ]
+            for t in range(num_tasks)
+        ]
+        tape_pass(params, on_tape, x, targets, omega)
+        got = _architecture_grad(params, logits, noise, tau, data, idx, omega)
+        assert max_diff([got], [alpha.grad]) <= 1e-10
+
+
+class TestEngineGuards:
+    def test_overflow_before_tanh_raises(self):
+        # tanh(+-inf) = +-1 is finite, so the check must see the pre-activation
+        data, sg = small_benchmark()
+        params = warm_up(sg, data, 0, rng_stream(0, "warmup"))
+        params.weights[0].data[...] = 1e308
+        with np.errstate(over="ignore"):
+            pre = data.inputs_train @ params.weights[0].data[0]
+        assert np.isinf(pre).any() and np.isfinite(np.tanh(pre)).all()
+        rows = [np.eye(3)] * sg.num_layers
+        all_rows = np.arange(data.inputs_train.shape[0])
+        with pytest.raises(NumericError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                _backward_tasks(params, rows, data, all_rows, (1.0,) * 3)
+        with pytest.raises(NumericError):
+            _fit(params, rows, data, (1.0,) * 3, 1, rng_stream(0), quick_config(), 0.3)
+        with pytest.raises(SearchError, match="at step 1"):
+            search(quick_config(warmup_steps=0), sg, data, params=params)
+
+    def test_one_resource_pass_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, spec, grad=True):
+            calls.append(grad)
+            return bmtas.resloss._cost_and_grad(alpha, spec, grad)
+
+        monkeypatch.setattr("bmtas.search._cost_and_grad", counted)
+        data, sg = small_benchmark()
+        res = search(quick_config(resource_weight=0.2, search_steps=20), sg, data)
+        # one pass at the initial logits, then one after each step's update
+        assert calls == [True] * 21
+        row = res.trace[-1]
+        assert row.expected_cost == bmtas.resloss.expected_cost(res.alpha_final, sg)
+        calls.clear()
+        search(quick_config(search_steps=20), sg, data)
+        assert calls == [False] * 21
