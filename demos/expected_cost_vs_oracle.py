@@ -1,7 +1,8 @@
 """Expected resource cost under stochastic routing, three ways:
 inclusion-exclusion over task subsets, literal enumeration of every joint
-routing, and finite differences against the analytic gradient. The
-layer-by-layer Markov chain gives the grouping distribution."""
+routing, and finite differences against the analytic gradient. Moebius
+inversion over the coarsenings of each grouping gives the grouping
+distribution."""
 
 import numpy as np
 

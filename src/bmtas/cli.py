@@ -330,8 +330,11 @@ def cmd_expected_cost(args) -> int:
         alpha = ArchitectureParams.from_json(_load_json(args.alpha))
         if alpha.num_candidates != alpha.num_tasks:
             raise ConfigError("logits need one candidate per task")
+        if alpha.num_tasks > MAX_TASKS:
+            raise ConfigError(f"{alpha.num_tasks} tasks; at most {MAX_TASKS} supported")
         spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
     dist = grouping_distribution(alpha, spec)
+    blocks = [part.blocks() for part in dist.partitions]
     cost = expected_cost(alpha, spec)
     report = {
         "expected_cost": cost,
@@ -340,8 +343,8 @@ def cmd_expected_cost(args) -> int:
             {
                 "layer": l + 1,
                 "probs": [
-                    {"partition": part.blocks(), "prob": float(p)}
-                    for part, p in zip(dist.partitions, dist.layers[l])
+                    {"partition": part, "prob": p}
+                    for part, p in zip(blocks, dist.layers[l].tolist())
                     if p > 0
                 ],
             }

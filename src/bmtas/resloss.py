@@ -11,11 +11,13 @@ task subsets M (Moebius inversion on the Boolean lattice, Rota 1964):
 where A_j(M) is the probability that all tasks of M pick one edge at layer
 j. Cost and gradient take O(2^T * T^2 * L) work and no partition lattice.
 
-The full grouping distribution needs the lattice: the grouping chain
-kappa_1, ..., kappa_L is Markov, kappa_l being the meet of kappa_{l-1} with
-the edge-equality partition of layer l, so it folds through a per-layer
-transition kernel. The chain serves that distribution only; a literal
-enumeration of every joint routing is kept alongside as an oracle.
+The grouping distribution comes from the same subset table: the chance
+that kappa_l is a grouping k or coarser is a product of per-block agreement
+chances, and Moebius inversion over the coarsenings of k turns it into
+P(kappa_l = k). The grouping chain kappa_1, ..., kappa_L is Markov, kappa_l
+being the meet of kappa_{l-1} with the edge-equality partition of layer l;
+its per-layer transition kernel over the partition lattice, and a literal
+enumeration of every joint routing, are kept as oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import softmax
+from scipy.special import factorial, softmax
 
 from .errors import BoundsError, DimensionMismatch, NumericError
 from .graph import SupergraphSpec
@@ -165,6 +167,7 @@ def _assignment_weights(pi: np.ndarray) -> np.ndarray:
     return reduce(np.multiply.outer, pi).ravel()
 
 
+# an oracle; it stays here while benchmarks/tracing.py counts calls through this name
 def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     """P[m][k] = probability that meet(m, edge partition at `layer`) equals k.
 
@@ -189,19 +192,31 @@ def grouping_distribution(
     alpha: ArchitectureParams, spec: SupergraphSpec
 ) -> GroupingDistribution:
     """Distribution of the task grouping at every layer under softmax(alpha),
-    clamped at CLAMP_EPS per layer."""
-    _check_dims(alpha, spec)
-    tables = _edge_tables(alpha.num_tasks)
-    n = len(tables.partitions)
-    layers = np.empty((spec.num_layers, n))
-    p = np.zeros(n)
-    p[0] = 1.0  # all tasks share: the all-zero RGS is listed first
-    for l in range(1, spec.num_layers + 1):
-        p = p @ transition_kernel(alpha, l)
-        p = np.where(p < CLAMP_EPS, 0.0, p)
-        p = p / p.sum()
-        layers[l - 1] = p
-    return GroupingDistribution(partitions=tables.partitions, layers=layers)
+    clamped at CLAMP_EPS per layer.
+
+    P(kappa_l is k or coarser) = prod_{B in k} h_l(B), h_l(B) being the chance
+    that B's tasks agree at layers 1..l. Moebius inversion over the merges
+    sigma of k's blocks gives P(kappa_l = k) = sum_sigma mu(sigma) prod_{S in
+    sigma} h_l(union of S), mu(sigma) = prod_{S in sigma} (-1)^(|S|-1) (|S|-1)!.
+    """
+    parts = enumerate_partitions(alpha.num_tasks)  # bounds T before 2^T rows
+    h = np.cumprod(_subsets(alpha, spec)[4], axis=1)
+    h[0] = 1.0  # unused merge slots hold the empty mask
+    rgs = np.array([p.rgs for p in parts])
+    tasks = np.arange(alpha.num_tasks)
+    # masks[k, b]: bitmask of block b of parts[k], 0 past its last block
+    masks = (rgs[:, None, :] == tasks[:, None]) @ (1 << tasks)
+    sizes = rgs.max(axis=1) + 1
+    probs = np.empty((len(parts), spec.num_layers))
+    for m in range(1, alpha.num_tasks + 1):
+        merges = np.array([s.rgs for s in enumerate_partitions(m)])
+        onehot = merges[:, :, None] == np.arange(m)
+        less = np.maximum(onehot.sum(axis=1) - 1, 0)  # merged block sizes less one
+        mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
+        merged = masks[sizes == m, :m] @ onehot
+        probs[sizes == m] = np.einsum("s,skl->kl", mu, h[merged].prod(axis=2))
+    probs = np.where(probs.T < CLAMP_EPS, 0.0, probs.T)
+    return GroupingDistribution(parts, probs / probs.sum(axis=1, keepdims=True))
 
 
 def _subsets(alpha: ArchitectureParams, spec: SupergraphSpec) -> tuple:

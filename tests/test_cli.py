@@ -2,11 +2,13 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
 from bmtas.resloss import _edge_tables
+from conftest import random_alpha
 
 
 def base_config(**overrides):
@@ -175,6 +177,9 @@ BAD_INPUTS = {
     "expected-cost-three-candidates-for-two-tasks": lambda p: [
         "expected-cost", "--alpha", input_file(p, "[[[0, 0, 0]], [[0, 0, 0]]]")
     ],
+    "expected-cost-nine-tasks": lambda p: [
+        "expected-cost", "--alpha", input_file(p, json.dumps([[[0] * 9] * 2] * 9))
+    ],
     "eval-record-without-tasks": lambda p: [
         "eval", "--model", input_file(p, "{}"), "--baseline", input_file(p, "{}")
     ],
@@ -258,6 +263,21 @@ class TestExpectedCost:
         report = json.loads(capsys.readouterr().out)
         # E[blocks] = 1.5, unit cost 2*4*2 = 16
         assert report["expected_cost"] == pytest.approx(24.0)
+
+    def test_eight_tasks_run_without_lattice_tables(self, tmp_path, capsys):
+        logits = random_alpha(np.random.default_rng(8), 8, 4)
+        alpha = self.write_alpha(tmp_path, logits.tolist())
+        before = _edge_tables.cache_info()
+        assert main(["expected-cost", "--alpha", alpha, "--unit-costs", "3,5,2,4"]) == 0
+        assert _edge_tables.cache_info() == before
+        report = json.loads(capsys.readouterr().out)
+        layers = report["grouping_distribution"]
+        assert all(e["prob"] >= 0 for layer in layers for e in layer["probs"])
+        folded = sum(
+            unit * sum(e["prob"] * len(e["partition"]) for e in layer["probs"])
+            for unit, layer in zip([3, 5, 2, 4], layers)
+        )
+        assert folded == pytest.approx(report["expected_cost"], rel=1e-12)
 
 
 class TestEval:

@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import softmax
 
+from bmtas import resloss
 from bmtas.errors import BoundsError, DimensionMismatch, NumericError
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_cost
 from bmtas.graph import RoutingMask
 from bmtas.partition import Partition, meet, refines
 from bmtas.resloss import (
+    CLAMP_EPS,
     ENUM_GUARD,
     ArchitectureParams,
     _assignment_weights,
@@ -246,9 +248,24 @@ def test_edge_tables_match_python_loops(num_tasks):
     assert np.array_equal(_assignment_weights(pi), weights)
 
 
+def chain_distribution(a, spec):
+    """Per-layer grouping distribution folded through the transition
+    kernels of the grouping chain, clamped at CLAMP_EPS per layer."""
+    n = len(_edge_tables(a.num_tasks).partitions)
+    layers = np.empty((spec.num_layers, n))
+    p = np.zeros(n)
+    p[0] = 1.0  # all tasks share: the all-zero RGS is listed first
+    for l in range(1, spec.num_layers + 1):
+        p = p @ transition_kernel(a, l)
+        p = np.where(p < CLAMP_EPS, 0.0, p)
+        p = p / p.sum()
+        layers[l - 1] = p
+    return layers
+
+
 def chain_cost(a, spec):
     """Expected cost folded from the clamped grouping chain."""
-    layers = grouping_distribution(a, spec).layers
+    layers = chain_distribution(a, spec)
     units = np.asarray(spec.cost_table.unit_cost)
     return float(units @ layers @ _edge_tables(a.num_tasks).num_blocks)
 
@@ -309,6 +326,32 @@ def test_inclusion_exclusion_matches_clamped_chain(logits):
     a = ArchitectureParams(logits)
     spec = costed_spec(a.num_tasks, a.num_layers)
     assert relative_error(expected_cost(a, spec), chain_cost(a, spec)) <= 1e-10
+
+
+@given(wide_alpha_st)
+# unclamped, the alternating sum reads -2.2e-16 on one grouping here
+@example(np.array([[[15.0, -30, 30]], [[30, -30, 15]], [[30, -30, -30]]]))
+@settings(max_examples=60, deadline=None)
+def test_moebius_distribution_matches_clamped_chain(logits):
+    a = ArchitectureParams(logits)
+    spec = costed_spec(a.num_tasks, a.num_layers)
+    got = grouping_distribution(a, spec)
+    want = chain_distribution(a, spec)
+    assert got.partitions == _edge_tables(a.num_tasks).partitions
+    assert np.abs(got.layers - want).max() <= 1e-12
+    assert np.all(got.layers >= 0)
+    # the supports differ only where one side falls under the clamp
+    assert np.all(got.layers[want == 0] < 1e-13)
+    assert np.all(want[got.layers == 0] < 1e-13)
+
+
+def test_distribution_bounds_tasks_before_the_subset_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("2^T subset rows built for an unsupported T")
+
+    monkeypatch.setattr(resloss, "_subsets", refuse)
+    with pytest.raises(BoundsError):
+        grouping_distribution(ArchitectureParams.zeros(9, 2), unit_spec(9, 2))
 
 
 @given(wide_alpha_st)
