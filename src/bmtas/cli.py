@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
@@ -325,6 +326,32 @@ def _spec_from_args(args, num_tasks: int, num_layers: int) -> SupergraphSpec:
     return SupergraphSpec.chain([1] * (num_layers + 1), num_tasks, [1.0] * num_layers)
 
 
+_HOLE = "\0"  # stands in for a probs list while json.dumps writes the report
+_ENTRY_BREAK = "\n" + " " * 8  # line break before a probs entry in the report
+
+
+@lru_cache(maxsize=None)
+def _probs_entries(num_tasks: int) -> tuple[tuple[str, str, str], ...]:
+    """Each grouping's probs entry in the report text as (head, _HOLE text, tail)."""
+    return tuple(
+        json.dumps({"partition": part.blocks(), "prob": _HOLE}, sort_keys=True, indent=2)
+        .replace("\n", _ENTRY_BREAK)
+        .partition(json.dumps(_HOLE))
+        for part in enumerate_partitions(num_tasks)
+    )
+
+
+def _report_text(report: dict, dist) -> str:
+    """json.dumps(report, sort_keys=True, indent=2), each _HOLE filled with the
+    probs list of its layer: the groupings of positive probability, in order."""
+    entries = _probs_entries(dist.partitions[0].num_tasks)
+    text = json.dumps(report, sort_keys=True, indent=2).split(json.dumps(_HOLE))
+    for l, row in enumerate(dist.layers.tolist()):
+        body = f",{_ENTRY_BREAK}".join(f"{h}{p!r}{t}" for (h, _, t), p in zip(entries, row) if p > 0)
+        text[l] += f"[{_ENTRY_BREAK}{body}\n      ]"
+    return "".join(text)
+
+
 def cmd_expected_cost(args) -> int:
     with _reading_input():
         alpha = ArchitectureParams.from_json(_load_json(args.alpha))
@@ -334,32 +361,23 @@ def cmd_expected_cost(args) -> int:
             raise ConfigError(f"{alpha.num_tasks} tasks; at most {MAX_TASKS} supported")
         spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
     dist = grouping_distribution(alpha, spec)
-    blocks = [part.blocks() for part in dist.partitions]
     cost = expected_cost(alpha, spec)
     report = {
         "expected_cost": cost,
         "normalized": cost / spec.cost_table.fully_shared_cost,
         "grouping_distribution": [
-            {
-                "layer": l + 1,
-                "probs": [
-                    {"partition": part, "prob": p}
-                    for part, p in zip(blocks, dist.layers[l].tolist())
-                    if p > 0
-                ],
-            }
-            for l in range(alpha.num_layers)
+            {"layer": l + 1, "probs": _HOLE} for l in range(alpha.num_layers)
         ],
     }
+    status = 0
     if args.oracle:
         reference = brute_force_expected_cost(alpha, spec)
         report["oracle"] = reference
         if abs(cost - reference) > 1e-9:
             _log("oracle_mismatch", expected=cost, oracle=reference)
-            print(json.dumps(report, sort_keys=True, indent=2))
-            return 1
-    print(json.dumps(report, sort_keys=True, indent=2))
-    return 0
+            status = 1
+    print(_report_text(report, dist))
+    return status
 
 
 def cmd_enumerate(args) -> int:

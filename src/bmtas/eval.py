@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .errors import DimensionMismatch, DomainError
 from .partition import Partition
@@ -80,6 +79,7 @@ def rsa_matrix(features: Sequence[np.ndarray]) -> np.ndarray:
     correlation of those patterns. Tasks with constant features get NaN
     off-diagonal entries (the pattern is undefined).
     """
+    from scipy.stats import spearmanr  # here: ~1 s and 45 MB to load, no CLI verb needs it
     feats = [np.asarray(f, dtype=np.float64) for f in features]
     if not feats:
         raise DimensionMismatch("need at least one task")

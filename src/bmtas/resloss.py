@@ -188,6 +188,26 @@ def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     return kernel
 
 
+@lru_cache(maxsize=None)
+def _merge_tables(num_tasks: int) -> tuple:
+    """Per block count m: which groupings k of enumerate_partitions(num_tasks)
+    have m blocks, mu of each merge s of m blocks, and merged[s, k, j], the
+    bitmask of the union of k's blocks that s puts in block j, or 0."""
+    rgs = np.array([p.rgs for p in enumerate_partitions(num_tasks)])
+    tasks = np.arange(num_tasks)
+    # masks[k, b]: bitmask of block b of grouping k, 0 past its last block
+    masks = (rgs[:, None, :] == tasks[:, None]) @ (1 << tasks)
+    sizes = rgs.max(axis=1) + 1
+    tables = []
+    for m in range(1, num_tasks + 1):
+        merges = np.array([s.rgs for s in enumerate_partitions(m)])
+        onehot = merges[:, :, None] == np.arange(m)
+        less = np.maximum(onehot.sum(axis=1) - 1, 0)  # merged block sizes less one
+        mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
+        tables.append((sizes == m, mu, masks[sizes == m, :m] @ onehot))
+    return tuple(tables)
+
+
 def grouping_distribution(
     alpha: ArchitectureParams, spec: SupergraphSpec
 ) -> GroupingDistribution:
@@ -202,19 +222,11 @@ def grouping_distribution(
     parts = enumerate_partitions(alpha.num_tasks)  # bounds T before 2^T rows
     h = np.cumprod(_subsets(alpha, spec)[4], axis=1)
     h[0] = 1.0  # unused merge slots hold the empty mask
-    rgs = np.array([p.rgs for p in parts])
-    tasks = np.arange(alpha.num_tasks)
-    # masks[k, b]: bitmask of block b of parts[k], 0 past its last block
-    masks = (rgs[:, None, :] == tasks[:, None]) @ (1 << tasks)
-    sizes = rgs.max(axis=1) + 1
     probs = np.empty((len(parts), spec.num_layers))
-    for m in range(1, alpha.num_tasks + 1):
-        merges = np.array([s.rgs for s in enumerate_partitions(m)])
-        onehot = merges[:, :, None] == np.arange(m)
-        less = np.maximum(onehot.sum(axis=1) - 1, 0)  # merged block sizes less one
-        mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
-        merged = masks[sizes == m, :m] @ onehot
-        probs[sizes == m] = np.einsum("s,skl->kl", mu, h[merged].prod(axis=2))
+    for rows, mu, merged in _merge_tables(alpha.num_tasks):
+        # h[merged].prod(axis=2) one block at a time: the same products, no 4-D gather
+        prod = reduce(np.multiply, (h[merged[..., b]] for b in range(merged.shape[2])))
+        probs[rows] = np.einsum("s,skl->kl", mu, prod)
     probs = np.where(probs.T < CLAMP_EPS, 0.0, probs.T)
     return GroupingDistribution(parts, probs / probs.sum(axis=1, keepdims=True))
 

@@ -1,4 +1,10 @@
-"""Shared helpers: finite differences and small random problem instances."""
+"""Shared helpers: finite differences, small random problem instances and
+a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +37,19 @@ def relative_error(got, want):
     want = np.asarray(want, dtype=np.float64)
     denom = max(np.linalg.norm(want), 1e-12)
     return np.linalg.norm(got - want) / denom
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of `code` run by a new interpreter that imports bmtas
+    from this checkout's src/."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def random_alpha(rng, num_tasks, num_layers, scale=2.0):

@@ -1,14 +1,27 @@
+import contextlib
 import csv
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bmtas import cli, resloss
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
-from bmtas.resloss import _edge_tables
-from conftest import random_alpha
+from bmtas.graph import SupergraphSpec
+from bmtas.resloss import (
+    ENUM_GUARD,
+    ArchitectureParams,
+    _edge_tables,
+    brute_force_expected_cost,
+    expected_cost,
+    grouping_distribution,
+)
+from conftest import fresh_python, random_alpha
 
 
 def base_config(**overrides):
@@ -278,6 +291,136 @@ class TestExpectedCost:
             for unit, layer in zip([3, 5, 2, 4], layers)
         )
         assert folded == pytest.approx(report["expected_cost"], rel=1e-12)
+
+
+UNIT_COSTS = [3.0, 5.0, 2.0, 4.0]
+# (logit standard deviation, boost of one candidate per row); the boosted
+# kind puts many groupings under CLAMP_EPS, so their entries are dropped
+LOGIT_KINDS = {"small": (0.1, 0.0), "scale2": (2.0, 0.0), "onehot": (1.0, 30.0)}
+
+
+def kind_logits(kind, num_tasks, num_layers, seed):
+    sd, boost = LOGIT_KINDS[kind]
+    rng = np.random.default_rng(seed)
+    logits = sd * rng.standard_normal((num_tasks, num_layers, num_tasks))
+    picks = rng.integers(num_tasks, size=(num_tasks, num_layers))
+    logits[np.arange(num_tasks)[:, None], np.arange(num_layers), picks] += boost
+    return logits
+
+
+def json_dumps_report(logits, oracle, oracle_offset=0.0):
+    """The expected-cost report with every entry written by json.dumps."""
+    alpha = ArchitectureParams(logits)
+    layers = alpha.num_layers
+    spec = SupergraphSpec.chain([1] * (layers + 1), alpha.num_tasks, UNIT_COSTS[:layers])
+    dist = grouping_distribution(alpha, spec)
+    cost = expected_cost(alpha, spec)
+    report = {
+        "expected_cost": cost,
+        "normalized": cost / spec.cost_table.fully_shared_cost,
+        "grouping_distribution": [
+            {
+                "layer": l + 1,
+                "probs": [
+                    {"partition": part.blocks(), "prob": p}
+                    for part, p in zip(dist.partitions, dist.layers[l].tolist())
+                    if p > 0
+                ],
+            }
+            for l in range(layers)
+        ],
+    }
+    if oracle:
+        report["oracle"] = brute_force_expected_cost(alpha, spec) + oracle_offset
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def run_expected_cost(path, logits, oracle=False):
+    """Exit code and stdout of `bmtas expected-cost` on logits."""
+    path.write_text(json.dumps(logits.tolist()))
+    costs = ",".join(str(c) for c in UNIT_COSTS[: logits.shape[1]])
+    argv = ["expected-cost", "--alpha", str(path), "--unit-costs", costs]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--oracle"] * oracle)
+    return code, out.getvalue()
+
+
+class TestReportText:
+    """The report text is assembled from cached entry texts; it must equal
+    json.dumps(report, sort_keys=True, indent=2) byte for byte."""
+
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 4),
+        st.sampled_from(sorted(LOGIT_KINDS)),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @example(2, 1, "small", 0, True)
+    @example(7, 4, "onehot", 0, False)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_json_dumps(self, tmp_path_factory, tasks, layers, kind, seed, oracle):
+        oracle = oracle and tasks ** (tasks * layers) <= ENUM_GUARD
+        logits = kind_logits(kind, tasks, layers, seed)
+        path = tmp_path_factory.mktemp("alpha") / "alpha.json"
+        code, out = run_expected_cost(path, logits, oracle)
+        assert code == 0
+        assert out == json_dumps_report(logits, oracle)
+
+    def test_drops_groupings_of_zero_probability(self, tmp_path):
+        logits = kind_logits("onehot", 6, 3, 5)
+        code, out = run_expected_cost(tmp_path / "alpha.json", logits)
+        assert code == 0
+        assert out == json_dumps_report(logits, False)
+        listed = [len(layer["probs"]) for layer in json.loads(out)["grouping_distribution"]]
+        assert max(listed) < 203  # B_6
+
+    def test_eight_tasks(self, tmp_path):
+        logits = kind_logits("scale2", 8, 4, 8)
+        code, out = run_expected_cost(tmp_path / "alpha.json", logits)
+        assert code == 0
+        assert out == json_dumps_report(logits, False)
+
+    def test_oracle_mismatch_prints_the_same_report(self, tmp_path, monkeypatch):
+        real = cli.brute_force_expected_cost
+        monkeypatch.setattr(cli, "brute_force_expected_cost", lambda a, s: real(a, s) + 1.0)
+        logits = kind_logits("scale2", 3, 2, 4)
+        code, out = run_expected_cost(tmp_path / "alpha.json", logits, oracle=True)
+        assert code == 1
+        assert out == json_dumps_report(logits, True, oracle_offset=1.0)
+
+
+class TestTaskCountCaches:
+    def test_interleaved_task_counts_reproduce_their_output(self, tmp_path):
+        outputs = [
+            run_expected_cost(tmp_path / "alpha.json", kind_logits("scale2", t, 2, 1))
+            for t in (3, 5, 3, 7, 3)
+        ]
+        assert all(code == 0 for code, _ in outputs)
+        assert outputs[2][1] == outputs[0][1]
+        assert outputs[4][1] == outputs[0][1]
+        assert outputs[0][1] == json_dumps_report(kind_logits("scale2", 3, 2, 1), False)
+
+    @pytest.mark.parametrize("tasks", [1, 4, 7])
+    def test_cold_merge_tables_give_the_warm_distribution(self, tasks):
+        alpha = ArchitectureParams(kind_logits("scale2", tasks, 3, 2))
+        spec = SupergraphSpec.chain([1] * 4, tasks, UNIT_COSTS[:3])
+        warm = grouping_distribution(alpha, spec)
+        resloss._merge_tables.cache_clear()
+        cold = grouping_distribution(alpha, spec)
+        assert resloss._merge_tables.cache_info().currsize == 1
+        assert cold.partitions == warm.partitions
+        assert np.array_equal(cold.layers, warm.layers)
+        assert np.array_equal(grouping_distribution(alpha, spec).layers, warm.layers)
+
+    def test_import_leaves_both_caches_empty(self):
+        code = (
+            "import bmtas.cli as c, bmtas.resloss as r; "
+            "print(c._probs_entries.cache_info().currsize, "
+            "r._merge_tables.cache_info().currsize)"
+        )
+        assert fresh_python(code) == "0 0\n"
 
 
 class TestEval:

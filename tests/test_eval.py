@@ -11,6 +11,7 @@ from bmtas.eval import (
 )
 from bmtas.partition import Partition
 from bmtas.seeding import rng_stream
+from conftest import fresh_python
 
 
 class TestMetricRecord:
@@ -69,6 +70,10 @@ class TestDeltaM:
 
 
 class TestRsaMatrix:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, bmtas.cli; print('scipy.stats' in sys.modules)"
+        assert fresh_python(code) == "False\n"
+
     def test_diagonal_and_symmetry(self):
         rng = rng_stream(20, "rsa")
         feats = [rng.normal(size=(12, 5)) for _ in range(3)]
