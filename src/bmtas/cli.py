@@ -173,13 +173,18 @@ def _reading_input():
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
+@lru_cache(maxsize=None)
+def _config_validator() -> jsonschema.Draft202012Validator:
+    """Built on first use; CONFIG_SCHEMA itself is checked by a unit test."""
+    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def load_config(path) -> dict:
     """Parse and schema-validate a run config; unknown keys are rejected."""
     obj = _load_json(path)
-    try:
-        jsonschema.validate(obj, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"{path}: {exc.json_path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(obj))
+    if error is not None:
+        raise ConfigError(f"{path}: {error.json_path}: {error.message}") from error
     widths = obj["supergraph"]["widths"]
     if obj["benchmark"]["input_dim"] != widths[0]:
         raise ConfigError("benchmark input_dim must equal the first supergraph width")

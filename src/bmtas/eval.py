@@ -146,11 +146,14 @@ class SyntheticTaskSpec:
 
 @dataclass
 class Dataset:
+    """Inputs are (N, input_dim); targets are one (T, N, target_dim) array,
+    every task with the same target width."""
+
     task_names: tuple[str, ...]
     inputs_train: np.ndarray
     inputs_test: np.ndarray
-    targets_train: tuple[np.ndarray, ...]
-    targets_test: tuple[np.ndarray, ...]
+    targets_train: np.ndarray
+    targets_test: np.ndarray
     seed: int | None = None
 
     @property
@@ -161,18 +164,14 @@ class Dataset:
     def input_dim(self) -> int:
         return self.inputs_train.shape[1]
 
-    @property
-    def target_dims(self) -> tuple[int, ...]:
-        return tuple(y.shape[1] for y in self.targets_train)
-
     def select_tasks(self, tasks: Sequence[int]) -> "Dataset":
         """Subset view keeping task names, for single-task comparisons."""
         return Dataset(
             task_names=tuple(self.task_names[t] for t in tasks),
             inputs_train=self.inputs_train,
             inputs_test=self.inputs_test,
-            targets_train=tuple(self.targets_train[t] for t in tasks),
-            targets_test=tuple(self.targets_test[t] for t in tasks),
+            targets_train=self.targets_train[list(tasks)],
+            targets_test=self.targets_test[list(tasks)],
             seed=self.seed,
         )
 
@@ -227,7 +226,7 @@ def generate_tasks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> Dataset
         for t in range(spec.num_tasks):
             clean = x @ shared[group_of[t]].T @ private[t].T
             out.append(clean + spec.noise_std * rng.normal(size=clean.shape))
-        return tuple(out)
+        return np.stack(out)
 
     return Dataset(
         task_names=tuple(f"t{t}" for t in range(spec.num_tasks)),

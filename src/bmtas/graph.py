@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundsError, DimensionMismatch, DomainError
-from .partition import Partition, enumerate_partitions, meet, refines
+from .partition import MAX_TASKS, Partition, enumerate_partitions, meet, refines
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ class CostTable:
             raise ValueError("cost table must cover at least one layer")
         if any(u <= 0 or not np.isfinite(u) for u in costs):
             raise ValueError("unit costs must be positive and finite")
+        # the expected cost sums 2**T inclusion-exclusion terms of at most the
+        # fully shared cost each, so that bound keeps it and its gradient finite
+        if not np.isfinite(2.0**MAX_TASKS * sum(costs)):
+            raise ValueError(
+                f"unit costs must sum to at most {np.finfo(float).max / 2**MAX_TASKS:.6g}"
+            )
 
     @property
     def num_layers(self) -> int:

@@ -2,15 +2,18 @@
 
 Training does not run on the tape: `search._features` and
 `search._backward_tasks` compute the branched network's forward and backward
-by hand over the stacked arrays of `OperationParams`, reading each
-parameter's `.data` and writing its `.grad` for `SGD` and `Adam`. The tape
+by hand over the stacked arrays of `OperationParams` (each layer's
+operations, and the task heads, stacked along a leading axis), reading each
+parameter's `.data` and writing its `.grad`. `SGD` keeps every parameter in
+one flat buffer, of which each `.data` is a view, and steps it with
+whole-buffer ufuncs; `Adam` steps the architecture logits. The tape
 (`Tensor`, `backward`, and the ops `candidate_forward`, `mixed_layer_forward`,
 `head_forward` and `task_loss`) is the slow, define-by-run reference that
 checks that engine and the end-to-end gradients: ops record their parents
 and a closure that maps the output gradient to parent gradients, and
 `backward` replays the tape in reverse topological order. Everything is
 double precision; the vocabulary is affine + tanh operations, affine task
-heads and MSE.
+heads of one width and MSE.
 """
 
 from __future__ import annotations
@@ -208,10 +211,11 @@ class OperationParams:
     """Branched-network weights. Layer l's operations are stacked: weights[l-1]
     is one Tensor of shape (C_l, in, out) and biases[l-1] one of shape
     (C_l, out), with one operation per task in the supergraph and one per
-    block once retrained. Heads are one Tensor per task, as their widths may
-    differ. `init` draws one weight matrix per layer and copies it to every
-    candidate, so that before any training the mixed output is independent
-    of routing.
+    block once retrained. The task heads are stacked the same way, one
+    (T, enc_out, dim) Tensor head_weights and one (T, dim) head_biases, so
+    every head has one width. `init` draws one weight matrix per layer and
+    copies it to every candidate, so that before any training the mixed
+    output is independent of routing.
     """
 
     def __init__(self, weights, biases, head_weights, head_biases):
@@ -222,12 +226,15 @@ class OperationParams:
         for w, b in zip(weights, biases):
             if w.data.ndim != 3 or b.shape != (w.shape[0], w.shape[2]):
                 raise DimensionMismatch("layer weights must be (C, in, out), biases (C, out)")
+        hw = head_weights.data
+        if hw.ndim != 3 or head_biases.shape != (hw.shape[0], hw.shape[2]):
+            raise DimensionMismatch("head weights must be (T, in, dim), biases (T, dim)")
 
     @classmethod
     def init(
         cls,
         spec: SupergraphSpec,
-        head_dims,
+        head_dim: int,
         rng: np.random.Generator,
     ) -> "OperationParams":
         weights, biases = [], []
@@ -235,13 +242,13 @@ class OperationParams:
             w = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, out_dim))
             weights.append(Tensor(np.repeat(w[None], spec.num_tasks, axis=0)))
             biases.append(Tensor(np.zeros((spec.num_tasks, out_dim))))
-        enc_out = spec.layer_dims[-1][1]
-        head_w, head_b = [], []
-        for dim in head_dims:
-            w = rng.normal(0.0, 1.0 / np.sqrt(enc_out), size=(enc_out, dim))
-            head_w.append(Tensor(w))
-            head_b.append(Tensor(np.zeros(dim)))
-        return cls(weights, biases, head_w, head_b)
+        enc_out, num_heads = spec.layer_dims[-1][1], spec.num_tasks
+        head_w = [
+            rng.normal(0.0, 1.0 / np.sqrt(enc_out), size=(enc_out, head_dim))
+            for _ in range(num_heads)
+        ]
+        head_b = np.zeros((num_heads, head_dim))
+        return cls(weights, biases, Tensor(np.stack(head_w)), Tensor(head_b))
 
     @property
     def num_layers(self) -> int:
@@ -249,15 +256,13 @@ class OperationParams:
 
     @property
     def num_heads(self) -> int:
-        return len(self.head_weights)
+        return self.head_weights.shape[0]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = []
         for l, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
             named += [(f"l{l}.w", w), (f"l{l}.b", b)]
-        for t, (w, b) in enumerate(zip(self.head_weights, self.head_biases)):
-            named += [(f"head.{t}.w", w), (f"head.{t}.b", b)]
-        return named
+        return named + [("head.w", self.head_weights), ("head.b", self.head_biases)]
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -320,9 +325,13 @@ def task_loss(prediction, target) -> Tensor:
 class SGD:
     """Momentum SGD, L2 weight decay folded into the gradient.
 
-    lr_scales supports the shared-op rule of dividing the learning rate by
-    the number of tasks using an operation: one factor per parameter, a
-    float or an array that broadcasts against it. reset_momentum implements
+    The parameters and their velocity live in one contiguous buffer, and
+    each parameter's .data becomes a view into it, so that a step is a few
+    whole-buffer ufuncs, computed elementwise in the order of the per-array
+    update. lr_scales supports the shared-op rule of dividing the learning
+    rate by the number of tasks using an operation: one factor per
+    parameter, a float or an array that broadcasts against it, expanded
+    once into the per-element step size lr * s. reset_momentum implements
     the restart that follows an architecture change.
     """
 
@@ -332,24 +341,34 @@ class SGD:
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         scales = lr_scales if lr_scales is not None else [1.0] * len(self.params)
-        self.lr_scales = [np.asarray(s, dtype=np.float64) for s in scales]
-        if len(self.lr_scales) != len(self.params):
+        if len(scales) != len(self.params):
             raise DimensionMismatch("one lr scale per parameter required")
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.data.size for p in self.params)
+        buffer = np.zeros(2 * size)
+        self.flat, self.velocity = buffer[:size], buffer[size:]
+        self.step_size = np.empty(size)
+        start = 0
+        for p, s in zip(self.params, scales):
+            stop = start + p.data.size
+            view = self.flat[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            self.step_size[start:stop].reshape(p.data.shape)[...] = self.lr * np.asarray(
+                s, dtype=np.float64
+            )
+            p.data, start = view, stop
 
     def step(self, grads=None):
         grads = grads if grads is not None else collect_grads(self.params)
         if len(grads) != len(self.params):
             raise DimensionMismatch("one gradient per parameter required")
-        for p, v, g, s in zip(self.params, self.velocity, grads, self.lr_scales):
-            g = g + self.weight_decay * p.data
-            v *= self.momentum
-            v += g
-            p.data = p.data - self.lr * s * v
+        g = np.concatenate(grads, axis=None)
+        g += self.weight_decay * self.flat
+        self.velocity *= self.momentum
+        self.velocity += g
+        self.flat -= self.step_size * self.velocity
 
     def reset_momentum(self):
-        for v in self.velocity:
-            v[...] = 0.0
+        self.velocity[...] = 0.0
 
 
 class Adam:

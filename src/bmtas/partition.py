@@ -18,7 +18,7 @@ from .errors import BoundsError, DimensionMismatch
 # Largest task count a grouping may cover; the config schema's num_tasks
 # bound reads it. Neither the expected cost nor the grouping distribution needs
 # lattice tables: on a 2-core machine a default-length T=8 four-pair
-# `bmtas search` took 3.7 s and 107 MB; a T=8, L=4 `bmtas expected-cost` 0.18-0.34 s
+# `bmtas search` took 1.5-1.9 s and 62 MB; a T=8, L=4 `bmtas expected-cost` 0.18-0.34 s
 # cold (building its per-T tables), 0.04-0.08 s warm, 1.05-1.16 s and 84 MB as a process.
 MAX_TASKS = 8
 

@@ -3,19 +3,23 @@ an annealed Gumbel-Softmax, argmax discretization, and from-scratch
 retraining of the found structure.
 
 One batched engine carries every stage. `_features` runs all tasks'
-encoders at once over the stacked operation arrays of `OperationParams`, each
-layer routed by a (tasks, operations) array of mixture rows, and
+encoders at once over the stacked operation arrays of `OperationParams`, and
 `_backward_tasks` is its hand-written reverse pass: it writes the gradients
-of the omega-weighted task losses into the parameters' `.grad` and returns
-the gradient of each routing row. Warm-up, retraining and prediction pass
-one-hot rows, the search Gumbel-Softmax rows; the architecture gradient is
-the softmax's chain rule on the row gradients. Arrays are combined in the
-order of the `nncore` tape's ops, which stays as the engine's test oracle.
+of the omega-weighted task losses into the parameters' `.grad`, or returns
+the gradient of each routing row, or both. Each layer is routed either by
+one operation index per task (warm-up, retraining and prediction), which
+gathers the T weight slices used, or by a (tasks, operations) array of
+Gumbel-Softmax mixture rows (the search). The task heads are one stacked
+affine map, so loss and head gradients are one batched call each. The
+architecture gradient is the softmax's chain rule on the row gradients.
+Arrays are combined in the order of the `nncore` tape's ops, which stays as
+the engine's test oracle.
 
 Every iteration draws fresh routing noise, takes one weight step on the
 large data split, one architecture step (task loss plus the weighted,
 normalized expected cost) on the small split, and resets weight momentum
-whenever the discretized architecture changes.
+whenever the discretized architecture changes; the structure is derived
+again only when some task's argmax pick changes.
 """
 
 from __future__ import annotations
@@ -114,58 +118,79 @@ def _batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
     return pool[rng.choice(len(pool), size=min(size, len(pool)), replace=False)]
 
 
-def _features(params: OperationParams, rows, x: np.ndarray):
+def _features(params: OperationParams, routing, x: np.ndarray):
     """Every routed task's encoder output, shape (T, B, out), and per layer
-    the (input, operation outputs) pair that `_backward_tasks` reuses.
+    the (input, outputs, weights) triple that `_backward_tasks` reuses.
 
-    rows[l] is a (T, C) array whose row t mixes layer l+1's C operations for
-    task t; a one-hot row picks one operation exactly, as 1*a + 0*b = a for
-    finite b. Layer 1 runs each operation once on x, (1, C, B, out); deeper
-    layers run every operation on every task's input, (T, C, B, out).
+    routing[l] routes layer l+1 in one of two kinds, and its kind selects
+    the computation. Discrete routing is an integer array of shape (T,),
+    task t's operation index: the layer gathers those T weight slices and
+    runs each on its task's input, (T, B, out). Soft routing is a (T, C)
+    array whose row t mixes the layer's C operations for task t: layer 1
+    runs each operation once on x, (1, C, B, out), deeper layers every
+    operation on every task's input, (T, C, B, out), and the outputs are
+    summed one operation at a time, in the tape's order, so that sums match
+    it bitwise.
     """
     h, cache = x[None], []
-    for w, b, z in zip(params.weights, params.biases, rows):
-        pre = h[:, None] @ w.data + b.data[:, None]
+    for w, b, r in zip(params.weights, params.biases, routing):
+        soft = r.ndim == 2
+        w, b = (w.data, b.data[:, None]) if soft else (w.data[r], b.data[r, None])
+        pre = (h[:, None] if soft else h) @ w + b
         if not np.isfinite(pre).all():  # before tanh, which would hide it
             raise NumericError("tensor holds NaN or Inf")
         y = np.tanh(pre)
-        cache.append((h, y))
-        # one operation at a time, in the tape's order, so sums match it bitwise
-        h = z[:, 0, None, None] * y[:, 0]
-        for c in range(1, z.shape[1]):
-            h = h + z[:, c, None, None] * y[:, c]
+        cache.append((h, y, w))
+        if soft:
+            h = r[:, 0, None, None] * y[:, 0]
+            for c in range(1, r.shape[1]):
+                h = h + r[:, c, None, None] * y[:, c]
+        else:
+            h = y
     return h, cache
 
 
-def _backward_tasks(
-    params: OperationParams, rows, data: Dataset, idx, omega, row_grads=False
-):
-    """Fresh .grad on every parameter for sum_t omega[t] * loss_t on the
-    training rows idx, task t routed by row t of every rows[l]. Returns the
-    unweighted losses and, if row_grads, per layer the gradient of rows[l],
-    (T, C)."""
-    h, cache = _features(params, rows, data.inputs_train[idx])
-    losses, dh = [], np.empty_like(h)
-    for t, (w, b) in enumerate(zip(params.head_weights, params.head_biases)):
-        diff = h[t] @ w.data + b.data - data.targets_train[t][idx]
-        losses.append(float((diff * diff).mean()))
-        if not np.isfinite(losses[-1]):
-            raise NumericError("tensor holds NaN or Inf")
-        g = float(omega[t]) / diff.size * diff
-        g = g + g  # d/d diff of diff * diff, one term per factor
-        w.grad, b.grad = h[t].T @ g, g.sum(axis=0)
-        dh[t] = g @ w.data.T
-    dz = []
+def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, omega, row_grads=False):
+    """Unweighted losses of the T tasks on the training rows idx, task t
+    routed by routing[l][t] (see `_features`). By default a fresh .grad on
+    every parameter for sum_t omega[t] * loss_t; with row_grads, instead,
+    per layer the gradient of the soft routing[l], (T, C), and no .grad."""
+    h, cache = _features(params, routing, data.inputs_train[idx])
+    hw, hb = params.head_weights.data, params.head_biases.data
+    diff = h @ hw + hb[:, None] - data.targets_train[:, idx]
+    size = diff[0].size
+    losses = (diff * diff).sum(axis=(1, 2)) / size  # each task's mean
+    if not np.isfinite(losses).all():
+        raise NumericError("tensor holds NaN or Inf")
+    g = (np.asarray(omega, dtype=np.float64) / size)[:, None, None] * diff
+    g = g + g  # d/d diff of diff * diff, one term per factor
+    if not row_grads:
+        params.head_weights.grad = h.swapaxes(1, 2) @ g
+        params.head_biases.grad = g.sum(axis=1)
+    dh, dz = g @ hw.swapaxes(1, 2), []
     for l in reversed(range(params.num_layers)):
-        w, b, z, (h, y) = params.weights[l], params.biases[l], rows[l], cache[l]
-        if row_grads:
-            dz.insert(0, (dh[:, None] * y).sum(axis=2).sum(axis=2))
-        dpre = dh[:, None] * z[:, :, None, None] * (1.0 - y * y)
-        w.grad = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
-        b.grad = dpre.sum(axis=2).sum(axis=0)
-        if l:
-            dh = (dpre @ w.data.swapaxes(1, 2)).sum(axis=1)
-    return losses, dz
+        w, b, r, (h, y, wr) = params.weights[l], params.biases[l], routing[l], cache[l]
+        if r.ndim == 1:
+            dpre = dh * (1.0 - y * y)
+            if not row_grads:
+                # each task's term in its operation's slot and zeros elsewhere,
+                # summed over tasks by the mixture path's reduction and order
+                tasks = np.arange(len(r))
+                dw, db = np.zeros((len(r),) + w.shape), np.zeros((len(r),) + b.shape)
+                dw[tasks, r], db[tasks, r] = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
+                w.grad, b.grad = dw.sum(axis=0), db.sum(axis=0)
+            if l:
+                dh = dpre @ wr.swapaxes(1, 2)
+        else:
+            if row_grads:
+                dz.insert(0, (dh[:, None] * y).sum(axis=2).sum(axis=2))
+            dpre = dh[:, None] * r[:, :, None, None] * (1.0 - y * y)
+            if not row_grads:
+                w.grad = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
+                b.grad = dpre.sum(axis=2).sum(axis=0)
+            if l:
+                dh = (dpre @ wr.swapaxes(1, 2)).sum(axis=1)
+    return losses.tolist(), dz
 
 
 def _architecture_grad(params, logits, noise, tau, data, idx, omega) -> np.ndarray:
@@ -174,12 +199,13 @@ def _architecture_grad(params, logits, noise, tau, data, idx, omega) -> np.ndarr
     gradients."""
     inv_tau = 1.0 / tau
     z = softmax((logits + noise) * inv_tau, axis=2)
-    dz = _backward_tasks(params, list(z.swapaxes(0, 1)), data, idx, omega, True)[1]
+    rows = list(z.swapaxes(0, 1))
+    dz = _backward_tasks(params, rows, data, idx, omega, row_grads=True)[1]
     dz = np.stack(dz, axis=1)
     return z * (dz - (z[..., None, :] @ dz[..., None])[..., 0]) * inv_tau
 
 
-def _fit(params, rows, data, omega, steps, rng, config, lr, lr_scales=None):
+def _fit(params, routing, data, omega, steps, rng, config, lr, lr_scales=None):
     """Plain momentum SGD with config's theta_* settings, one batch a step."""
     opt = SGD(
         params.parameters(),
@@ -194,7 +220,7 @@ def _fit(params, rows, data, omega, steps, rng, config, lr, lr_scales=None):
         # a diverging step overflows; the finiteness checks of the engine and
         # ArchitectureParams raise NumericError for it, so numpy stays quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            _backward_tasks(params, rows, data, idx, omega)
+            _backward_tasks(params, routing, data, idx, omega)
             opt.step()
 
 
@@ -215,10 +241,10 @@ def warm_up(
         raise ConfigError("dataset task count does not match the supergraph")
     if config is None:
         config = SearchConfig()
-    params = OperationParams.init(supergraph, data.target_dims, rng)
-    rows = [np.eye(data.num_tasks)] * supergraph.num_layers
+    params = OperationParams.init(supergraph, data.targets_train.shape[2], rng)
+    routing = [np.arange(data.num_tasks)] * supergraph.num_layers
     ones = (1.0,) * data.num_tasks
-    _fit(params, rows, data, ones, steps, rng, config, config.theta_lr)
+    _fit(params, routing, data, ones, steps, rng, config, config.theta_lr)
     return params
 
 
@@ -270,7 +296,9 @@ def search(
     shared_cost = supergraph.cost_table.fully_shared_cost
     penalized = config.resource_weight > 0
     alpha_now = ArchitectureParams(alpha_param.data.copy())
-    prev_hash = structure_hash(derive_groupings(discretize(alpha_now)))
+    picks = alpha_now.logits.argmax(axis=2)
+    structure = derive_groupings(discretize(alpha_now))
+    digest = structure_hash(structure)
     # each step's cost pass also yields the gradient the next step uses
     cost_grad = _cost_and_grad(alpha_now, supergraph, penalized)[1]
 
@@ -287,8 +315,7 @@ def search(
                 # weight phase: routing is a constant sample
                 z_const = softmax((alpha_param.data + noise) / tau, axis=2)
                 idx = _batch(theta_batches, theta_rows, config.batch_size)
-                rows = list(z_const.swapaxes(0, 1))
-                losses = _backward_tasks(params, rows, data, idx, omega)[0]
+                losses = _backward_tasks(params, list(z_const.swapaxes(0, 1)), data, idx, omega)[0]
                 theta_opt.step()
 
                 # architecture phase: same noise, routing differentiated
@@ -304,11 +331,12 @@ def search(
         except NumericError as exc:
             raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
 
-        structure = derive_groupings(discretize(alpha_now))
-        digest = structure_hash(structure)
-        if digest != prev_hash:
-            theta_opt.reset_momentum()
-            prev_hash = digest
+        now = alpha_now.logits.argmax(axis=2)
+        if not np.array_equal(now, picks):
+            picks, structure = now, derive_groupings(discretize(alpha_now))
+            previous, digest = digest, structure_hash(structure)
+            if digest != previous:
+                theta_opt.reset_momentum()
         trace.append(
             TraceRow(
                 step=step,
@@ -341,13 +369,13 @@ class RetrainedModel:
         """Final shared-trunk output for one task."""
         if not 0 <= task < len(self.task_names):
             raise BoundsError(f"task {task} out of range")
-        rows = [np.eye(g.num_blocks)[[g.rgs[task]]] for g in self.structure.groupings]
-        return _features(self.params, rows, inputs)[0][0]
+        routing = [np.array([g.rgs[task]]) for g in self.structure.groupings]
+        return _features(self.params, routing, inputs)[0][0]
 
     def predict(self, task: int, inputs: np.ndarray) -> np.ndarray:
         features = self.encoder_features(task, inputs)
-        w, b = self.params.head_weights[task], self.params.head_biases[task]
-        return features @ w.data + b.data
+        w, b = self.params.head_weights.data[task], self.params.head_biases.data[task]
+        return features @ w + b
 
 
 def retrain_model(
@@ -386,21 +414,18 @@ def retrain_model(
         share = np.array([1.0 / len(block) for block in blocks])
         scales += [share[:, None, None], share[:, None]]
 
-    enc_out = supergraph.layer_dims[-1][1]
-    head_w, head_b = [], []
-    for t, name in enumerate(names):
-        stream = rng_stream(seed, "retrain-head", name)
-        dim = data.target_dims[t]
-        w = stream.normal(0.0, 1.0 / np.sqrt(enc_out), (enc_out, dim))
-        head_w.append(Tensor(w))
-        head_b.append(Tensor(np.zeros(dim)))
-        scales += [1.0, 1.0]
-
-    params = OperationParams(weights, biases, head_w, head_b)
-    rows = [np.eye(g.num_blocks)[list(g.rgs)] for g in structure.groupings]
+    enc_out, dim = supergraph.layer_dims[-1][1], data.targets_train.shape[2]
+    scale = 1.0 / np.sqrt(enc_out)
+    head_w = [
+        rng_stream(seed, "retrain-head", name).normal(0.0, scale, (enc_out, dim))
+        for name in names
+    ]
+    head_b = np.zeros((len(names), dim))
+    params = OperationParams(weights, biases, Tensor(np.stack(head_w)), Tensor(head_b))
+    routing = [np.array(g.rgs) for g in structure.groupings]
     batches = rng_stream(seed, "retrain-batches")
     steps = config.retrain_steps
-    _fit(params, rows, data, omega, steps, batches, config, lr, scales)
+    _fit(params, routing, data, omega, steps, batches, config, lr, scales + [1.0, 1.0])
 
     model = RetrainedModel(structure, names, params, test_mse={})
     for t, name in enumerate(names):

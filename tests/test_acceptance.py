@@ -129,9 +129,14 @@ def test_criterion_03_end_to_end_gradients(capsys):
     t0 = time.time()
     supergraph = SupergraphSpec.chain([6, 5, 4, 4], 3)
     rng = rng_stream(102, "e2e")
-    params = OperationParams.init(supergraph, [2, 2, 2], rng)
-    for name, p in params.named_parameters():  # break candidate symmetry
+    params = OperationParams.init(supergraph, 2, rng)
+    # break candidate symmetry; the heads draw task by task, weight then bias,
+    # in the order of the per-task head arrays this instance was drawn for
+    for p in params.parameters()[:-2]:
         p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
+    for t in range(3):
+        params.head_weights.data[t] += 0.05 * rng.standard_normal((4, 2))
+        params.head_biases.data[t] += 0.05 * rng.standard_normal(2)
     x_np = rng.normal(size=(8, 6))
     targets = [rng.normal(size=(8, 2)) for _ in range(3)]
     noise = gumbel_noise((3, 3, 3), rng)

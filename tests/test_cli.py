@@ -4,6 +4,7 @@ import io
 import json
 import warnings
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +96,28 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_schema_is_valid(self):
+        jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "section, edits",
+        [
+            ("search", {"learning_rate": 0.1}),
+            ("benchmark", {"num_tasks": 99}),
+            ("benchmark", {"relatedness": [[0, "a"]]}),
+            ("supergraph", {"widths": [8]}),
+        ],
+    )
+    def test_messages_match_jsonschema_validate(self, tmp_path, section, edits):
+        bad = base_config()
+        bad[section].update(edits)
+        path = write_config(tmp_path, bad)
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, cli.CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            load_config(path)
+        assert str(got.value) == f"{path}: {want.value.json_path}: {want.value.message}"
+
 
 class TestExitCodes:
     def test_config_problems_exit_2(self, tmp_path, capsys):
@@ -139,6 +162,7 @@ def input_file(tmp_path, text, name="input.json"):
 
 
 ALPHA_2x1 = "[[[0, 0]], [[0, 0]]]"
+ALPHA_2x2 = "[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]"  # the worked example
 
 
 def record(*rows):
@@ -171,6 +195,9 @@ BAD_INPUTS = {
     "unit-cost-integer-too-large-for-a-float": lambda p: bad_config(
         p, supergraph={"unit_costs": ["BIG", 1]}
     ),
+    "unit-costs-whose-expected-cost-overflows": lambda p: bad_config(
+        p, supergraph={"unit_costs": [1e308, 1e308]}
+    ),
     "search-lambda-override-NaN": lambda p: bad_config(p) + ["--lambda", "nan"],
     "search-negative-seed": lambda p: bad_config(p) + ["--seed", "-1"],
     "enumerate-non-numeric-unit-costs": lambda p: [
@@ -183,6 +210,9 @@ BAD_INPUTS = {
     ],
     "expected-cost-zero-unit-cost": lambda p: [
         "expected-cost", "--alpha", input_file(p, ALPHA_2x1), "--unit-costs", "0"
+    ],
+    "expected-cost-unit-costs-whose-sum-overflows": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x2), "--unit-costs", "1e308,1e308"
     ],
     "expected-cost-NaN-logit": lambda p: [
         "expected-cost", "--alpha", input_file(p, "[[[NaN, 0]], [[0, 0]]]")
@@ -421,6 +451,10 @@ class TestTaskCountCaches:
             "r._merge_tables.cache_info().currsize)"
         )
         assert fresh_python(code) == "0 0\n"
+
+    def test_import_builds_no_config_validator(self):
+        code = "import bmtas.cli as c; print(c._config_validator.cache_info().currsize)"
+        assert fresh_python(code) == "0\n"
 
 
 class TestEval:

@@ -138,7 +138,7 @@ class TestGenerateTasks:
         assert data.inputs_test.shape == (256, 16)
         assert all(y.shape == (512, 3) for y in data.targets_train)
         assert data.num_tasks == 4 and data.input_dim == 16
-        assert data.target_dims == (3, 3, 3, 3)
+        assert data.targets_train.shape == (4, 512, 3)
 
     def test_noiseless_targets_live_in_group_subspace(self):
         # related tasks share an input subspace: their clean targets are

@@ -160,7 +160,7 @@ class TestLossWeights:
 @pytest.fixture
 def small_params():
     spec = SupergraphSpec.chain([4, 3, 3], 2)
-    return spec, OperationParams.init(spec, head_dims=[2, 2], rng=rng_stream(7, "init"))
+    return spec, OperationParams.init(spec, head_dim=2, rng=rng_stream(7, "init"))
 
 
 class TestOperationParams:
@@ -182,23 +182,29 @@ class TestOperationParams:
         _, params = small_params
         named = params.named_parameters()
         names = [n for n, _ in named]
-        assert names == ["l1.w", "l1.b", "l2.w", "l2.b"] + [
-            "head.0.w", "head.0.b", "head.1.w", "head.1.b"
-        ]
+        assert names == ["l1.w", "l1.b", "l2.w", "l2.b", "head.w", "head.b"]
         shapes = [p.shape for _, p in named]
-        assert shapes[:4] == [(2, 4, 3), (2, 3), (2, 3, 3), (2, 3)]
+        assert shapes == [(2, 4, 3), (2, 3), (2, 3, 3), (2, 3), (2, 3, 2), (2, 2)]
 
     def test_layer_shape_agreement_enforced(self):
+        heads = Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((2, 1)))
         with pytest.raises(DimensionMismatch):
             OperationParams(
                 weights=[Tensor(np.zeros((2, 2, 3)))],
                 biases=[Tensor(np.zeros((3, 3)))],
-                head_weights=[],
-                head_biases=[],
+                head_weights=heads[0],
+                head_biases=heads[1],
             )
         with pytest.raises(DimensionMismatch):
             flat = Tensor(np.zeros((2, 3)))  # one unstacked matrix
-            OperationParams([flat], [Tensor(np.zeros((2, 3)))], [], [])
+            OperationParams([flat], [Tensor(np.zeros((2, 3)))], *heads)
+
+    def test_heads_share_one_width(self):
+        layer = [Tensor(np.zeros((2, 4, 3)))], [Tensor(np.zeros((2, 3)))]
+        with pytest.raises(DimensionMismatch):
+            OperationParams(*layer, Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(DimensionMismatch):
+            OperationParams(*layer, Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
 
 
 class TestForwardOps:
@@ -254,7 +260,8 @@ class TestForwardOps:
         rng = rng_stream(13)
         weights = [Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=(1, 3, 3)))]
         biases = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3)))]
-        params = OperationParams(weights, biases, [], [])
+        heads = Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((1, 1)))
+        params = OperationParams(weights, biases, *heads)
         x = rng.normal(size=(2, 4))
         h = candidate_forward(params, 1, 1, x)
         with pytest.raises(BoundsError):
@@ -269,7 +276,7 @@ class TestForwardOps:
         _, params = small_params
         feats = rng_stream(12).normal(size=(4, 3))
         got = head_forward(params, 1, feats)
-        want = feats @ params.head_weights[1].data + params.head_biases[1].data
+        want = feats @ params.head_weights.data[1] + params.head_biases.data[1]
         assert np.allclose(got.data, want)
         with pytest.raises(BoundsError):
             head_forward(params, 2, feats)
@@ -328,9 +335,36 @@ class TestSGD:
         p = Tensor(np.zeros(2))
         opt = SGD([p], lr=0.1, momentum=0.9)
         opt.step([np.ones(2)])
-        assert np.any(opt.velocity[0] != 0)
+        assert np.any(opt.velocity != 0)
         opt.reset_momentum()
-        assert np.all(opt.velocity[0] == 0)
+        assert np.all(opt.velocity == 0)
+
+    def test_flat_buffer_matches_per_array_steps(self):
+        # the per-array update the flat buffer replaced, bit for bit
+        rng = np.random.default_rng(15)
+        shapes = [(3, 4, 2), (3, 2), (2, 5)]
+        scales = [rng.uniform(0.1, 1.0, (3, 1, 1)), rng.uniform(0.1, 1.0, (3, 1)), 1.0]
+        want = [rng.normal(size=s) for s in shapes]
+        params = [Tensor(a.copy()) for a in want]
+        opt = SGD(params, lr=0.3, momentum=0.9, weight_decay=0.01, lr_scales=scales)
+        velocity = [np.zeros(s) for s in shapes]
+        for step in range(6):
+            if step == 3:
+                opt.reset_momentum()
+                for v in velocity:
+                    v[...] = 0.0
+            grads = [rng.normal(size=s) for s in shapes]
+            opt.step(grads)
+            for i, (g, s) in enumerate(zip(grads, scales)):
+                g = g + 0.01 * want[i]
+                velocity[i] *= 0.9
+                velocity[i] += g
+                want[i] = want[i] - 0.3 * np.asarray(s) * velocity[i]
+            for p, w in zip(params, want):
+                np.testing.assert_array_equal(p.data, w)
+        # parameters and velocity share one buffer, each .data a view of it
+        assert opt.flat.base is opt.velocity.base
+        assert all(np.shares_memory(p.data, opt.flat) for p in params)
 
     def test_grad_count_checked(self):
         opt = SGD([Tensor(np.zeros(1))], lr=0.1)

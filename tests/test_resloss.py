@@ -10,9 +10,9 @@ from scipy.special import softmax
 
 from bmtas import resloss
 from bmtas.errors import BoundsError, DimensionMismatch, NumericError
-from bmtas.graph import SupergraphSpec, derive_groupings, structure_cost
+from bmtas.graph import CostTable, SupergraphSpec, derive_groupings, structure_cost
 from bmtas.graph import RoutingMask
-from bmtas.partition import Partition, meet, refines
+from bmtas.partition import MAX_TASKS, Partition, meet, refines
 from bmtas.resloss import (
     CLAMP_EPS,
     ENUM_GUARD,
@@ -361,3 +361,18 @@ def test_gradient_matches_chain_adjoint(logits):
     spec = costed_spec(a.num_tasks, a.num_layers)
     diff = np.abs(expected_cost_grad(a, spec) - chain_adjoint_grad(a, spec)).max()
     assert diff <= 1e-10 * spec.cost_table.fully_shared_cost
+
+
+@pytest.mark.parametrize("kind", ["scale2", "agreeing"])
+def test_largest_accepted_cost_table_keeps_cost_and_gradient_finite(kind):
+    # CostTable admits a fully shared cost up to float max / 2**MAX_TASKS
+    top = np.finfo(float).max / 2**MAX_TASKS
+    with pytest.raises(ValueError):
+        CostTable((np.nextafter(top, np.inf),))
+    spec = SupergraphSpec.chain([1, 1, 1], MAX_TASKS, [top / 2, top / 2])
+    logits = random_alpha(np.random.default_rng(9), MAX_TASKS, 2)
+    if kind == "agreeing":  # every subset agrees: all 2**T terms near top
+        logits[:, :, 0] += 40.0
+    cost, grad = resloss._cost_and_grad(ArchitectureParams(logits), spec)
+    assert np.isfinite(cost) and top <= cost <= MAX_TASKS * top
+    assert np.isfinite(grad).all()

@@ -16,6 +16,7 @@ from bmtas.graph import (
     structure_hash,
 )
 from bmtas.nncore import (
+    SGD,
     LossWeights,
     OperationParams,
     Tensor,
@@ -27,12 +28,13 @@ from bmtas.nncore import (
     task_loss,
 )
 from bmtas.partition import Partition
-from bmtas.relax import TemperatureSchedule
+from bmtas.relax import TemperatureSchedule, discretize
 from bmtas.search import (
     SearchConfig,
     SearchResult,
     _architecture_grad,
     _backward_tasks,
+    _features,
     _fit,
     retrain,
     retrain_model,
@@ -106,7 +108,7 @@ class TestWarmUp:
             h = data.inputs_test
             for layer in range(1, sg.num_layers + 1):
                 h = candidate_forward(params, layer, t, h).data
-            pred = h @ params.head_weights[t].data + params.head_biases[t].data
+            pred = h @ params.head_weights.data[t] + params.head_biases.data[t]
             return float(((pred - data.targets_test[t]) ** 2).mean())
 
         var = float(np.var(data.targets_test[0]))
@@ -188,6 +190,38 @@ class TestSearch:
                 search(cfg, sg, data)
         assert [row.step for row in err.value.trace] == [1]
 
+    def test_structure_derived_only_when_a_pick_changes(self, monkeypatch):
+        alphas, derived, resets = [], [], []
+        original_reset = SGD.reset_momentum
+
+        def cost_pass(alpha, spec, grad=True):
+            alphas.append(alpha)  # the initial logits, then each step's
+            return bmtas.resloss._cost_and_grad(alpha, spec, grad)
+
+        def derive(masks):
+            derived.append(len(alphas) - 1)
+            return derive_groupings(masks)
+
+        def reset(opt):
+            resets.append(len(alphas) - 1)
+            original_reset(opt)
+
+        monkeypatch.setattr("bmtas.search._cost_and_grad", cost_pass)
+        monkeypatch.setattr("bmtas.search.derive_groupings", derive)
+        monkeypatch.setattr(SGD, "reset_momentum", reset)
+        data, sg = small_benchmark()
+        res = search(quick_config(resource_weight=0.2, search_steps=60), sg, data)
+
+        # the same run, its structure derived at every step
+        hashes = [structure_hash(derive_groupings(discretize(a))) for a in alphas]
+        assert [row.structure_hash for row in res.trace] == hashes[1:]
+        changed = [s for s in range(1, len(hashes)) if hashes[s] != hashes[s - 1]]
+        assert resets == changed and changed
+        picks = [a.logits.argmax(axis=2) for a in alphas]
+        moved = [s for s in range(1, len(picks)) if not np.array_equal(picks[s], picks[s - 1])]
+        assert len(derived) == 1 + len(moved) and derived[1:] == moved
+        assert len(moved) < len(res.trace)
+
     def test_heavy_resource_weight_collapses_to_shared(self):
         data, sg = small_benchmark(train=256)
         cfg = SearchConfig(
@@ -239,7 +273,7 @@ class TestRetrain:
             )
             assert joint.test_mse[name] == solo.test_mse[name]
             np.testing.assert_array_equal(
-                joint.params.head_weights[t].data, solo.params.head_weights[0].data
+                joint.params.head_weights.data[t], solo.params.head_weights.data[0]
             )
             # fully branched: task t's block is operation t of every layer
             for layer in range(2):
@@ -263,7 +297,7 @@ class TestRetrain:
         )
         feats = model.encoder_features(1, data.inputs_test)
         assert feats.shape == (64, 6)
-        w, b = model.params.head_weights[1].data, model.params.head_biases[1].data
+        w, b = model.params.head_weights.data[1], model.params.head_biases.data[1]
         np.testing.assert_allclose(model.predict(1, data.inputs_test), feats @ w + b)
         for task in (-1, 3):
             with pytest.raises(BoundsError):
@@ -288,17 +322,23 @@ class TestRetrain:
 
 
 def random_network(rng, num_tasks, counts, widths):
-    """OperationParams with counts[l] random operations at layer l+1 and a
-    head of random width per task."""
+    """OperationParams with counts[l] random operations at layer l+1 and
+    heads of one random width."""
     weights = [
         Tensor(rng.normal(size=(c, widths[l], widths[l + 1])))
         for l, c in enumerate(counts)
     ]
     biases = [Tensor(rng.normal(size=(c, widths[l + 1]))) for l, c in enumerate(counts)]
-    dims = rng.integers(1, 4, num_tasks)
-    head_w = [Tensor(rng.normal(size=(widths[-1], d))) for d in dims]
-    head_b = [Tensor(rng.normal(size=d)) for d in dims]
+    dim = rng.integers(1, 4)
+    head_w = Tensor(rng.normal(size=(num_tasks, widths[-1], dim)))
+    head_b = Tensor(rng.normal(size=(num_tasks, dim)))
     return OperationParams(weights, biases, head_w, head_b)
+
+
+def random_task_data(rng, params, num_tasks, batch):
+    x = rng.normal(size=(batch, params.weights[0].shape[1]))
+    targets = rng.normal(size=(num_tasks, batch, params.head_weights.shape[2]))
+    return SimpleNamespace(inputs_train=x, targets_train=targets)
 
 
 def tape_pass(params, rows_by_task, x, targets, omega):
@@ -330,7 +370,8 @@ def max_diff(got, want):
 @settings(max_examples=60, deadline=None)
 def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
     # soft: search routing, C_l = T mixture rows from logits, and the
-    # architecture gradient; otherwise ragged op counts picked by one-hot rows
+    # architecture gradient; otherwise ragged op counts, one picked per task
+    # and layer, which the tape routes by one-hot rows
     rng = np.random.default_rng(seed)
     widths = rng.integers(1, 6, num_layers + 1)
     if soft:
@@ -339,24 +380,34 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
         noise = rng.gumbel(size=logits.shape)
         tau = float(rng.uniform(0.1, 5.0))
         rows = list(softmax((logits + noise) * (1.0 / tau), axis=2).swapaxes(0, 1))
+        routing = rows
     else:
         counts = rng.integers(1, num_tasks + 1, num_layers)
-        rows = [np.eye(c)[rng.integers(0, c, num_tasks)] for c in counts]
+        routing = [rng.integers(0, c, num_tasks) for c in counts]
+        rows = [np.eye(c)[picks] for c, picks in zip(counts, routing)]
     params = random_network(rng, num_tasks, counts, widths)
-    x = rng.normal(size=(batch, widths[0]))
-    targets = [rng.normal(size=(batch, w.shape[1])) for w in params.head_weights]
+    data = random_task_data(rng, params, num_tasks, batch)
+    x, targets = data.inputs_train, data.targets_train
     omega = rng.uniform(0.5, 2.0, num_tasks)
-    data = SimpleNamespace(inputs_train=x, targets_train=targets)
     idx = np.arange(batch)
 
     leaves = [[Tensor(r[t]) for r in rows] for t in range(num_tasks)]
     want_losses = tape_pass(params, leaves, x, targets, omega)
     want_theta = collect_grads(params.parameters())
     want_rows = [np.stack([task[l].grad for task in leaves]) for l in range(num_layers)]
-    losses, dz = _backward_tasks(params, rows, data, idx, omega, row_grads=True)
+    losses = _backward_tasks(params, routing, data, idx, omega)[0]
     assert max_diff(losses, want_losses) <= 1e-10
     assert max_diff([p.grad for p in params.parameters()], want_theta) <= 1e-10
+
+    # the routing rows' gradients, which only the mixture path returns: for
+    # the discrete examples its rows are the one-hot ones, C_l ops of any
+    # count. The architecture step writes no .grad.
+    for p in params.parameters():
+        p.grad = None
+    row_losses, dz = _backward_tasks(params, rows, data, idx, omega, row_grads=True)
+    assert row_losses == losses
     assert max_diff(dz, want_rows) <= 1e-10
+    assert all(p.grad is None for p in params.parameters())
 
     if soft:
         # the search's routing rows, with the logits on the tape
@@ -373,6 +424,38 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
         assert max_diff([got], [alpha.grad]) <= 1e-10
 
 
+@given(
+    num_tasks=st.integers(1, 8),
+    num_layers=st.integers(1, 3),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_tasks=8, num_layers=3, batch=4, seed=0)
+@example(num_tasks=8, num_layers=1, batch=2, seed=34)  # eight tasks on a 1x1 operation
+@settings(max_examples=60, deadline=None)
+def test_gathered_routing_equals_one_hot_mixture(num_tasks, num_layers, batch, seed):
+    # discrete routing by operation index and the mixture path with one-hot
+    # rows agree exactly (as values: 1*a + 0*b = a only up to the sign of
+    # zero). Over a task axis of eight or more one-element terms numpy sums
+    # pairwise, not in task order, so the gathered path reuses that reduction.
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 6, num_layers + 1)
+    counts = rng.integers(1, num_tasks + 1, num_layers)
+    picks = [rng.integers(0, c, num_tasks) for c in counts]
+    params = random_network(rng, num_tasks, counts, widths)
+    data = random_task_data(rng, params, num_tasks, batch)
+    omega = rng.uniform(0.5, 2.0, num_tasks)
+    runs = []
+    for routing in (picks, [np.eye(c)[p] for c, p in zip(counts, picks)]):
+        losses = _backward_tasks(params, routing, data, np.arange(batch), omega)[0]
+        features = _features(params, routing, data.inputs_train)[0]
+        runs.append((losses, features, [p.grad for p in params.parameters()]))
+    (losses, features, grads), (want_losses, want_features, want_grads) = runs
+    assert losses == want_losses
+    assert np.array_equal(features, want_features)
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
 class TestEngineGuards:
     def test_overflow_before_tanh_raises(self):
         # tanh(+-inf) = +-1 is finite, so the check must see the pre-activation
@@ -382,13 +465,13 @@ class TestEngineGuards:
         with np.errstate(over="ignore"):
             pre = data.inputs_train @ params.weights[0].data[0]
         assert np.isinf(pre).any() and np.isfinite(np.tanh(pre)).all()
-        rows = [np.eye(3)] * sg.num_layers
         all_rows = np.arange(data.inputs_train.shape[0])
-        with pytest.raises(NumericError):
-            with np.errstate(over="ignore", invalid="ignore"):
-                _backward_tasks(params, rows, data, all_rows, (1.0,) * 3)
-        with pytest.raises(NumericError):
-            _fit(params, rows, data, (1.0,) * 3, 1, rng_stream(0), quick_config(), 0.3)
+        for routing in ([np.eye(3)] * sg.num_layers, [np.arange(3)] * sg.num_layers):
+            with pytest.raises(NumericError):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _backward_tasks(params, routing, data, all_rows, (1.0,) * 3)
+            with pytest.raises(NumericError):
+                _fit(params, routing, data, (1.0,) * 3, 1, rng_stream(0), quick_config(), 0.3)
         with pytest.raises(SearchError, match="at step 1"):
             search(quick_config(warmup_steps=0), sg, data, params=params)
 
