@@ -32,10 +32,12 @@ from .graph import (
     structure_to_json,
 )
 from .nncore import LossWeights
-from .partition import MAX_TASKS, Partition, enumerate_partitions
+from .partition import MAX_TASKS, Partition, block_masks, enumerate_partitions, rgs_table
 from .resloss import (
+    ENUM_GUARD,
     ArchitectureParams,
     brute_force_expected_cost,
+    check_enumerable,
     expected_cost,
     grouping_distribution,
 )
@@ -280,8 +282,11 @@ def cmd_search(args) -> int:
             (cfg["experiment"], supergraph, task_spec, _build_search_config(cfg, seed))
             for seed in seeds
         ]
+        workers = os.environ.get("BMTAS_WORKERS", "1")
+        if not workers.strip().isdecimal():
+            raise ConfigError(f"BMTAS_WORKERS must be a whole number, got {workers!r}")
+        workers = int(workers)
 
-    workers = int(os.environ.get("BMTAS_WORKERS", "1"))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_seed, jobs))
@@ -332,17 +337,27 @@ def _spec_from_args(args, num_tasks: int, num_layers: int) -> SupergraphSpec:
 
 
 _HOLE = "\0"  # stands in for a probs list while json.dumps writes the report
-_ENTRY_BREAK = "\n" + " " * 8  # line break before a probs entry in the report
+# line breaks before a probs entry, its keys, its blocks and their tasks
+_ENTRY_BREAK, _KEY_BREAK, _BLOCK_BREAK, _TASK_BREAK = ("\n" + " " * n for n in (8, 10, 12, 14))
+_ENTRY_TAIL = _ENTRY_BREAK + "}"
 
 
 @lru_cache(maxsize=None)
-def _probs_entries(num_tasks: int) -> tuple[tuple[str, str, str], ...]:
-    """Each grouping's probs entry in the report text as (head, _HOLE text, tail)."""
+def _probs_entries(num_tasks: int) -> tuple[str, ...]:
+    """Each grouping's probs entry in the report text up to its prob, as
+    json.dumps(sort_keys=True, indent=2) writes it; _ENTRY_TAIL follows the
+    prob. Each block's text is written once, indexed by its bitmask."""
+    blocks = [
+        f"[{_TASK_BREAK}"
+        + f",{_TASK_BREAK}".join(str(t) for t in range(num_tasks) if mask >> t & 1)
+        + f"{_BLOCK_BREAK}]"
+        for mask in range(1 << num_tasks)
+    ]
     return tuple(
-        json.dumps({"partition": part.blocks(), "prob": _HOLE}, sort_keys=True, indent=2)
-        .replace("\n", _ENTRY_BREAK)
-        .partition(json.dumps(_HOLE))
-        for part in enumerate_partitions(num_tasks)
+        f'{{{_KEY_BREAK}"partition": [{_BLOCK_BREAK}'
+        + f",{_BLOCK_BREAK}".join(blocks[mask] for mask in row if mask)
+        + f'{_KEY_BREAK}],{_KEY_BREAK}"prob": '
+        for row in block_masks(rgs_table(num_tasks)).tolist()
     )
 
 
@@ -352,7 +367,9 @@ def _report_text(report: dict, dist) -> str:
     entries = _probs_entries(dist.partitions[0].num_tasks)
     text = json.dumps(report, sort_keys=True, indent=2).split(json.dumps(_HOLE))
     for l, row in enumerate(dist.layers.tolist()):
-        body = f",{_ENTRY_BREAK}".join(f"{h}{p!r}{t}" for (h, _, t), p in zip(entries, row) if p > 0)
+        body = f",{_ENTRY_BREAK}".join(
+            f"{head}{p!r}{_ENTRY_TAIL}" for head, p in zip(entries, row) if p > 0
+        )
         text[l] += f"[{_ENTRY_BREAK}{body}\n      ]"
     return "".join(text)
 
@@ -365,6 +382,8 @@ def cmd_expected_cost(args) -> int:
         if alpha.num_tasks > MAX_TASKS:
             raise ConfigError(f"{alpha.num_tasks} tasks; at most {MAX_TASKS} supported")
         spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
+        if args.oracle:
+            check_enumerable(spec)
     dist = grouping_distribution(alpha, spec)
     cost = expected_cost(alpha, spec)
     report = {
@@ -452,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check against full enumeration; exit 1 on disagreement",
+        help="cross-check against full enumeration of the T^(T*L) joint routings, "
+        f"at most {ENUM_GUARD:,}; exit 1 on disagreement",
     )
     p.set_defaults(handler=cmd_expected_cost)
 

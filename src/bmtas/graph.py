@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundsError, DimensionMismatch, DomainError
-from .partition import MAX_TASKS, Partition, enumerate_partitions, meet, refines
+from .partition import MAX_TASKS, Partition, meet, refines, rgs_table
+from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 
 
 @dataclass(frozen=True)
@@ -240,14 +241,26 @@ def count_structures(num_tasks: int, num_layers: int) -> int:
     every such chain is realizable by some routing, and routings that
     induce the same chain describe the same architecture.
     """
-    parts = enumerate_partitions(num_tasks)
-    counts = [1] * len(parts)
+    rgs = rgs_table(num_tasks)
+    place = num_tasks ** np.arange(num_tasks - 1, -1, -1)
+    codes = rgs @ place  # ascending, as the rows are lexicographic
+    sizes = rgs.max(axis=1) + 1
+    # per block count m, the groupings k with m blocks and, row by row, the
+    # indices of their coarsenings: merging k's blocks by the RGS s of
+    # length m gives the grouping s[k], already in canonical form
+    coarsenings = []
+    for m in range(1, num_tasks + 1):
+        ks = np.flatnonzero(sizes == m)
+        merged = rgs_table(m)[:, rgs[ks]] @ place
+        coarsenings.append((ks, np.searchsorted(codes, merged.T)))
+    # Python ints: the count outgrows int64 with depth
+    counts = np.ones(len(rgs), dtype=object)
     for _ in range(num_layers - 1):
-        counts = [
-            sum(c for c, m in zip(counts, parts) if refines(k, m))
-            for k in parts
-        ]
-    return sum(counts)
+        above = counts
+        counts = np.empty_like(above)
+        for ks, coarse in coarsenings:
+            counts[ks] = above[coarse].sum(axis=1)
+    return int(counts.sum())
 
 
 def structure_hash(s: BranchedStructure) -> str:

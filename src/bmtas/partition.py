@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import BoundsError, DimensionMismatch
 
 # Largest task count a grouping may cover; the config schema's num_tasks
 # bound reads it. Neither the expected cost nor the grouping distribution needs
 # lattice tables: on a 2-core machine a default-length T=8 four-pair
-# `bmtas search` took 1.5-1.9 s and 62 MB; a T=8, L=4 `bmtas expected-cost` 0.18-0.34 s
-# cold (building its per-T tables), 0.04-0.08 s warm, 1.05-1.16 s and 84 MB as a process.
+# `bmtas search` took 1.5-1.9 s and 62 MB; a T=8, L=4 `bmtas expected-cost` 0.11-0.17 s
+# cold (building its per-T tables), 0.04-0.08 s warm, 0.73-0.78 s and 84 MB as a process.
 MAX_TASKS = 8
 
 
@@ -30,7 +32,7 @@ class Partition:
     rgs: tuple[int, ...]
 
     def __post_init__(self):
-        rgs = tuple(int(v) for v in self.rgs)
+        rgs = tuple(map(int, self.rgs))
         object.__setattr__(self, "rgs", rgs)
         if not 1 <= len(rgs) <= MAX_TASKS:
             raise BoundsError(
@@ -43,7 +45,8 @@ class Partition:
                     f"rgs {rgs} is not in canonical restricted-growth form "
                     f"(violation at position {i})"
                 )
-            top = max(top, v)
+            if v > top:
+                top = v
 
     @property
     def num_tasks(self) -> int:
@@ -101,28 +104,44 @@ class Partition:
 
 
 @lru_cache(maxsize=None)
-def enumerate_partitions(num_tasks: int) -> tuple[Partition, ...]:
-    """All set partitions of {0..T-1}, in lexicographic RGS order.
+def rgs_table(num_tasks: int) -> np.ndarray:
+    """Every grouping of {0..T-1} as a read-only (B_T, T) array of RGS rows,
+    in lexicographic order.
 
-    The length of the result is the Bell number B_T.
+    Grown one position at a time: a row whose largest entry is top has
+    top + 2 children, taking 0..top+1 at the new position, and keeping each
+    row's children together and in order keeps the rows lexicographic.
     """
     if not 1 <= num_tasks <= MAX_TASKS:
         raise BoundsError(
             f"task count must be in 1..{MAX_TASKS}, got {num_tasks}"
         )
-    out: list[Partition] = []
-    rgs = [0] * num_tasks
+    rows = np.zeros((1, 1), dtype=np.int64)
+    top = np.zeros(1, dtype=np.int64)
+    for _ in range(1, num_tasks):
+        children = top + 2
+        start = np.cumsum(children) - children
+        new = np.arange(children.sum()) - np.repeat(start, children)
+        rows = np.column_stack([np.repeat(rows, children, axis=0), new])
+        top = np.maximum(np.repeat(top, children), new)
+    rows.setflags(write=False)
+    return rows
 
-    def grow(i: int, top: int):
-        if i == num_tasks:
-            out.append(Partition(tuple(rgs)))
-            return
-        for v in range(top + 2):
-            rgs[i] = v
-            grow(i + 1, max(top, v))
 
-    grow(1, 0) if num_tasks > 1 else out.append(Partition((0,)))
-    return tuple(out)
+def block_masks(rgs: np.ndarray) -> np.ndarray:
+    """masks[k, b]: bitmask of block b of RGS row k (bit u set iff task u is
+    in it), 0 past the row's last block."""
+    tasks = np.arange(rgs.shape[1])
+    return (rgs[:, None, :] == tasks[:, None]) @ (1 << tasks)
+
+
+@lru_cache(maxsize=None)
+def enumerate_partitions(num_tasks: int) -> tuple[Partition, ...]:
+    """All set partitions of {0..T-1}, in lexicographic RGS order.
+
+    The length of the result is the Bell number B_T.
+    """
+    return tuple(Partition(tuple(rgs)) for rgs in rgs_table(num_tasks).tolist())
 
 
 def _check_same_tasks(a: Partition, b: Partition):

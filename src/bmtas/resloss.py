@@ -31,7 +31,7 @@ from scipy.special import factorial, softmax
 
 from .errors import BoundsError, DimensionMismatch, NumericError
 from .graph import SupergraphSpec
-from .partition import Partition, enumerate_partitions
+from .partition import Partition, block_masks, enumerate_partitions, rgs_table
 from .partition import meet  # benchmarks/tracing.py counts calls through this name
 
 ENUM_GUARD = 10 ** 6
@@ -124,9 +124,8 @@ def _edge_tables(num_tasks: int) -> _EdgeTables:
     induced[a] is the index of the edge-equality partition of joint edge
     choice a, where task u picks edge (a // T^(T-1-u)) % T.
     """
-    parts = enumerate_partitions(num_tasks)
-    rgs = np.array([p.rgs for p in parts])
-    n, t = len(parts), num_tasks
+    rgs = rgs_table(num_tasks)
+    n, t = rgs.shape
     place = t ** np.arange(t - 1, -1, -1)
     # lexicographic RGS order is ascending base-T code order
     codes = rgs @ place
@@ -142,7 +141,7 @@ def _edge_tables(num_tasks: int) -> _EdgeTables:
     meet_idx = index_of(lambda r: rgs[r // n] * t + rgs[r % n], n * n).reshape(n, n)
     induced = index_of(lambda a: a[:, None] // place % t, t ** t)
     return _EdgeTables(
-        partitions=parts,
+        partitions=enumerate_partitions(num_tasks),
         num_blocks=rgs.max(axis=1) + 1.0,
         meet_idx=meet_idx,
         induced=induced,
@@ -190,21 +189,20 @@ def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _merge_tables(num_tasks: int) -> tuple:
-    """Per block count m: which groupings k of enumerate_partitions(num_tasks)
-    have m blocks, mu of each merge s of m blocks, and merged[s, k, j], the
-    bitmask of the union of k's blocks that s puts in block j, or 0."""
-    rgs = np.array([p.rgs for p in enumerate_partitions(num_tasks)])
-    tasks = np.arange(num_tasks)
-    # masks[k, b]: bitmask of block b of grouping k, 0 past its last block
-    masks = (rgs[:, None, :] == tasks[:, None]) @ (1 << tasks)
+    """Per block count m: which groupings k of rgs_table(num_tasks) have m
+    blocks, mu of each merge s of m blocks, and merged[s, k, j], the bitmask
+    of the union of k's blocks that s puts in block j, or 0."""
+    rgs = rgs_table(num_tasks)
+    masks = block_masks(rgs).astype(np.float64)
     sizes = rgs.max(axis=1) + 1
     tables = []
     for m in range(1, num_tasks + 1):
-        merges = np.array([s.rgs for s in enumerate_partitions(m)])
-        onehot = merges[:, :, None] == np.arange(m)
+        onehot = rgs_table(m)[:, :, None] == np.arange(m)
         less = np.maximum(onehot.sum(axis=1) - 1, 0)  # merged block sizes less one
         mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
-        tables.append((sizes == m, mu, masks[sizes == m, :m] @ onehot))
+        # a float64 product of masks below 2^MAX_TASKS is exact, and BLAS-fast
+        merged = (masks[sizes == m, :m] @ onehot).astype(np.int64)
+        tables.append((sizes == m, mu, merged))
     return tuple(tables)
 
 
@@ -289,6 +287,17 @@ def _cost_and_grad(alpha: ArchitectureParams, spec: SupergraphSpec, grad: bool =
     return cost, pi * (dpi - (dpi * pi).sum(axis=2, keepdims=True))
 
 
+def check_enumerable(spec: SupergraphSpec) -> int:
+    """The number of joint routings, T^(T*L); BoundsError past ENUM_GUARD."""
+    total = spec.num_tasks ** (spec.num_tasks * spec.num_layers)
+    if total > ENUM_GUARD:
+        raise BoundsError(
+            f"{total} joint routings exceed the enumeration guard {ENUM_GUARD}; "
+            "use Monte Carlo sampling instead"
+        )
+    return total
+
+
 def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
     """Oracle: enumerate every joint routing and average structure costs.
 
@@ -298,12 +307,7 @@ def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -
     """
     _check_dims(alpha, spec)
     num_tasks, num_layers = spec.num_tasks, spec.num_layers
-    total = num_tasks ** (num_tasks * num_layers)
-    if total > ENUM_GUARD:
-        raise BoundsError(
-            f"{total} joint routings exceed the enumeration guard {ENUM_GUARD}; "
-            "use Monte Carlo sampling instead"
-        )
+    total = check_enumerable(spec)
     tables = _edge_tables(num_tasks)
     per_layer = num_tasks ** num_tasks
     units = spec.cost_table.unit_cost

@@ -14,6 +14,7 @@ from bmtas import cli, resloss
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
 from bmtas.graph import SupergraphSpec
+from bmtas.partition import MAX_TASKS, enumerate_partitions
 from bmtas.resloss import (
     ENUM_GUARD,
     ArchitectureParams,
@@ -219,6 +220,9 @@ BAD_INPUTS = {
     ],
     "expected-cost-three-candidates-for-two-tasks": lambda p: [
         "expected-cost", "--alpha", input_file(p, "[[[0, 0, 0]], [[0, 0, 0]]]")
+    ],
+    "expected-cost-oracle-past-the-enumeration-guard": lambda p: [
+        "expected-cost", "--alpha", input_file(p, json.dumps([[[0] * 4] * 3] * 4)), "--oracle"
     ],
     "expected-cost-nine-tasks": lambda p: [
         "expected-cost", "--alpha", input_file(p, json.dumps([[[0] * 9] * 2] * 9))
@@ -446,11 +450,23 @@ class TestTaskCountCaches:
 
     def test_import_leaves_both_caches_empty(self):
         code = (
-            "import bmtas.cli as c, bmtas.resloss as r; "
+            "import bmtas.cli as c, bmtas.partition as p, bmtas.resloss as r; "
             "print(c._probs_entries.cache_info().currsize, "
-            "r._merge_tables.cache_info().currsize)"
+            "r._merge_tables.cache_info().currsize, "
+            "p.rgs_table.cache_info().currsize, "
+            "p.enumerate_partitions.cache_info().currsize)"
         )
-        assert fresh_python(code) == "0 0\n"
+        assert fresh_python(code) == "0 0 0 0\n"
+
+    @pytest.mark.parametrize("tasks", range(1, MAX_TASKS + 1))
+    def test_probs_entries_match_json_dumps_for_every_grouping(self, tasks):
+        entries = cli._probs_entries(tasks)
+        parts = enumerate_partitions(tasks)
+        assert len(entries) == len(parts)
+        for head, part in zip(entries, parts):
+            entry = {"partition": part.blocks(), "prob": 0.25}
+            want = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n" + " " * 8)
+            assert f"{head}{0.25!r}{cli._ENTRY_TAIL}" == want
 
     def test_import_builds_no_config_validator(self):
         code = "import bmtas.cli as c; print(c._config_validator.cache_info().currsize)"
@@ -558,6 +574,18 @@ class TestSearchCommand:
         metrics = json.loads((exp_dir / "seed0" / "metrics.json").read_text())
         assert len(metrics["test_mse"]) == 8
         assert _edge_tables.cache_info() == before
+
+    def test_non_integer_worker_count_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BMTAS_WORKERS", "abc")
+        code, exp_dir = self.run_search(tmp_path, base_config(seeds=[0, 1]))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "event": "config_error",
+            "error": "BMTAS_WORKERS must be a whole number, got 'abc'",
+        }
+        assert not exp_dir.exists()
 
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         cfg = base_config(seeds=[0, 1])

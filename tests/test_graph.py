@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -179,11 +180,48 @@ def test_count_structures_matches_brute_force(num_tasks, num_layers):
     )
 
 
+def refines_chain_count(num_tasks, num_layers):
+    """Chains counted layer by layer over every pair (k, m) with k refining m."""
+    parts = enumerate_partitions(num_tasks)
+    counts = [1] * len(parts)
+    for _ in range(num_layers - 1):
+        counts = [sum(c for c, m in zip(counts, parts) if refines(k, m)) for k in parts]
+    return sum(counts)
+
+
+@pytest.mark.parametrize(
+    "num_tasks,num_layers", [(1, 3), (4, 0), (4, 5), (5, 4), (6, 3)]
+)
+def test_count_structures_matches_pairwise_recurrence(num_tasks, num_layers):
+    assert count_structures(num_tasks, num_layers) == refines_chain_count(
+        num_tasks, num_layers
+    )
+
+
 def test_count_structures_known_values():
     # T=2: the split point can sit after any of the L layers, or nowhere
     for L in range(1, 6):
         assert count_structures(2, L) == L + 1
     assert count_structures(3, 1) == 5  # B_3
+    assert count_structures(6, 200) == 7303558113551
+
+
+@pytest.mark.parametrize("num_tasks", [7, 8])
+def test_three_layer_count_from_the_middle_grouping(num_tasks):
+    # a three-layer chain is a middle grouping k, one of its B_(blocks of k)
+    # coarsenings and one of its prod_(blocks b) B_|b| refinements
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    want = sum(
+        bell[k.num_blocks] * math.prod(bell[len(b)] for b in k.blocks())
+        for k in enumerate_partitions(num_tasks)
+    )
+    assert count_structures(num_tasks, 3) == want
+    assert want == {7: 146115, 8: 1855570}[num_tasks]
+
+
+def test_count_structures_stays_exact_past_int64():
+    count = count_structures(8, 300)
+    assert type(count) is int and count > 2**63
 
 
 routings_st = st.tuples(st.integers(2, 4), st.integers(1, 4)).flatmap(

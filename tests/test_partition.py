@@ -8,9 +8,11 @@ from bmtas.errors import BoundsError, DimensionMismatch
 from bmtas.partition import (
     MAX_TASKS,
     Partition,
+    block_masks,
     enumerate_partitions,
     meet,
     refines,
+    rgs_table,
 )
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -28,6 +30,24 @@ def brute_force_partitions(num_tasks):
             canon.append(remap[v])
         seen.add(tuple(canon))
     return seen
+
+
+def grow_partitions(num_tasks):
+    """Recursive enumeration in lexicographic RGS order: position i takes
+    every label 0..top+1, top being the largest label before it."""
+    out = []
+    rgs = [0] * num_tasks
+
+    def grow(i, top):
+        if i == num_tasks:
+            out.append(tuple(rgs))
+            return
+        for v in range(top + 2):
+            rgs[i] = v
+            grow(i + 1, max(top, v))
+
+    grow(1, 0)
+    return out
 
 
 partitions_st = st.integers(2, 6).flatmap(
@@ -50,6 +70,30 @@ def test_task_count_bounds(num_tasks):
         Partition((0,) * num_tasks) if num_tasks else Partition(())
     with pytest.raises(BoundsError):
         enumerate_partitions(num_tasks)
+
+
+@pytest.mark.parametrize("num_tasks", range(1, MAX_TASKS + 1))
+def test_rgs_table_matches_recursive_enumeration(num_tasks):
+    table = rgs_table(num_tasks)
+    assert table.shape == (BELL[num_tasks], num_tasks)
+    assert [tuple(row) for row in table.tolist()] == grow_partitions(num_tasks)
+    assert [p.rgs for p in enumerate_partitions(num_tasks)] == grow_partitions(num_tasks)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+@pytest.mark.parametrize("num_tasks", [0, MAX_TASKS + 1])
+def test_rgs_table_bounds(num_tasks):
+    with pytest.raises(BoundsError):
+        rgs_table(num_tasks)
+
+
+@pytest.mark.parametrize("num_tasks", range(1, 6))
+def test_block_masks_match_blocks(num_tasks):
+    masks = block_masks(rgs_table(num_tasks))
+    for row, p in zip(masks.tolist(), enumerate_partitions(num_tasks)):
+        want = [sum(1 << t for t in block) for block in p.blocks()]
+        assert row == want + [0] * (num_tasks - len(want))
 
 
 @pytest.mark.parametrize("num_tasks", range(1, 6))

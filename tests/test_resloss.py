@@ -345,6 +345,40 @@ def test_moebius_distribution_matches_clamped_chain(logits):
     assert np.all(want[got.layers == 0] < 1e-13)
 
 
+def merge_tables_from_partitions(num_tasks):
+    """resloss._merge_tables built from Partition objects, block by block."""
+    parts = resloss.enumerate_partitions(num_tasks)
+    sizes = np.array([p.num_blocks for p in parts])
+    tables = []
+    for m in range(1, num_tasks + 1):
+        merges = resloss.enumerate_partitions(m)
+        mu = np.array([
+            math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in s.blocks())
+            for s in merges
+        ], dtype=np.float64)
+        merged = np.array([
+            [
+                [sum(1 << t for i in block for t in k.blocks()[i]) for block in s.blocks()]
+                + [0] * (m - s.num_blocks)
+                for k in parts if k.num_blocks == m
+            ]
+            for s in merges
+        ], dtype=np.int64).reshape(len(merges), -1, m)
+        tables.append((sizes == m, mu, merged))
+    return tables
+
+
+@pytest.mark.parametrize("num_tasks", range(1, 7))
+def test_merge_tables_match_partition_blocks(num_tasks):
+    got = resloss._merge_tables(num_tasks)
+    want = merge_tables_from_partitions(num_tasks)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
 def test_distribution_bounds_tasks_before_the_subset_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("2^T subset rows built for an unsupported T")
