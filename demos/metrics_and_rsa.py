@@ -10,7 +10,7 @@ from bmtas.eval import (
     generate_tasks,
     rsa_matrix,
 )
-from bmtas.graph import RoutingMask, SupergraphSpec, derive_groupings
+from bmtas.graph import SupergraphSpec, derive_groupings
 from bmtas.partition import Partition
 from bmtas.search import SearchConfig, retrain_model
 from bmtas.seeding import rng_stream
@@ -40,8 +40,8 @@ data = generate_tasks(spec, rng_stream(0, "data"))
 supergraph = SupergraphSpec.chain([16, 8, 8, 8], num_tasks=4)
 
 # train every task on its own branch so the features share nothing but data
-masks = [RoutingMask.from_choices(t, [t] * 3, 4) for t in range(4)]
-model = retrain_model(derive_groupings(masks), supergraph, data,
+picks = [[t] * 3 for t in range(4)]
+model = retrain_model(derive_groupings(picks), supergraph, data,
                       SearchConfig(seed=0), 0)
 feats = [model.encoder_features(t, data.inputs_test) for t in range(4)]
 rsa = rsa_matrix(feats)

@@ -1,10 +1,7 @@
 """Tour of the grouping lattice: enumeration, refinement, meets, and how
 layer-wise groupings pin down the cost of a branched encoder."""
 
-import numpy as np
-
-from bmtas.graph import SupergraphSpec, count_structures, structure_cost
-from bmtas.graph import BranchedStructure, RoutingMask, derive_groupings
+from bmtas.graph import SupergraphSpec, count_structures, derive_groupings, structure_cost
 from bmtas.partition import Partition, enumerate_partitions, meet, refines
 
 print("== all groupings of four tasks ==")
@@ -31,10 +28,8 @@ print("== branched structures over a three-layer chain ==")
 spec = SupergraphSpec.chain([8, 8, 8, 8], num_tasks=4)
 print(f"valid refinement chains: {count_structures(4, 3)}")
 
-# build one by hand from per-task routing choices
-masks = [RoutingMask.from_choices(t, c, 4) for t, c in enumerate(
-    [(0, 0, 0), (0, 0, 1), (0, 2, 2), (0, 2, 3)])]
-structure = derive_groupings(masks)
+# build one by hand from per-task picks: row t lists task t's operation per layer
+structure = derive_groupings([(0, 0, 0), (0, 0, 1), (0, 2, 2), (0, 2, 3)])
 print("groupings per layer:", [str(g) for g in structure.groupings])
 print(f"cost: {structure_cost(structure, spec.cost_table):.0f} MAdds "
       f"(fully shared would be {spec.cost_table.fully_shared_cost:.0f})")

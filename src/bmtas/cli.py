@@ -32,7 +32,8 @@ from .graph import (
     structure_to_json,
 )
 from .nncore import LossWeights
-from .partition import MAX_TASKS, Partition, block_masks, enumerate_partitions, rgs_table
+from .partition import MAX_TASKS, Partition, block_masks, rgs_table
+from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 from .resloss import (
     ENUM_GUARD,
     ArchitectureParams,
@@ -364,7 +365,7 @@ def _probs_entries(num_tasks: int) -> tuple[str, ...]:
 def _report_text(report: dict, dist) -> str:
     """json.dumps(report, sort_keys=True, indent=2), each _HOLE filled with the
     probs list of its layer: the groupings of positive probability, in order."""
-    entries = _probs_entries(dist.partitions[0].num_tasks)
+    entries = _probs_entries(dist.rgs.shape[1])
     text = json.dumps(report, sort_keys=True, indent=2).split(json.dumps(_HOLE))
     for l, row in enumerate(dist.layers.tolist()):
         body = f",{_ENTRY_BREAK}".join(
@@ -413,13 +414,13 @@ def cmd_enumerate(args) -> int:
             if args.unit_costs
             else [1.0] * args.layers
         )
-        parts = enumerate_partitions(args.tasks)
+        bell = len(rgs_table(args.tasks))
     total = table.fully_shared_cost
     # cost extremes: one block everywhere vs an immediate full branch
     report = {
         "tasks": args.tasks,
         "layers": args.layers,
-        "bell": len(parts),
+        "bell": bell,
         "structures": count_structures(args.tasks, args.layers),
         "min_cost": total,
         "max_cost": args.tasks * total,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DimensionMismatch, DomainError
+from .errors import BoundsError, DimensionMismatch
 from .partition import MAX_TASKS, Partition, meet, refines, rgs_table
 from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 
@@ -109,44 +109,6 @@ class SupergraphSpec:
         )
 
 
-@dataclass
-class RoutingMask:
-    """Per-layer candidate selection for one task: one one-hot row per layer."""
-
-    task: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise DimensionMismatch("mask rows must be a (layers, candidates) matrix")
-        ones = (rows == 1.0).sum(axis=1)
-        zeros = (rows == 0.0).sum(axis=1)
-        if np.any(ones != 1) or np.any(zeros != rows.shape[1] - 1):
-            raise DomainError("mask rows must be exactly one-hot")
-        rows.setflags(write=False)
-        self.rows = rows
-
-    @property
-    def num_layers(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def num_candidates(self) -> int:
-        return self.rows.shape[1]
-
-    @classmethod
-    def from_choices(
-        cls, task: int, choices: Sequence[int], num_candidates: int
-    ) -> "RoutingMask":
-        rows = np.zeros((len(choices), num_candidates))
-        rows[np.arange(len(choices)), list(choices)] = 1.0
-        return cls(task=task, rows=rows)
-
-    def choices(self) -> tuple[int, ...]:
-        return tuple(int(j) for j in self.rows.argmax(axis=1))
-
-
 @dataclass(frozen=True)
 class BranchedStructure:
     """A grouping chain plus the edge choices that induced it.
@@ -189,29 +151,23 @@ def grouping_cost(k: Partition, layer: int, table: CostTable) -> float:
     return k.num_blocks * table.unit_cost[layer - 1]
 
 
-def derive_groupings(masks: Sequence[RoutingMask]) -> BranchedStructure:
-    """Fold per-task routings into the grouping chain they induce.
+def derive_groupings(picks) -> BranchedStructure:
+    """Fold an integer pick array into the grouping chain it induces.
 
-    Tasks share a block at layer l iff their chosen edges coincide at
-    every layer 1..l, so each layer's grouping is the meet of the previous
-    grouping with the layer's edge-equality partition.
+    picks[t, l] is the operation task t takes at layer l + 1, as
+    logits.argmax(axis=2) gives it. Tasks share a block at layer l iff
+    their picks coincide at every layer 1..l, so each layer's grouping is
+    the meet of the previous grouping with the layer's edge-equality
+    partition.
     """
-    if not masks:
-        raise DimensionMismatch("need at least one routing mask")
-    num_tasks = len(masks)
-    if sorted(m.task for m in masks) != list(range(num_tasks)):
-        raise DimensionMismatch("need exactly one mask per task 0..T-1")
-    by_task = sorted(masks, key=lambda m: m.task)
-    num_layers = by_task[0].num_layers
-    if any(
-        m.num_layers != num_layers or m.num_candidates != by_task[0].num_candidates
-        for m in by_task
-    ):
-        raise DimensionMismatch("masks disagree on layer or candidate counts")
-
-    edge_choice = tuple(
-        tuple(m.choices()[l] for m in by_task) for l in range(num_layers)
-    )
+    try:
+        picks = np.asarray(picks)
+    except ValueError as exc:  # ragged rows
+        raise DimensionMismatch(f"picks are not a (tasks, layers) array: {exc}") from exc
+    if picks.ndim != 2 or picks.size == 0 or picks.dtype.kind not in "iu":
+        raise DimensionMismatch("picks must be a non-empty (tasks, layers) integer array")
+    num_tasks, num_layers = picks.shape
+    edge_choice = tuple(map(tuple, picks.T.tolist()))
     groupings = []
     current = Partition.coarsest(num_tasks)
     for row in edge_choice:

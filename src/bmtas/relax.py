@@ -13,7 +13,6 @@ import numpy as np
 from scipy.special import softmax
 
 from .errors import BoundsError, DomainError
-from .graph import RoutingMask
 from .resloss import ArchitectureParams
 
 # keeps -log(-log(u)) finite at both ends of the uniform draw
@@ -62,12 +61,7 @@ def schedule_tau(schedule: TemperatureSchedule, step: int) -> float:
     return schedule.start + (schedule.end - schedule.start) * frac
 
 
-def discretize(alpha: ArchitectureParams) -> list[RoutingMask]:
-    """Argmax routing per task; ties resolve to the lowest candidate index."""
-    masks = []
-    for t in range(alpha.num_tasks):
-        choices = np.argmax(alpha.logits[t], axis=1)
-        masks.append(
-            RoutingMask.from_choices(t, choices.tolist(), alpha.num_candidates)
-        )
-    return masks
+def discretize(alpha: ArchitectureParams) -> np.ndarray:
+    """The (tasks, layers) array of argmax picks: picks[t, l] is the operation
+    task t takes at layer l + 1. Ties resolve to the lowest candidate index."""
+    return alpha.logits.argmax(axis=2)

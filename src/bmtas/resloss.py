@@ -31,7 +31,8 @@ from scipy.special import factorial, softmax
 
 from .errors import BoundsError, DimensionMismatch, NumericError
 from .graph import SupergraphSpec
-from .partition import Partition, block_masks, enumerate_partitions, rgs_table
+from .partition import Partition, block_masks, rgs_table
+from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 from .partition import meet  # benchmarks/tracing.py counts calls through this name
 
 ENUM_GUARD = 10 ** 6
@@ -85,17 +86,20 @@ class ArchitectureParams:
 
 @dataclass(frozen=True)
 class GroupingDistribution:
-    """Per-layer probability vectors over enumerate_partitions(T)."""
+    """layers[l - 1, i] is the chance that the grouping at layer l has the
+    RGS rgs[i]; rgs is rgs_table(T)."""
 
-    partitions: tuple[Partition, ...]
+    rgs: np.ndarray
     layers: np.ndarray
 
     def prob(self, layer: int, k: Partition) -> float:
         """p(kappa_layer = k), layer counted from 1."""
         if not 1 <= layer <= self.layers.shape[0]:
             raise BoundsError(f"layer {layer} out of range")
-        idx = {p: i for i, p in enumerate(self.partitions)}
-        return float(self.layers[layer - 1, idx[k]])
+        if k.num_tasks != self.rgs.shape[1]:
+            raise DimensionMismatch(f"{k} does not group {self.rgs.shape[1]} tasks")
+        row = (self.rgs == k.rgs).all(axis=1).argmax()
+        return float(self.layers[layer - 1, row])
 
 
 class _EdgeTables(NamedTuple):
@@ -217,16 +221,16 @@ def grouping_distribution(
     sigma of k's blocks gives P(kappa_l = k) = sum_sigma mu(sigma) prod_{S in
     sigma} h_l(union of S), mu(sigma) = prod_{S in sigma} (-1)^(|S|-1) (|S|-1)!.
     """
-    parts = enumerate_partitions(alpha.num_tasks)  # bounds T before 2^T rows
+    rgs = rgs_table(alpha.num_tasks)  # bounds T before 2^T rows
     h = np.cumprod(_subsets(alpha, spec)[4], axis=1)
     h[0] = 1.0  # unused merge slots hold the empty mask
-    probs = np.empty((len(parts), spec.num_layers))
+    probs = np.empty((len(rgs), spec.num_layers))
     for rows, mu, merged in _merge_tables(alpha.num_tasks):
         # h[merged].prod(axis=2) one block at a time: the same products, no 4-D gather
         prod = reduce(np.multiply, (h[merged[..., b]] for b in range(merged.shape[2])))
         probs[rows] = np.einsum("s,skl->kl", mu, prod)
     probs = np.where(probs.T < CLAMP_EPS, 0.0, probs.T)
-    return GroupingDistribution(parts, probs / probs.sum(axis=1, keepdims=True))
+    return GroupingDistribution(rgs, probs / probs.sum(axis=1, keepdims=True))
 
 
 def _subsets(alpha: ArchitectureParams, spec: SupergraphSpec) -> tuple:
@@ -293,7 +297,7 @@ def check_enumerable(spec: SupergraphSpec) -> int:
     if total > ENUM_GUARD:
         raise BoundsError(
             f"{total} joint routings exceed the enumeration guard {ENUM_GUARD}; "
-            "use Monte Carlo sampling instead"
+            "use fewer tasks or layers, or leave out --oracle"
         )
     return total
 
@@ -302,8 +306,9 @@ def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -
     """Oracle: enumerate every joint routing and average structure costs.
 
     Walks all T^(T*L) routings one by one; only the probability product and
-    the per-routing meet chain are vectorized. Guarded because the count
-    explodes; past the guard, sample routings and average instead.
+    the per-routing meet chain are vectorized. check_enumerable guards it,
+    because the count explodes; past the guard, only the analytic
+    expected_cost is left.
     """
     _check_dims(alpha, spec)
     num_tasks, num_layers = spec.num_tasks, spec.num_layers

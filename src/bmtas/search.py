@@ -296,8 +296,8 @@ def search(
     shared_cost = supergraph.cost_table.fully_shared_cost
     penalized = config.resource_weight > 0
     alpha_now = ArchitectureParams(alpha_param.data.copy())
-    picks = alpha_now.logits.argmax(axis=2)
-    structure = derive_groupings(discretize(alpha_now))
+    picks = discretize(alpha_now)
+    structure = derive_groupings(picks)
     digest = structure_hash(structure)
     # each step's cost pass also yields the gradient the next step uses
     cost_grad = _cost_and_grad(alpha_now, supergraph, penalized)[1]
@@ -331,9 +331,9 @@ def search(
         except NumericError as exc:
             raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
 
-        now = alpha_now.logits.argmax(axis=2)
+        now = discretize(alpha_now)
         if not np.array_equal(now, picks):
-            picks, structure = now, derive_groupings(discretize(alpha_now))
+            picks, structure = now, derive_groupings(now)
             previous, digest = digest, structure_hash(structure)
             if digest != previous:
                 theta_opt.reset_momentum()

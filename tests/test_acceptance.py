@@ -20,12 +20,7 @@ from bmtas.eval import (
     generate_tasks,
     rsa_matrix,
 )
-from bmtas.graph import (
-    RoutingMask,
-    SupergraphSpec,
-    derive_groupings,
-    structure_cost,
-)
+from bmtas.graph import SupergraphSpec, derive_groupings, structure_cost
 from bmtas.nncore import (
     OperationParams,
     Tensor,
@@ -349,11 +344,7 @@ def test_criterion_07_lambda_monotonicity(capsys):
 
 
 def _fully_branched(num_tasks, num_layers):
-    masks = [
-        RoutingMask.from_choices(t, [t] * num_layers, num_tasks)
-        for t in range(num_tasks)
-    ]
-    return derive_groupings(masks)
+    return derive_groupings([[t] * num_layers for t in range(num_tasks)])
 
 
 def test_criterion_08_grouping_recovery(capsys):
@@ -405,11 +396,7 @@ def test_criterion_09_structural_fuzz(capsys):
             [2] * (num_layers + 1), num_tasks, unit_costs=units
         )
         choices = rng.integers(0, num_tasks, size=(num_tasks, num_layers))
-        masks = [
-            RoutingMask.from_choices(t, choices[t].tolist(), num_tasks)
-            for t in range(num_tasks)
-        ]
-        structure = derive_groupings(masks)  # validates the chain on build
+        structure = derive_groupings(choices)  # validates the chain on build
         logits = np.full((num_tasks, num_layers, num_tasks), -60.0)
         for t in range(num_tasks):
             logits[t, np.arange(num_layers), choices[t]] = 60.0

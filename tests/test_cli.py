@@ -14,7 +14,7 @@ from bmtas import cli, resloss
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
 from bmtas.graph import SupergraphSpec
-from bmtas.partition import MAX_TASKS, enumerate_partitions
+from bmtas.partition import MAX_TASKS, Partition, enumerate_partitions
 from bmtas.resloss import (
     ENUM_GUARD,
     ArchitectureParams,
@@ -48,6 +48,22 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+@pytest.fixture
+def partitions_built(monkeypatch):
+    """Every Partition constructed from here on; the enumerate_partitions
+    cache starts empty, so a cached tuple cannot hide a rebuild."""
+    built = []
+    post_init = Partition.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    enumerate_partitions.cache_clear()
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    return built
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -262,6 +278,12 @@ class TestEnumerate:
         assert report["min_cost"] == 2.0
         assert report["max_cost"] == 6.0
 
+    def test_eight_tasks_build_no_partitions(self, capsys, partitions_built):
+        assert main(["enumerate", "--tasks", "8", "--layers", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["bell"], report["structures"]) == (4140, 1855570)
+        assert partitions_built == []
+
     def test_unit_costs(self, capsys):
         assert (
             main(
@@ -326,6 +348,14 @@ class TestExpectedCost:
         )
         assert folded == pytest.approx(report["expected_cost"], rel=1e-12)
 
+    def test_eight_tasks_build_no_partitions(self, tmp_path, capsys, partitions_built):
+        alpha = self.write_alpha(tmp_path, random_alpha(np.random.default_rng(8), 8, 4).tolist())
+        resloss._merge_tables.cache_clear()
+        cli._probs_entries.cache_clear()
+        assert main(["expected-cost", "--alpha", alpha]) == 0
+        assert len(json.loads(capsys.readouterr().out)["grouping_distribution"]) == 4
+        assert partitions_built == []
+
 
 UNIT_COSTS = [3.0, 5.0, 2.0, 4.0]
 # (logit standard deviation, boost of one candidate per row); the boosted
@@ -356,8 +386,8 @@ def json_dumps_report(logits, oracle, oracle_offset=0.0):
             {
                 "layer": l + 1,
                 "probs": [
-                    {"partition": part.blocks(), "prob": p}
-                    for part, p in zip(dist.partitions, dist.layers[l].tolist())
+                    {"partition": Partition(rgs).blocks(), "prob": p}
+                    for rgs, p in zip(dist.rgs.tolist(), dist.layers[l].tolist())
                     if p > 0
                 ],
             }
@@ -444,7 +474,7 @@ class TestTaskCountCaches:
         resloss._merge_tables.cache_clear()
         cold = grouping_distribution(alpha, spec)
         assert resloss._merge_tables.cache_info().currsize == 1
-        assert cold.partitions == warm.partitions
+        assert np.array_equal(cold.rgs, warm.rgs)
         assert np.array_equal(cold.layers, warm.layers)
         assert np.array_equal(grouping_distribution(alpha, spec).layers, warm.layers)
 

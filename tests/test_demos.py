@@ -9,11 +9,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the lines each demo must print
 DEMOS = {
-    "partition_walk.py": "15 partitions (Bell number B_4):",
-    "expected_cost_vs_oracle.py": "max |analytic - FD| over 27 logits:",
-    "metrics_and_rsa.py": "within generating pairs:",
-    "search_walkthrough.py": "lambda = 0.5    groupings 0000 | 0000 | 0000",
+    "partition_walk.py": (
+        "15 partitions (Bell number B_4):",
+        "groupings per layer: ['0000', '0011', '0123']",
+        "cost: 896 MAdds (fully shared would be 384)",
+    ),
+    "expected_cost_vs_oracle.py": ("max |analytic - FD| over 27 logits:",),
+    "metrics_and_rsa.py": ("within generating pairs:",),
+    "search_walkthrough.py": ("lambda = 0.5    groupings 0000 | 0000 | 0000",),
 }
 
 
@@ -31,4 +36,4 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert DEMOS[demo] in proc.stdout
+    assert [line for line in DEMOS[demo] if line not in proc.stdout] == []

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmtas.errors import BoundsError, DimensionMismatch, DomainError
+from bmtas.errors import BoundsError, DimensionMismatch
 from bmtas.graph import (
     BranchedStructure,
     CostTable,
-    RoutingMask,
     SupergraphSpec,
     count_structures,
     derive_groupings,
@@ -22,13 +21,6 @@ from bmtas.graph import (
     structure_to_json,
 )
 from bmtas.partition import Partition, enumerate_partitions, refines
-
-
-def routing_fixture(choices_by_task, num_candidates=None):
-    n = num_candidates or len(choices_by_task)
-    return [
-        RoutingMask.from_choices(t, row, n) for t, row in enumerate(choices_by_task)
-    ]
 
 
 class TestCostTable:
@@ -77,50 +69,36 @@ class TestSupergraphSpec:
             )
 
 
-class TestRoutingMask:
-    def test_discrete_rows_must_be_one_hot(self):
-        for rows in ([[0.5, 0.5]], [[0.3, 0.6]], [[1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]):
-            with pytest.raises(DomainError):
-                RoutingMask(task=0, rows=rows)
-        with pytest.raises(DimensionMismatch):
-            RoutingMask(task=0, rows=[1.0, 0.0])
-        mask = RoutingMask.from_choices(1, [0, 2, 1], 3)
-        assert mask.choices() == (0, 2, 1)
-        assert mask.task == 1
-        assert mask.num_layers == 3 and mask.num_candidates == 3
-
-    def test_rows_are_read_only(self):
-        mask = RoutingMask.from_choices(0, [1], 2)
-        with pytest.raises(ValueError):
-            mask.rows[0, 0] = 1.0
-
-
 class TestDeriveGroupings:
     def test_agreement_prefix_shares(self):
         # tasks 0,1 agree on layer 1 then split; task 2 alone throughout
-        masks = routing_fixture([(0, 0), (0, 1), (2, 2)])
-        s = derive_groupings(masks)
+        s = derive_groupings([(0, 0), (0, 1), (2, 2)])
         assert [str(k) for k in s.groupings] == ["001", "012"]
         assert s.edge_choice == ((0, 0, 2), (0, 1, 2))
 
     def test_no_remerge_after_split(self):
         # same edge at layer 2 does not re-merge tasks split at layer 1
-        masks = routing_fixture([(0, 0), (1, 0)])
-        s = derive_groupings(masks)
+        s = derive_groupings(np.array([[0, 0], [1, 0]]))
         assert [str(k) for k in s.groupings] == ["01", "01"]
 
-    def test_requires_one_mask_per_task(self):
-        masks = routing_fixture([(0,), (1,)])
+    @pytest.mark.parametrize(
+        "picks",
+        [[], [[]], np.zeros((2, 0), dtype=int), [0, 1], [[0.0, 1.0], [1.0, 0.0]]],
+        ids=["empty", "empty-row", "no-layers", "1-d", "float"],
+    )
+    def test_rejects_picks_that_are_not_a_2d_integer_array(self, picks):
         with pytest.raises(DimensionMismatch):
-            derive_groupings(masks[:1] + masks[:1])
-        with pytest.raises(DimensionMismatch):
-            derive_groupings([])
+            derive_groupings(picks)
 
     def test_rejects_mismatched_shapes(self):
-        a = RoutingMask.from_choices(0, [0, 1], 2)
-        b = RoutingMask.from_choices(1, [0], 2)
         with pytest.raises(DimensionMismatch):
-            derive_groupings([a, b])
+            derive_groupings([[0, 1], [0]])
+
+    def test_edge_choice_holds_python_ints(self):
+        # structure_hash digests repr(edge_choice), which must not name numpy types
+        s = derive_groupings(np.array([[1], [0]], dtype=np.int32))
+        assert s.edge_choice == ((1, 0),)
+        assert {type(j) for row in s.edge_choice for j in row} == {int}
 
 
 class TestBranchedStructure:
@@ -144,8 +122,7 @@ class TestBranchedStructure:
             )
 
     def test_cost_counts_blocks_per_layer(self):
-        masks = routing_fixture([(0, 0), (0, 1), (2, 2)])
-        s = derive_groupings(masks)
+        s = derive_groupings([(0, 0), (0, 1), (2, 2)])
         table = CostTable((10.0, 100.0))
         assert grouping_cost(s.groupings[0], 1, table) == 20.0
         assert structure_cost(s, table) == 20.0 + 300.0
@@ -156,7 +133,7 @@ class TestBranchedStructure:
             grouping_cost(Partition((0,)), 2, table)
 
     def test_cost_table_depth_must_match(self):
-        s = derive_groupings(routing_fixture([(0,), (1,)]))
+        s = derive_groupings([(0,), (1,)])
         with pytest.raises(DimensionMismatch):
             structure_cost(s, CostTable((1.0, 1.0)))
 
@@ -238,24 +215,23 @@ routings_st = st.tuples(st.integers(2, 4), st.integers(1, 4)).flatmap(
 def test_derived_structures_always_validate(choices):
     # BranchedStructure.__post_init__ re-checks the chain; reaching here
     # without an exception is the property
-    masks = routing_fixture(choices, num_candidates=len(choices))
-    s = derive_groupings(masks)
+    s = derive_groupings(choices)
     table = CostTable((1.0,) * s.num_layers)
     cost = structure_cost(s, table)
     assert s.num_layers <= cost <= s.num_tasks * s.num_layers
 
 
 def test_structure_hash_stable_and_sensitive():
-    a = derive_groupings(routing_fixture([(0, 0), (0, 1), (2, 2)]))
-    b = derive_groupings(routing_fixture([(0, 0), (0, 1), (2, 2)]))
-    c = derive_groupings(routing_fixture([(0, 0), (1, 1), (2, 2)]))
+    a = derive_groupings([(0, 0), (0, 1), (2, 2)])
+    b = derive_groupings([(0, 0), (0, 1), (2, 2)])
+    c = derive_groupings([(0, 0), (1, 1), (2, 2)])
     assert structure_hash(a) == structure_hash(b)
     assert structure_hash(a) != structure_hash(c)
     assert len(structure_hash(a)) == 12
 
 
 def test_json_round_trip_preserves_structure():
-    s = derive_groupings(routing_fixture([(0, 0), (0, 1), (2, 2)]))
+    s = derive_groupings([(0, 0), (0, 1), (2, 2)])
     obj = structure_to_json(s, ["seg", "depth", "norm"])
     back, names = structure_from_json(obj)
     assert back == s
@@ -264,14 +240,14 @@ def test_json_round_trip_preserves_structure():
 
 
 def test_json_requires_one_name_per_task():
-    s = derive_groupings(routing_fixture([(0,), (1,)]))
+    s = derive_groupings([(0,), (1,)])
     with pytest.raises(DimensionMismatch):
         structure_to_json(s, ["only"])
 
 
 class TestExportDot:
     def setup_method(self):
-        self.s = derive_groupings(routing_fixture([(0, 0), (0, 1), (2, 2)]))
+        self.s = derive_groupings([(0, 0), (0, 1), (2, 2)])
         self.dot = export_dot(self.s, ["a", "b", "c"])
 
     def test_is_a_digraph_with_source_and_sink(self):
@@ -292,6 +268,6 @@ class TestExportDot:
 
     def test_deterministic(self):
         again = export_dot(
-            derive_groupings(routing_fixture([(0, 0), (0, 1), (2, 2)])), ["a", "b", "c"]
+            derive_groupings([(0, 0), (0, 1), (2, 2)]), ["a", "b", "c"]
         )
         assert again == self.dot

@@ -96,14 +96,11 @@ class TestDiscretize:
         logits[0, 1, 1] = 1.0
         logits[1, 0, 0] = 1.0
         logits[1, 1, 2] = 1.0
-        masks = discretize(ArchitectureParams(logits))
-        assert masks[0].choices() == (2, 1)
-        assert masks[1].choices() == (0, 2)
+        picks = discretize(ArchitectureParams(logits))
+        assert picks.tolist() == [[2, 1], [0, 2]]
 
     def test_ties_pick_lowest_index(self):
-        masks = discretize(ArchitectureParams.zeros(3, 2))
-        for m in masks:
-            assert m.choices() == (0, 0)
+        assert discretize(ArchitectureParams.zeros(3, 2)).tolist() == [[0, 0]] * 3
 
 
 def test_gumbel_softmax_limit_matches_softmax():

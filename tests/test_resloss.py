@@ -11,7 +11,6 @@ from scipy.special import softmax
 from bmtas import resloss
 from bmtas.errors import BoundsError, DimensionMismatch, NumericError
 from bmtas.graph import CostTable, SupergraphSpec, derive_groupings, structure_cost
-from bmtas.graph import RoutingMask
 from bmtas.partition import MAX_TASKS, Partition, meet, refines
 from bmtas.resloss import (
     CLAMP_EPS,
@@ -118,6 +117,15 @@ class TestGroupingDistribution:
         with pytest.raises(BoundsError):
             dist.prob(2, Partition((0, 0)))
 
+    def test_prob_finds_each_grouping_and_rejects_other_task_counts(self):
+        a = ArchitectureParams(random_alpha(np.random.default_rng(5), 3, 2))
+        dist = grouping_distribution(a, unit_spec(3, 2))
+        assert len(set(dist.layers[1].tolist())) == 5
+        for i, rgs in enumerate(dist.rgs.tolist()):
+            assert dist.prob(2, Partition(rgs)) == dist.layers[1, i]
+        with pytest.raises(DimensionMismatch):
+            dist.prob(1, Partition((0, 0)))
+
 
 class TestExpectedCost:
     def test_worked_example_uniform(self):
@@ -128,8 +136,7 @@ class TestExpectedCost:
         choices = [(0, 0, 0), (0, 1, 1), (2, 2, 2)]
         a = forcing_alpha(choices, 3, 3)
         spec = SupergraphSpec.chain([4, 4, 4, 4], 3, unit_costs=[2.0, 3.0, 5.0])
-        masks = [RoutingMask.from_choices(t, c, 3) for t, c in enumerate(choices)]
-        s = derive_groupings(masks)
+        s = derive_groupings(choices)
         assert expected_cost(a, spec) == pytest.approx(
             structure_cost(s, spec.cost_table), abs=1e-12
         )
@@ -189,7 +196,7 @@ class TestOracle:
     def test_guard_refuses_large_spaces(self):
         a = ArchitectureParams.zeros(4, 3)
         assert 4 ** 12 > ENUM_GUARD
-        with pytest.raises(BoundsError, match="Monte Carlo"):
+        with pytest.raises(BoundsError, match="use fewer tasks or layers"):
             brute_force_expected_cost(a, unit_spec(4, 3))
 
 
@@ -337,7 +344,7 @@ def test_moebius_distribution_matches_clamped_chain(logits):
     spec = costed_spec(a.num_tasks, a.num_layers)
     got = grouping_distribution(a, spec)
     want = chain_distribution(a, spec)
-    assert got.partitions == _edge_tables(a.num_tasks).partitions
+    assert got.rgs.tolist() == [list(p.rgs) for p in _edge_tables(a.num_tasks).partitions]
     assert np.abs(got.layers - want).max() <= 1e-12
     assert np.all(got.layers >= 0)
     # the supports differ only where one side falls under the clamp

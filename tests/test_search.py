@@ -9,12 +9,7 @@ from scipy.special import softmax
 import bmtas.resloss
 from bmtas.errors import BoundsError, ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import SyntheticTaskSpec, generate_tasks
-from bmtas.graph import (
-    RoutingMask,
-    SupergraphSpec,
-    derive_groupings,
-    structure_hash,
-)
+from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
 from bmtas.nncore import (
     SGD,
     LossWeights,
@@ -198,9 +193,9 @@ class TestSearch:
             alphas.append(alpha)  # the initial logits, then each step's
             return bmtas.resloss._cost_and_grad(alpha, spec, grad)
 
-        def derive(masks):
+        def derive(picks):
             derived.append(len(alphas) - 1)
-            return derive_groupings(masks)
+            return derive_groupings(picks)
 
         def reset(opt):
             resets.append(len(alphas) - 1)
@@ -232,19 +227,11 @@ class TestSearch:
 
 
 def branched_structure(num_tasks, num_layers):
-    masks = [
-        RoutingMask.from_choices(t, [t] * num_layers, num_tasks)
-        for t in range(num_tasks)
-    ]
-    return derive_groupings(masks)
+    return derive_groupings([[t] * num_layers for t in range(num_tasks)])
 
 
 def shared_structure(num_tasks, num_layers):
-    masks = [
-        RoutingMask.from_choices(t, [0] * num_layers, num_tasks)
-        for t in range(num_tasks)
-    ]
-    return derive_groupings(masks)
+    return derive_groupings([[0] * num_layers for _ in range(num_tasks)])
 
 
 class TestRetrain:
