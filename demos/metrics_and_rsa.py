@@ -41,8 +41,7 @@ supergraph = SupergraphSpec.chain([16, 8, 8, 8], num_tasks=4)
 
 # train every task on its own branch so the features share nothing but data
 picks = [[t] * 3 for t in range(4)]
-model = retrain_model(derive_groupings(picks), supergraph, data,
-                      SearchConfig(seed=0), 0)
+model = retrain_model(derive_groupings(picks), supergraph, data, SearchConfig(seed=0))
 feats = [model.encoder_features(t, data.inputs_test) for t in range(4)]
 rsa = rsa_matrix(feats)
 

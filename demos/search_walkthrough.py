@@ -40,8 +40,9 @@ for lam in (0.0, 0.05, 0.5):
 
 print()
 print("== retraining the lambda = 0.05 structure from scratch ==")
-result = search(SearchConfig(resource_weight=0.05, seed=SEED), supergraph, data)
-model = retrain_model(result.structure, supergraph, data, SearchConfig(seed=SEED), SEED)
+config = SearchConfig(resource_weight=0.05, seed=SEED)
+result = search(config, supergraph, data)
+model = retrain_model(result.structure, supergraph, data, config)
 for name in data.task_names:
     print(f"  test MSE {name}: {model.test_mse[name]:.5f}")
 # the search trace carries per-step tau, losses and the drifting structure

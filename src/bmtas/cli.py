@@ -16,7 +16,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .graph import (
     structure_from_json,
     structure_to_json,
 )
-from .nncore import LossWeights
 from .partition import MAX_TASKS, Partition, block_masks, rgs_table
 from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 from .resloss import (
@@ -214,17 +212,11 @@ def _build_task_spec(cfg: dict) -> SyntheticTaskSpec:
 
 def _build_search_config(cfg: dict, seed: int) -> SearchConfig:
     """Only the keys present are passed on, so SearchConfig's defaults apply.
-    Keys equal field names except lambda, tau_start/tau_end and omega."""
+    Keys are its field names, except lambda for resource_weight."""
     s = dict(cfg.get("search", {}))
-    tau = {k: s.pop(f"tau_{k}") for k in ("start", "end") if f"tau_{k}" in s}
     if "lambda" in s:
         s["resource_weight"] = s.pop("lambda")
-    if "omega" in s:
-        s["omega"] = LossWeights(tuple(s["omega"]))
-    config = SearchConfig(seed=seed, **s)
-    if tau:
-        config = replace(config, schedule=replace(config.schedule, **tau))
-    return config
+    return SearchConfig(seed=seed, **s)
 
 
 def _trace_csv(result, task_names) -> str:
@@ -251,9 +243,8 @@ def _run_seed(job) -> dict:
     experiment, supergraph, task_spec, config = job
     seed = config.seed
     data = generate_tasks(task_spec, rng_stream(seed, "data"))
-    data.seed = seed
     result = search(config, supergraph, data)
-    metrics = retrain(result.structure, supergraph, data, config, seed)
+    metrics = retrain(result.structure, supergraph, data, config)
     return {
         "seed": seed,
         "structure": structure_to_json(result.structure, data.task_names),

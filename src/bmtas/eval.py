@@ -154,7 +154,6 @@ class Dataset:
     inputs_test: np.ndarray
     targets_train: np.ndarray
     targets_test: np.ndarray
-    seed: int | None = None
 
     @property
     def num_tasks(self) -> int:
@@ -172,7 +171,6 @@ class Dataset:
             inputs_test=self.inputs_test,
             targets_train=self.targets_train[list(tasks)],
             targets_test=self.targets_test[list(tasks)],
-            seed=self.seed,
         )
 
 

@@ -125,6 +125,8 @@ class BranchedStructure:
     edge_choice: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.num_layers < 1:
+            raise DimensionMismatch("a structure needs at least one layer")
         if len(self.groupings) != self.num_layers:
             raise DimensionMismatch("one grouping per layer required")
         if len(self.edge_choice) != self.num_layers:

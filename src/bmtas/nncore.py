@@ -18,8 +18,6 @@ heads of one width and MSE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import softmax as _softmax
 
@@ -190,21 +188,6 @@ def collect_grads(params) -> list:
 def reset_grads(params):
     for p in params:
         p.grad = None
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    omega: tuple[float, ...]
-
-    def __post_init__(self):
-        omega = tuple(float(w) for w in self.omega)
-        object.__setattr__(self, "omega", omega)
-        if any(w <= 0 for w in omega):
-            raise DomainError("task weights must be positive")
-
-    @classmethod
-    def ones(cls, num_tasks: int) -> "LossWeights":
-        return cls((1.0,) * num_tasks)
 
 
 class OperationParams:

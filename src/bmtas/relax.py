@@ -7,8 +7,6 @@ candidate outputs directly (a mixture), there is no straight-through pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import softmax
 
@@ -17,21 +15,6 @@ from .resloss import ArchitectureParams
 
 # keeps -log(-log(u)) finite at both ends of the uniform draw
 NOISE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class TemperatureSchedule:
-    """Linear annealing from `start` down to `end` over `total_steps`."""
-
-    start: float = 5.0
-    end: float = 0.1
-    total_steps: int = 1
-
-    def __post_init__(self):
-        if not self.start >= self.end > 0:
-            raise DomainError("need start >= end > 0")
-        if self.total_steps < 1:
-            raise DomainError("need at least one step")
 
 
 def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
@@ -54,11 +37,11 @@ def sample_soft(
     return softmax((alpha.logits[task, layer - 1] + g) / tau)
 
 
-def schedule_tau(schedule: TemperatureSchedule, step: int) -> float:
-    if not 0 <= step <= schedule.total_steps:
-        raise BoundsError(f"step {step} outside 0..{schedule.total_steps}")
-    frac = step / schedule.total_steps
-    return schedule.start + (schedule.end - schedule.start) * frac
+def schedule_tau(start: float, end: float, step: int, total: int) -> float:
+    """The temperature at step 0..total of a linear anneal from start to end."""
+    if not 0 <= step <= total:
+        raise BoundsError(f"step {step} outside 0..{total}")
+    return start + (end - start) * (step / total)
 
 
 def discretize(alpha: ArchitectureParams) -> np.ndarray:

@@ -32,7 +32,7 @@ from scipy.special import softmax
 from .errors import BoundsError, ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
-from .nncore import SGD, Adam, LossWeights, OperationParams, Tensor
+from .nncore import SGD, Adam, OperationParams, Tensor
 from .nncore import (  # benchmarks/tracing.py patches these names here
     backward,
     candidate_forward,
@@ -40,7 +40,7 @@ from .nncore import (  # benchmarks/tracing.py patches these names here
     mixed_layer_forward,
     task_loss,
 )
-from .relax import TemperatureSchedule, discretize, gumbel_noise, schedule_tau
+from .relax import discretize, gumbel_noise, schedule_tau
 from .resloss import ArchitectureParams, _cost_and_grad
 from .resloss import expected_cost, expected_cost_grad  # as above, for the tracer
 from .seeding import rng_stream
@@ -48,29 +48,32 @@ from .seeding import rng_stream
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Hyperparameters of one search run.
+    """Hyperparameters of one run, and the only home of their defaults.
 
-    resource_weight is the multiplier on the normalized expected cost
-    (1.0 = fully shared), so its useful range is independent of the cost
-    table's units.
+    The fields are the `search` keys of a run config plus the seed; the
+    config's lambda is resource_weight, the multiplier on the normalized
+    expected cost (1.0 = fully shared), so its useful range is independent
+    of the cost table's units. The temperature anneals linearly from
+    tau_start to tau_end over the search steps. omega weights the task
+    losses, all 1 when None.
     """
 
     resource_weight: float = 0.0
     warmup_steps: int = 300
     search_steps: int = 300
     alpha_data_fraction: float = 0.2
-    schedule: TemperatureSchedule | None = None
+    tau_start: float = 5.0
+    tau_end: float = 0.1
     theta_lr: float = 0.3
     theta_momentum: float = 0.9
     theta_weight_decay: float = 1e-4
     alpha_lr: float = 0.01
-    alpha_betas: tuple[float, float] = (0.9, 0.999)
     alpha_weight_decay: float = 5e-5
     batch_size: int = 32
     retrain_steps: int = 400
     retrain_lr: float | None = None
     seed: int = 0
-    omega: LossWeights | None = None
+    omega: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not 0 <= self.resource_weight < float("inf"):
@@ -83,14 +86,18 @@ class SearchConfig:
             raise ConfigError("step counts out of range")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        if self.schedule is None:
-            steps = max(self.search_steps - 1, 1)
-            object.__setattr__(self, "schedule", TemperatureSchedule(total_steps=steps))
+        if not self.tau_start >= self.tau_end > 0:
+            raise ConfigError("need tau_start >= tau_end > 0")
+        if self.omega is not None:
+            omega = tuple(float(w) for w in self.omega)
+            if not all(w > 0 for w in omega):
+                raise ConfigError("omega weights must be positive")
+            object.__setattr__(self, "omega", omega)
 
-    def weights_for(self, dataset: Dataset) -> LossWeights:
+    def weights_for(self, dataset: Dataset) -> tuple[float, ...]:
         if self.omega is None:
-            return LossWeights.ones(dataset.num_tasks)
-        if len(self.omega.omega) != dataset.num_tasks:
+            return (1.0,) * dataset.num_tasks
+        if len(self.omega) != dataset.num_tasks:
             raise ConfigError("omega length does not match the task count")
         return self.omega
 
@@ -224,14 +231,8 @@ def _fit(params, routing, data, omega, steps, rng, config, lr, lr_scales=None):
             opt.step()
 
 
-def warm_up(
-    supergraph: SupergraphSpec,
-    data: Dataset,
-    steps: int,
-    rng: np.random.Generator,
-    config: SearchConfig | None = None,
-) -> OperationParams:
-    """Assign candidate j to task j for a few steps of plain SGD.
+def warm_up(supergraph: SupergraphSpec, data: Dataset, config: SearchConfig) -> OperationParams:
+    """Assign candidate j to task j for config's warmup_steps of plain SGD.
 
     Candidates start identical; warm-up is what differentiates them, giving
     the later search a meaningful candidate-task affinity to exploit. The
@@ -239,12 +240,11 @@ def warm_up(
     """
     if data.num_tasks != supergraph.num_tasks:
         raise ConfigError("dataset task count does not match the supergraph")
-    if config is None:
-        config = SearchConfig()
+    rng = rng_stream(config.seed, "warmup")
     params = OperationParams.init(supergraph, data.targets_train.shape[2], rng)
     routing = [np.arange(data.num_tasks)] * supergraph.num_layers
     ones = (1.0,) * data.num_tasks
-    _fit(params, routing, data, ones, steps, rng, config, config.theta_lr)
+    _fit(params, routing, data, ones, config.warmup_steps, rng, config, config.theta_lr)
     return params
 
 
@@ -263,12 +263,10 @@ def search(
     num_tasks = supergraph.num_tasks
     if data.num_tasks != num_tasks:
         raise ConfigError("dataset task count does not match the supergraph")
-    omega = config.weights_for(data).omega
+    omega = config.weights_for(data)
 
     if params is None:
-        params = warm_up(
-            supergraph, data, config.warmup_steps, rng_stream(config.seed, "warmup"), config
-        )
+        params = warm_up(supergraph, data, config)
 
     split_rng = rng_stream(config.seed, "search", "split")
     gumbel_rng = rng_stream(config.seed, "search", "gumbel")
@@ -287,12 +285,7 @@ def search(
         config.theta_momentum,
         config.theta_weight_decay,
     )
-    alpha_opt = Adam(
-        [alpha_param],
-        config.alpha_lr,
-        config.alpha_betas,
-        weight_decay=config.alpha_weight_decay,
-    )
+    alpha_opt = Adam([alpha_param], config.alpha_lr, weight_decay=config.alpha_weight_decay)
     shared_cost = supergraph.cost_table.fully_shared_cost
     penalized = config.resource_weight > 0
     alpha_now = ArchitectureParams(alpha_param.data.copy())
@@ -302,11 +295,10 @@ def search(
     # each step's cost pass also yields the gradient the next step uses
     cost_grad = _cost_and_grad(alpha_now, supergraph, penalized)[1]
 
+    horizon = max(config.search_steps - 1, 1)
     trace: list[TraceRow] = []
     for step in range(1, config.search_steps + 1):
-        tau = schedule_tau(
-            config.schedule, min(step - 1, config.schedule.total_steps)
-        )
+        tau = schedule_tau(config.tau_start, config.tau_end, step - 1, horizon)
         noise = gumbel_noise(
             (num_tasks, supergraph.num_layers, num_tasks), gumbel_rng
         )
@@ -383,7 +375,6 @@ def retrain_model(
     supergraph: SupergraphSpec,
     data: Dataset,
     config: SearchConfig,
-    seed: int,
 ) -> RetrainedModel:
     """Train the branched network from fresh weights.
 
@@ -391,14 +382,14 @@ def retrain_model(
     divided by the number of tasks in its block. Initialization streams
     are keyed by the task names inside each block, which makes a fully
     branched run reproduce independently trained single-task networks
-    exactly.
+    exactly. Every stream is keyed by config.seed.
     """
     if structure.num_tasks != data.num_tasks:
         raise ConfigError("structure task count does not match the dataset")
     if structure.num_layers != supergraph.num_layers:
         raise ConfigError("structure depth does not match the supergraph")
     names = data.task_names
-    omega = config.weights_for(data).omega
+    seed, omega = config.seed, config.weights_for(data)
     lr = config.retrain_lr if config.retrain_lr is not None else config.theta_lr
 
     weights, biases, scales = [], [], []
@@ -439,7 +430,6 @@ def retrain(
     supergraph: SupergraphSpec,
     data: Dataset,
     config: SearchConfig,
-    seed: int,
 ) -> dict[str, float]:
     """Per-task test MSE of the retrained structure."""
-    return retrain_model(structure, supergraph, data, config, seed).test_mse
+    return retrain_model(structure, supergraph, data, config).test_mse

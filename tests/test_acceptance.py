@@ -364,7 +364,6 @@ def test_criterion_08_grouping_recovery(capsys):
             supergraph,
             data,
             SearchConfig(seed=seed),
-            seed,
         )
         feats = [model.encoder_features(t, data.inputs_test) for t in range(4)]
         rsa = rsa_matrix(feats)

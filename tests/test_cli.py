@@ -206,6 +206,7 @@ BAD_INPUTS = {
     "tau_start-below-tau_end": lambda p: bad_config(
         p, search={"tau_start": 0.05, "tau_end": 0.5}
     ),
+    "omega-with-a-zero-weight": lambda p: bad_config(p, search={"omega": [1, 0, 1]}),
     "unit-cost-overflows-to-inf": lambda p: bad_config(
         p, supergraph={"unit_costs": ["INF", 1]}
     ),
@@ -255,6 +256,11 @@ BAD_INPUTS = {
     ),
     "export-dot-structure-without-layers": lambda p: [
         "export-dot", "--structure", input_file(p, '{"tasks": ["a"]}')
+    ],
+    "export-dot-structure-with-no-layers": lambda p: [
+        "export-dot",
+        "--structure",
+        input_file(p, '{"tasks": ["a", "b"], "layers": [], "edge_choice": []}'),
     ],
 }
 
@@ -568,6 +574,18 @@ class TestSearchCommand:
         events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert any(e["event"] == "seed_done" for e in events)
         assert events[-1]["event"] == "search_done"
+
+    def test_trace_tau_runs_from_tau_start_to_tau_end(self, tmp_path):
+        for steps, last in ((25, 0.2), (1, 3.0)):
+            cfg = base_config(experiment=f"steps{steps}")
+            cfg["search"].update(search_steps=steps, tau_start=3.0, tau_end=0.2)
+            code, exp_dir = self.run_search(tmp_path, cfg)
+            assert code == 0
+            with open(exp_dir / "seed0" / "trace.csv") as fh:
+                taus = [float(row["tau"]) for row in csv.DictReader(fh)]
+            assert len(taus) == steps
+            assert taus[0] == pytest.approx(3.0, abs=1e-12)
+            assert taus[-1] == pytest.approx(last, abs=1e-12)
 
     def test_seed_override_runs_one_seed(self, tmp_path):
         cfg = base_config(seeds=[0, 1])

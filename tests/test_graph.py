@@ -121,6 +121,10 @@ class TestBranchedStructure:
                 edge_choice=((0, 1),),
             )
 
+    def test_rejects_zero_layers(self):
+        with pytest.raises(DimensionMismatch):
+            BranchedStructure(num_tasks=2, num_layers=0, groupings=(), edge_choice=())
+
     def test_cost_counts_blocks_per_layer(self):
         s = derive_groupings([(0, 0), (0, 1), (2, 2)])
         table = CostTable((10.0, 100.0))

@@ -11,7 +11,6 @@ from bmtas.errors import (
 from bmtas.graph import SupergraphSpec
 from bmtas.nncore import (
     Adam,
-    LossWeights,
     OperationParams,
     SGD,
     Tensor,
@@ -148,13 +147,6 @@ class TestBackwardContract:
         x = Tensor([3.0])
         backward(x.mean(), seed=2.5)
         assert np.allclose(x.grad, [2.5])
-
-
-class TestLossWeights:
-    def test_positive_only(self):
-        with pytest.raises(DomainError):
-            LossWeights((1.0, 0.0))
-        assert LossWeights.ones(3).omega == (1.0, 1.0, 1.0)
 
 
 @pytest.fixture

@@ -3,43 +3,26 @@ import pytest
 from scipy.special import softmax
 
 from bmtas.errors import BoundsError, DomainError
-from bmtas.relax import (
-    TemperatureSchedule,
-    discretize,
-    gumbel_noise,
-    sample_soft,
-    schedule_tau,
-)
+from bmtas.relax import discretize, gumbel_noise, sample_soft, schedule_tau
 from bmtas.resloss import ArchitectureParams
 from bmtas.seeding import rng_stream
 
 
 class TestTemperatureSchedule:
     def test_linear_interpolation(self):
-        sched = TemperatureSchedule(start=5.0, end=0.1, total_steps=100)
-        assert schedule_tau(sched, 0) == 5.0
-        assert schedule_tau(sched, 100) == pytest.approx(0.1)
-        assert schedule_tau(sched, 50) == pytest.approx(2.55)
+        assert schedule_tau(5.0, 0.1, 0, 100) == 5.0
+        assert schedule_tau(5.0, 0.1, 100, 100) == pytest.approx(0.1)
+        assert schedule_tau(5.0, 0.1, 50, 100) == pytest.approx(2.55)
 
     def test_monotone_decrease(self):
-        sched = TemperatureSchedule(total_steps=10)
-        taus = [schedule_tau(sched, s) for s in range(11)]
+        taus = [schedule_tau(5.0, 0.1, s, 10) for s in range(11)]
         assert all(a >= b for a, b in zip(taus, taus[1:]))
 
     def test_step_bounds(self):
-        sched = TemperatureSchedule(total_steps=10)
         with pytest.raises(BoundsError):
-            schedule_tau(sched, 11)
+            schedule_tau(5.0, 0.1, 11, 10)
         with pytest.raises(BoundsError):
-            schedule_tau(sched, -1)
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(DomainError):
-            TemperatureSchedule(start=0.1, end=5.0)
-        with pytest.raises(DomainError):
-            TemperatureSchedule(start=1.0, end=0.0)
-        with pytest.raises(DomainError):
-            TemperatureSchedule(total_steps=0)
+            schedule_tau(5.0, 0.1, -1, 10)
 
 
 class TestGumbelNoise:

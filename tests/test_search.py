@@ -1,3 +1,5 @@
+import inspect
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,13 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
+import bmtas.nncore
+import bmtas.relax
 import bmtas.resloss
+from bmtas.cli import CONFIG_SCHEMA
 from bmtas.errors import BoundsError, ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
 from bmtas.nncore import (
     SGD,
-    LossWeights,
     OperationParams,
     Tensor,
     backward,
@@ -23,7 +27,7 @@ from bmtas.nncore import (
     task_loss,
 )
 from bmtas.partition import Partition
-from bmtas.relax import TemperatureSchedule, discretize
+from bmtas.relax import discretize, schedule_tau
 from bmtas.search import (
     SearchConfig,
     SearchResult,
@@ -75,27 +79,60 @@ class TestSearchConfig:
             SearchConfig(search_steps=0)
         with pytest.raises(ConfigError):
             SearchConfig(batch_size=0)
+        for start, end in ((0.1, 5.0), (1.0, 0.0), (0.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(ConfigError):
+                SearchConfig(tau_start=start, tau_end=end)
+        for omega in ((1.0, 0.0), (1.0, -2.0), (float("nan"),)):
+            with pytest.raises(ConfigError):
+                SearchConfig(omega=omega)
+        assert SearchConfig(tau_start=0.5, tau_end=0.5).tau_end == 0.5
+        assert SearchConfig(omega=[2, 1]).omega == (2.0, 1.0)
 
-    def test_default_schedule_spans_the_run(self):
-        cfg = SearchConfig(search_steps=200)
-        assert cfg.schedule == TemperatureSchedule(total_steps=199)
+    def test_default_schedule_spans_the_run(self, monkeypatch):
+        # one call a step through this name, which the benchmark tracer
+        # counts: step s of n anneals at s - 1 of a horizon of max(n - 1, 1)
+        calls = []
 
-    def test_explicit_schedule_kept(self):
-        sched = TemperatureSchedule(start=2.0, end=0.5, total_steps=7)
-        assert SearchConfig(schedule=sched).schedule is sched
+        def spy(*args):
+            calls.append(args)
+            return schedule_tau(*args)
+
+        monkeypatch.setattr("bmtas.search.schedule_tau", spy)
+        data, sg = small_benchmark()
+        for steps, horizon in ((1, 1), (2, 1), (20, 19)):
+            calls.clear()
+            res = search(quick_config(warmup_steps=0, search_steps=steps), sg, data)
+            assert calls == [(5.0, 0.1, s, horizon) for s in range(steps)]
+            assert [row.tau for row in res.trace] == [schedule_tau(*c) for c in calls]
+
+    def test_fields_are_the_config_search_keys_plus_seed(self):
+        keys = set(CONFIG_SCHEMA["properties"]["search"]["properties"])
+        assert "resource_weight" not in keys and "lambda" in keys
+        want = keys - {"lambda"} | {"resource_weight", "seed"}
+        names = [f.name for f in fields(SearchConfig)]
+        assert set(names) == want and len(names) == 16
+        defaults = SearchConfig()  # plain values, no nested config object
+        assert all(isinstance(getattr(defaults, n), (int, float, type(None))) for n in names)
+
+    def test_removed_names_are_gone(self):
+        assert not {"schedule", "alpha_betas"} & {f.name for f in fields(SearchConfig)}
+        assert not hasattr(bmtas.relax, "TemperatureSchedule")
+        assert not hasattr(bmtas.nncore, "LossWeights")
+        for stage in (warm_up, retrain, retrain_model):
+            assert not {"steps", "rng", "seed"} & set(inspect.signature(stage).parameters)
 
     def test_weights_for_checks_length(self):
         data, _ = small_benchmark()
-        cfg = SearchConfig(omega=LossWeights((1.0, 2.0)))
+        cfg = SearchConfig(omega=(1.0, 2.0))
         with pytest.raises(ConfigError):
             cfg.weights_for(data)
-        assert SearchConfig().weights_for(data).omega == (1.0, 1.0, 1.0)
+        assert SearchConfig().weights_for(data) == (1.0, 1.0, 1.0)
 
 
 class TestWarmUp:
     def test_differentiates_candidates_and_learns(self):
         data, sg = small_benchmark()
-        params = warm_up(sg, data, 60, rng_stream(0, "warmup"))
+        params = warm_up(sg, data, quick_config(warmup_steps=60, seed=0))
         w = params.weights[0].data
         assert not np.allclose(w[0], w[1])
 
@@ -112,7 +149,7 @@ class TestWarmUp:
     def test_rejects_task_mismatch(self):
         data, _ = small_benchmark()
         with pytest.raises(ConfigError):
-            warm_up(SupergraphSpec.chain([8, 6, 6], 4), data, 1, rng_stream(0))
+            warm_up(SupergraphSpec.chain([8, 6, 6], 4), data, quick_config(warmup_steps=1))
 
 
 class TestSearch:
@@ -150,7 +187,7 @@ class TestSearch:
 
     def test_accepts_pretrained_params(self):
         data, sg = small_benchmark()
-        params = warm_up(sg, data, 40, rng_stream(0, "warmup"))
+        params = warm_up(sg, data, quick_config(seed=0))
         res = search(quick_config(), sg, data, params=params)
         assert len(res.trace) == 50
 
@@ -239,16 +276,16 @@ class TestRetrain:
         data, sg = small_benchmark()
         cfg = quick_config()
         s = shared_structure(3, 2)
-        a = retrain(s, sg, data, cfg, seed=0)
-        b = retrain(s, sg, data, cfg, seed=0)
+        a = retrain(s, sg, data, cfg)
+        b = retrain(s, sg, data, cfg)
         assert a == b
         assert set(a) == set(data.task_names)
 
     def test_fully_branched_equals_single_task_runs(self):
         # name-keyed init and batch streams make the branched run decompose
         data, sg = small_benchmark()
-        cfg = quick_config()
-        joint = retrain_model(branched_structure(3, 2), sg, data, cfg, seed=3)
+        cfg = quick_config(seed=3)
+        joint = retrain_model(branched_structure(3, 2), sg, data, cfg)
         for t, name in enumerate(data.task_names):
             solo_sg = SupergraphSpec.chain([8, 6, 6], 1)
             solo = retrain_model(
@@ -256,7 +293,6 @@ class TestRetrain:
                 solo_sg,
                 data.select_tasks([t]),
                 cfg,
-                seed=3,
             )
             assert joint.test_mse[name] == solo.test_mse[name]
             np.testing.assert_array_equal(
@@ -271,7 +307,7 @@ class TestRetrain:
     def test_learns_the_tasks(self):
         data, sg = small_benchmark()
         cfg = quick_config(retrain_steps=300)
-        mse = retrain(shared_structure(3, 2), sg, data, cfg, seed=0)
+        mse = retrain(shared_structure(3, 2), sg, data, cfg)
         for name in data.task_names:
             t = data.task_names.index(name)
             var = float(np.var(data.targets_test[t]))
@@ -280,7 +316,7 @@ class TestRetrain:
     def test_predict_and_features_agree(self):
         data, sg = small_benchmark()
         model = retrain_model(
-            branched_structure(3, 2), sg, data, quick_config(), seed=1
+            branched_structure(3, 2), sg, data, quick_config(seed=1)
         )
         feats = model.encoder_features(1, data.inputs_test)
         assert feats.shape == (64, 6)
@@ -294,17 +330,15 @@ class TestRetrain:
         data, sg = small_benchmark()
         cfg = quick_config()
         with pytest.raises(ConfigError):
-            retrain(shared_structure(4, 2), sg, data, cfg, seed=0)
+            retrain(shared_structure(4, 2), sg, data, cfg)
         with pytest.raises(ConfigError):
-            retrain(shared_structure(3, 3), sg, data, cfg, seed=0)
+            retrain(shared_structure(3, 3), sg, data, cfg)
 
     def test_omega_changes_training(self):
         data, sg = small_benchmark()
         s = shared_structure(3, 2)
-        plain = retrain(s, sg, data, quick_config(), seed=0)
-        tilted = retrain(
-            s, sg, data, quick_config(omega=LossWeights((8.0, 1.0, 1.0))), seed=0
-        )
+        plain = retrain(s, sg, data, quick_config(seed=0))
+        tilted = retrain(s, sg, data, quick_config(omega=(8.0, 1.0, 1.0), seed=0))
         assert plain != tilted
 
 
@@ -447,7 +481,7 @@ class TestEngineGuards:
     def test_overflow_before_tanh_raises(self):
         # tanh(+-inf) = +-1 is finite, so the check must see the pre-activation
         data, sg = small_benchmark()
-        params = warm_up(sg, data, 0, rng_stream(0, "warmup"))
+        params = warm_up(sg, data, quick_config(warmup_steps=0, seed=0))
         params.weights[0].data[...] = 1e308
         with np.errstate(over="ignore"):
             pre = data.inputs_train @ params.weights[0].data[0]
