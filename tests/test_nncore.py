@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from bmtas.errors import (
     BoundsError,
+    ConfigError,
     DimensionMismatch,
     DomainError,
     ModeError,
@@ -22,6 +25,7 @@ from bmtas.nncore import (
     reset_grads,
     task_loss,
 )
+from bmtas.search import SearchConfig
 from bmtas.seeding import rng_stream
 from conftest import central_diff, relative_error
 
@@ -147,6 +151,15 @@ class TestBackwardContract:
         x = Tensor([3.0])
         backward(x.mean(), seed=2.5)
         assert np.allclose(x.grad, [2.5])
+
+
+class TestLossWeights:
+    # the task-loss weights are SearchConfig.omega; unset means all ones
+    def test_positive_only(self):
+        with pytest.raises(ConfigError):
+            SearchConfig(omega=(1.0, 0.0))
+        three_tasks = SimpleNamespace(num_tasks=3)
+        assert SearchConfig().weights_for(three_tasks) == (1.0, 1.0, 1.0)
 
 
 @pytest.fixture

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
-from bmtas.errors import BoundsError, DomainError
+from bmtas.errors import BoundsError, ConfigError, DomainError
 from bmtas.relax import discretize, gumbel_noise, sample_soft, schedule_tau
 from bmtas.resloss import ArchitectureParams
+from bmtas.search import SearchConfig
 from bmtas.seeding import rng_stream
 
 
@@ -23,6 +24,15 @@ class TestTemperatureSchedule:
             schedule_tau(5.0, 0.1, 11, 10)
         with pytest.raises(BoundsError):
             schedule_tau(5.0, 0.1, -1, 10)
+
+    def test_rejects_bad_ranges(self):
+        # the schedule's ends and length are SearchConfig fields
+        with pytest.raises(ConfigError):
+            SearchConfig(tau_start=0.1, tau_end=5.0)
+        with pytest.raises(ConfigError):
+            SearchConfig(tau_start=1.0, tau_end=0.0)
+        with pytest.raises(ConfigError):
+            SearchConfig(search_steps=0)
 
 
 class TestGumbelNoise:
