@@ -71,6 +71,26 @@ def delta_m(model: MetricRecord, baseline: MetricRecord) -> float:
     return 100.0 * total / len(model.values)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="mergesort")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of the average ranks, NaN for a constant or NaN-holding
+    input: scipy.stats.spearmanr's statistic, bit for bit."""
+    if np.all(a == a[0]) or np.all(b == b[0]) or np.isnan(a).any() or np.isnan(b).any():
+        return np.nan
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    return np.corrcoef(ranks, rowvar=False)[1, 0]
+
+
 def rsa_matrix(features: Sequence[np.ndarray]) -> np.ndarray:
     """Second-order similarity of task encoders over a shared probe set.
 
@@ -79,7 +99,6 @@ def rsa_matrix(features: Sequence[np.ndarray]) -> np.ndarray:
     correlation of those patterns. Tasks with constant features get NaN
     off-diagonal entries (the pattern is undefined).
     """
-    from scipy.stats import spearmanr  # here: ~1 s and 45 MB to load, no CLI verb needs it
     feats = [np.asarray(f, dtype=np.float64) for f in features]
     if not feats:
         raise DimensionMismatch("need at least one task")
@@ -105,8 +124,7 @@ def rsa_matrix(features: Sequence[np.ndarray]) -> np.ndarray:
         for j in range(i + 1, num_tasks):
             if condensed[i] is None or condensed[j] is None:
                 continue
-            rho = spearmanr(condensed[i], condensed[j]).statistic
-            out[i, j] = out[j, i] = rho
+            out[i, j] = out[j, i] = _spearman(condensed[i], condensed[j])
     return out
 
 

@@ -19,10 +19,10 @@ heads of one width and MSE.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import softmax as _softmax
 
 from .errors import BoundsError, DimensionMismatch, DomainError, ModeError, NumericError
 from .graph import SupergraphSpec
+from .resloss import softmax as _softmax
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

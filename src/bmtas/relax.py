@@ -8,10 +8,9 @@ candidate outputs directly (a mixture), there is no straight-through pass.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import BoundsError, DomainError
-from .resloss import ArchitectureParams
+from .resloss import ArchitectureParams, softmax
 
 # keeps -log(-log(u)) finite at both ends of the uniform draw
 NOISE_EPS = 1e-12

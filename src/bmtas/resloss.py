@@ -22,12 +22,12 @@ enumeration of every joint routing, are kept as oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import factorial, softmax
 
 from .errors import BoundsError, DimensionMismatch, NumericError
 from .graph import SupergraphSpec
@@ -42,6 +42,14 @@ CLAMP_EPS = 1e-15
 
 # label rows canonicalized per pass while the lattice tables are built
 _CHUNK = 1 << 17
+
+
+def softmax(x, axis=None) -> np.ndarray:
+    """exp(x) normalized over axis (all of x for None), shifted by the max
+    first; the same operations, so the same bits, as scipy.special.softmax."""
+    x = np.asarray(x)
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -199,11 +207,12 @@ def _merge_tables(num_tasks: int) -> tuple:
     rgs = rgs_table(num_tasks)
     masks = block_masks(rgs).astype(np.float64)
     sizes = rgs.max(axis=1) + 1
+    factorials = np.array([math.factorial(k) for k in range(num_tasks)], dtype=np.float64)
     tables = []
     for m in range(1, num_tasks + 1):
         onehot = rgs_table(m)[:, :, None] == np.arange(m)
         less = np.maximum(onehot.sum(axis=1) - 1, 0)  # merged block sizes less one
-        mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
+        mu = (-1.0) ** less.sum(axis=1) * factorials[less].prod(axis=1)
         # a float64 product of masks below 2^MAX_TASKS is exact, and BLAS-fast
         merged = (masks[sizes == m, :m] @ onehot).astype(np.int64)
         tables.append((sizes == m, mu, merged))

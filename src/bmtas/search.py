@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import BoundsError, ConfigError, NumericError, SearchError
 from .eval import Dataset
@@ -41,7 +40,7 @@ from .nncore import (  # benchmarks/tracing.py patches these names here
     task_loss,
 )
 from .relax import discretize, gumbel_noise, schedule_tau
-from .resloss import ArchitectureParams, _cost_and_grad
+from .resloss import ArchitectureParams, _cost_and_grad, softmax
 from .resloss import expected_cost, expected_cost_grad  # as above, for the tracer
 from .seeding import rng_stream
 

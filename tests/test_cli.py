@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from bmtas import cli, resloss
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
-from bmtas.graph import SupergraphSpec
+from bmtas.graph import SupergraphSpec, derive_groupings, structure_to_json
 from bmtas.partition import MAX_TASKS, Partition, enumerate_partitions
 from bmtas.resloss import (
     ENUM_GUARD,
@@ -23,6 +24,7 @@ from bmtas.resloss import (
     expected_cost,
     grouping_distribution,
 )
+from bmtas.seeding import rng_stream
 from conftest import fresh_python, random_alpha
 
 
@@ -218,6 +220,7 @@ BAD_INPUTS = {
     ),
     "search-lambda-override-NaN": lambda p: bad_config(p) + ["--lambda", "nan"],
     "search-negative-seed": lambda p: bad_config(p) + ["--seed", "-1"],
+    "search-out-under-a-file": lambda p: bad_config(p) + ["--out", input_file(p, "", "a-file")],
     "enumerate-non-numeric-unit-costs": lambda p: [
         "enumerate", "--tasks", "2", "--layers", "2", "--unit-costs", "a,b"
     ],
@@ -507,6 +510,51 @@ class TestTaskCountCaches:
     def test_import_builds_no_config_validator(self):
         code = "import bmtas.cli as c; print(c._config_validator.cache_info().currsize)"
         assert fresh_python(code) == "0\n"
+
+
+def modules_loaded_by(argv) -> list:
+    """Which of scipy and jsonschema a fresh interpreter has loaded after
+    running `bmtas argv` in process."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from bmtas.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'}))"
+    )
+    return ast.literal_eval(fresh_python(code))
+
+
+VERBS = {
+    "expected-cost": lambda p: [
+        "expected-cost",
+        "--alpha",
+        input_file(p, json.dumps(rng_stream(5, "alpha").normal(size=(7, 4, 7)).tolist())),
+    ],
+    "enumerate": lambda p: ["enumerate", "--tasks", "4", "--layers", "3"],
+    "eval": lambda p: eval_argv(p, record(("a", 1.0)), record(("a", 2.0))),
+    "export-dot": lambda p: [
+        "export-dot",
+        "--structure",
+        input_file(
+            p, json.dumps(structure_to_json(derive_groupings([[0, 0], [0, 1]]), ["a", "b"]))
+        ),
+    ],
+}
+
+
+class TestLazyImports:
+    def test_import_leaves_the_process_pool_unloaded(self):
+        code = "import sys, bmtas.cli; print('concurrent.futures.process' in sys.modules)"
+        assert fresh_python(code) == "False\n"
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_verbs_other_than_search_load_neither_scipy_nor_jsonschema(self, verb, tmp_path):
+        assert modules_loaded_by(VERBS[verb](tmp_path)) == []
+
+    def test_search_loads_jsonschema_only(self, tmp_path):
+        argv = ["search", "--config", write_config(tmp_path, base_config())]
+        assert modules_loaded_by(argv + ["--out", str(tmp_path / "runs")]) == ["jsonschema"]
 
 
 class TestEval:

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
+from bmtas import eval as bmtas_eval
 from bmtas.errors import DimensionMismatch, DomainError
 from bmtas.eval import (
     MetricRecord,
@@ -71,8 +75,57 @@ class TestDeltaM:
 
 class TestRsaMatrix:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, bmtas.cli; print('scipy.stats' in sys.modules)"
-        assert fresh_python(code) == "False\n"
+        code = (
+            "import sys, bmtas.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
+        )
+        assert fresh_python(code) == "[]\n"
+
+    def test_rsa_matrix_loads_no_scipy(self):
+        code = (
+            "import sys, numpy as np; from bmtas.eval import rsa_matrix; "
+            "rsa_matrix([np.arange(12.0).reshape(4, 3) ** k for k in (1, 2)]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert fresh_python(code) == "[]\n"
+
+    def test_spearman_matches_scipy_bit_for_bit(self):
+        rng = rng_stream(23, "spearman")
+        pairs = [(np.ones(5), rng.normal(size=5)), (rng.normal(size=5), np.full(5, 2.0))]
+        pairs.append((np.array([0.0, np.nan, 1.0]), np.array([1.0, 2.0, 3.0])))
+        for _ in range(500):
+            n = int(rng.integers(3, 60))
+            if rng.random() < 0.5:  # few distinct values: many ties
+                a, b = (rng.integers(0, 4, n).astype(float) for _ in range(2))
+            else:
+                a, b = rng.normal(size=n), rng.normal(size=n)
+            pairs.append((a, b))
+        constant = 0
+        for a, b in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # NaN for a constant input, without a warning
+                got = bmtas_eval._spearman(a, b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = spearmanr(a, b).statistic
+            if np.isnan(want):
+                constant += 1
+                assert np.isnan(got)
+            else:
+                assert got == want
+        assert constant >= 3
+
+    def test_entries_match_scipy_spearman(self):
+        rng = rng_stream(24, "rsa")
+        # repeated probes give tied dissimilarities
+        feats = [rng.normal(size=(6, 3))[[0, 0, 1, 2, 3, 3, 4, 5, 5]] for _ in range(4)]
+        rsa = rsa_matrix(feats)
+        rows, cols = np.triu_indices(9, k=1)
+        patterns = [(1.0 - np.corrcoef(f))[rows, cols] for f in feats]
+        assert any(len(np.unique(p)) < len(p) for p in patterns)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert rsa[i, j] == spearmanr(patterns[i], patterns[j]).statistic
 
     def test_diagonal_and_symmetry(self):
         rng = rng_stream(20, "rsa")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import softmax
+from scipy.special import factorial, softmax
 
 from bmtas import resloss
 from bmtas.errors import BoundsError, DimensionMismatch, NumericError
@@ -363,19 +363,22 @@ def merge_tables_from_partitions(num_tasks):
             math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in s.blocks())
             for s in merges
         ], dtype=np.float64)
+        block_bits = [
+            [sum(1 << t for t in block) for block in k.blocks()]
+            for k in parts if k.num_blocks == m
+        ]
         merged = np.array([
             [
-                [sum(1 << t for i in block for t in k.blocks()[i]) for block in s.blocks()]
-                + [0] * (m - s.num_blocks)
-                for k in parts if k.num_blocks == m
+                [sum(bits[i] for i in block) for block in blocks] + [0] * (m - len(blocks))
+                for bits in block_bits
             ]
-            for s in merges
+            for blocks in (s.blocks() for s in merges)
         ], dtype=np.int64).reshape(len(merges), -1, m)
         tables.append((sizes == m, mu, merged))
     return tables
 
 
-@pytest.mark.parametrize("num_tasks", range(1, 7))
+@pytest.mark.parametrize("num_tasks", range(1, MAX_TASKS + 1))
 def test_merge_tables_match_partition_blocks(num_tasks):
     got = resloss._merge_tables(num_tasks)
     want = merge_tables_from_partitions(num_tasks)
@@ -384,6 +387,31 @@ def test_merge_tables_match_partition_blocks(num_tasks):
         for a, b in zip(g, w):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+    for m, (_, mu, _) in enumerate(got, start=1):
+        # the construction from scipy's float factorial that math.factorial replaced
+        onehot = resloss.rgs_table(m)[:, :, None] == np.arange(m)
+        less = np.maximum(onehot.sum(axis=1) - 1, 0)
+        want_mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
+        assert mu.dtype == want_mu.dtype and np.array_equal(mu, want_mu)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda ndim: arrays(
+            np.float64,
+            st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim).map(tuple),
+            elements=st.floats(-1.0, 1.0),
+        )
+    ),
+    st.floats(0.1, 1e3),
+)
+@settings(max_examples=200, deadline=None)
+def test_softmax_matches_scipy_bit_for_bit(x, scale):
+    x = scale * x
+    for axis in (None, *range(x.ndim)):
+        got = resloss.softmax(x, axis=axis)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, softmax(x, axis=axis))
 
 
 def test_distribution_bounds_tasks_before_the_subset_table(monkeypatch):
