@@ -324,6 +324,8 @@ def _unit_costs(text: str, num_layers: int) -> list[float]:
 
 
 def _spec_from_args(args, num_tasks: int, num_layers: int) -> SupergraphSpec:
+    if args.unit_costs and args.widths:
+        raise ConfigError("give --widths or --unit-costs, not both")
     if args.unit_costs:
         return SupergraphSpec.chain(
             [1] * (num_layers + 1), num_tasks, _unit_costs(args.unit_costs, num_layers)
@@ -466,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expected-cost", help="expected cost of a logit tensor")
     p.add_argument("--alpha", required=True, help="logits JSON: [task][layer][candidate]")
-    p.add_argument("--widths", default=None, help="comma-separated layer widths")
+    p.add_argument(
+        "--widths", default=None, help="comma-separated layer widths, not with --unit-costs"
+    )
     p.add_argument("--unit-costs", default=None, help="comma-separated per-layer costs")
     p.add_argument(
         "--oracle",

@@ -10,13 +10,15 @@ refinement chain that never re-merges.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BoundsError, DimensionMismatch
-from .partition import MAX_TASKS, Partition, meet, refines, rgs_table
+from .partition import MAX_TASKS, Partition, meet, rgs_table
 from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 
 
@@ -54,38 +56,30 @@ class CostTable:
         """Total cost when every layer runs exactly one operation."""
         return float(sum(self.unit_cost))
 
-    @classmethod
-    def from_layer_dims(cls, layer_dims: Sequence[tuple[int, int]]) -> "CostTable":
-        """Analytic per-sample MAdds of an affine op: 2 * in_width * out_width."""
-        return cls(tuple(2.0 * i * o for i, o in layer_dims))
-
 
 @dataclass(frozen=True)
 class SupergraphSpec:
-    """Dimensions of the supergraph plus the cost table used for resource terms."""
+    """A chain of layers, layer l mapping width widths[l-1] to widths[l], plus
+    the cost table used for resource terms."""
 
-    num_layers: int
+    widths: tuple[int, ...]
     num_tasks: int
-    layer_dims: tuple[tuple[int, int], ...]
     cost_table: CostTable
 
     def __post_init__(self):
-        dims = tuple((int(i), int(o)) for i, o in self.layer_dims)
-        object.__setattr__(self, "layer_dims", dims)
+        object.__setattr__(self, "widths", tuple(map(int, self.widths)))
         if self.num_layers < 1 or self.num_tasks < 1:
             raise ValueError("need at least one layer and one task")
-        if len(dims) != self.num_layers:
-            raise DimensionMismatch(
-                f"{len(dims)} layer dims for {self.num_layers} layers"
-            )
-        for l in range(1, self.num_layers):
-            if dims[l][0] != dims[l - 1][1]:
-                raise DimensionMismatch(
-                    f"layer {l + 1} input width {dims[l][0]} does not match "
-                    f"layer {l} output width {dims[l - 1][1]}"
-                )
         if self.cost_table.num_layers != self.num_layers:
             raise DimensionMismatch("cost table length does not match layer count")
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.widths) - 1
+
+    @property
+    def layer_dims(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.widths, self.widths[1:]))
 
     @classmethod
     def chain(
@@ -94,73 +88,51 @@ class SupergraphSpec:
         num_tasks: int,
         unit_costs: Sequence[float] | None = None,
     ) -> "SupergraphSpec":
-        """Build from a width chain [w0, w1, ..., wL]; costs default to analytic MAdds."""
-        dims = tuple((int(widths[i]), int(widths[i + 1])) for i in range(len(widths) - 1))
-        table = (
-            CostTable(tuple(float(u) for u in unit_costs))
-            if unit_costs is not None
-            else CostTable.from_layer_dims(dims)
-        )
-        return cls(
-            num_layers=len(dims),
-            num_tasks=num_tasks,
-            layer_dims=dims,
-            cost_table=table,
-        )
+        """Build from a width chain [w0, w1, ..., wL]; costs default to the
+        analytic per-sample MAdds of an affine op, 2 * in_width * out_width."""
+        widths = tuple(map(int, widths))
+        if unit_costs is None:
+            unit_costs = [2.0 * i * o for i, o in zip(widths, widths[1:])]
+        return cls(widths, num_tasks, CostTable(unit_costs))
 
 
 @dataclass(frozen=True)
 class BranchedStructure:
-    """A grouping chain plus the edge choices that induced it.
+    """The operation each task picks at each layer, ``edge_choice[l-1][t]``
+    for task t at layer l, and the grouping chain those picks induce.
 
-    ``groupings[l-1]`` is the task grouping in effect at layer ``l``; the
-    chain refines monotonically with depth (branches never re-merge) and
-    each element is the meet of the previous one with the layer's
-    edge-equality partition.
+    Tasks share a block of ``groupings[l-1]`` iff their picks agree at every
+    layer 1..l, so each grouping is the meet of the previous one with the
+    layer's edge-equality partition, and branches never re-merge.
     """
 
-    num_tasks: int
-    num_layers: int
-    groupings: tuple[Partition, ...]
     edge_choice: tuple[tuple[int, ...], ...]
+    groupings: tuple[Partition, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise DimensionMismatch("a structure needs at least one layer")
-        if len(self.groupings) != self.num_layers:
-            raise DimensionMismatch("one grouping per layer required")
-        if len(self.edge_choice) != self.num_layers:
-            raise DimensionMismatch("one edge-choice row per layer required")
-        prev = Partition.coarsest(self.num_tasks)
-        for l, (k, row) in enumerate(zip(self.groupings, self.edge_choice), start=1):
-            if k.num_tasks != self.num_tasks or len(row) != self.num_tasks:
-                raise DimensionMismatch(f"layer {l} grouping or edges have wrong size")
-            if not refines(k, prev):
-                raise ValueError(f"grouping at layer {l} does not refine layer {l - 1}")
-            if meet(prev, Partition.from_labels(row)) != k:
-                raise ValueError(
-                    f"grouping at layer {l} is inconsistent with the edge choices"
-                )
-            prev = k
+        rows = tuple(tuple(map(operator.index, row)) for row in self.edge_choice)
+        object.__setattr__(self, "edge_choice", rows)
+        if not rows or len(set(map(len, rows))) != 1:
+            raise DimensionMismatch("need one row of picks per layer, all of one length")
+        if not all(0 <= j < len(rows[0]) for row in rows for j in row):
+            raise BoundsError(f"picks must lie in 0..{len(rows[0]) - 1}, one per task")
+        groupings = accumulate(map(Partition.from_labels, rows), meet)
+        object.__setattr__(self, "groupings", tuple(groupings))
 
+    @property
+    def num_tasks(self) -> int:
+        return len(self.edge_choice[0])
 
-def grouping_cost(k: Partition, layer: int, table: CostTable) -> float:
-    """MAdds of grouping ``k`` at 1-based layer ``layer``."""
-    if not 1 <= layer <= table.num_layers:
-        raise BoundsError(
-            f"layer index {layer} out of range 1..{table.num_layers}"
-        )
-    return k.num_blocks * table.unit_cost[layer - 1]
+    @property
+    def num_layers(self) -> int:
+        return len(self.edge_choice)
 
 
 def derive_groupings(picks) -> BranchedStructure:
-    """Fold an integer pick array into the grouping chain it induces.
+    """The structure of an integer pick array.
 
     picks[t, l] is the operation task t takes at layer l + 1, as
-    logits.argmax(axis=2) gives it. Tasks share a block at layer l iff
-    their picks coincide at every layer 1..l, so each layer's grouping is
-    the meet of the previous grouping with the layer's edge-equality
-    partition.
+    logits.argmax(axis=2) gives it.
     """
     try:
         picks = np.asarray(picks)
@@ -168,28 +140,15 @@ def derive_groupings(picks) -> BranchedStructure:
         raise DimensionMismatch(f"picks are not a (tasks, layers) array: {exc}") from exc
     if picks.ndim != 2 or picks.size == 0 or picks.dtype.kind not in "iu":
         raise DimensionMismatch("picks must be a non-empty (tasks, layers) integer array")
-    num_tasks, num_layers = picks.shape
-    edge_choice = tuple(map(tuple, picks.T.tolist()))
-    groupings = []
-    current = Partition.coarsest(num_tasks)
-    for row in edge_choice:
-        current = meet(current, Partition.from_labels(row))
-        groupings.append(current)
-    return BranchedStructure(
-        num_tasks=num_tasks,
-        num_layers=num_layers,
-        groupings=tuple(groupings),
-        edge_choice=edge_choice,
-    )
+    return BranchedStructure(picks.T.tolist())
 
 
 def structure_cost(s: BranchedStructure, table: CostTable) -> float:
-    """Total MAdds of a branched structure: sum of per-layer grouping costs."""
+    """Total MAdds of a branched structure: per layer, the grouping's block
+    count times the layer's unit cost."""
     if table.num_layers != s.num_layers:
         raise DimensionMismatch("cost table length does not match structure depth")
-    return float(
-        sum(grouping_cost(k, l, table) for l, k in enumerate(s.groupings, start=1))
-    )
+    return float(sum(k.num_blocks * u for k, u in zip(s.groupings, table.unit_cost)))
 
 
 def count_structures(num_tasks: int, num_layers: int) -> int:
@@ -238,15 +197,15 @@ def structure_to_json(s: BranchedStructure, task_names: Sequence[str]) -> dict:
 
 
 def structure_from_json(obj: dict) -> tuple[BranchedStructure, list[str]]:
+    """Rebuild from the edge choices; the file's task names and layer groups
+    must agree with them."""
     names = [str(n) for n in obj["tasks"]]
+    structure = BranchedStructure(obj["edge_choice"])
+    if len(names) != structure.num_tasks:
+        raise DimensionMismatch("need one name per task")
     groupings = tuple(Partition.from_json(layer["groups"]) for layer in obj["layers"])
-    edges = tuple(tuple(int(j) for j in row) for row in obj["edge_choice"])
-    structure = BranchedStructure(
-        num_tasks=len(names),
-        num_layers=len(groupings),
-        groupings=groupings,
-        edge_choice=edges,
-    )
+    if groupings != structure.groupings:
+        raise ValueError("layer groups disagree with the edge choices")
     return structure, names
 
 

@@ -325,9 +325,8 @@ def search(
         now = discretize(alpha_now)
         if not np.array_equal(now, picks):
             picks, structure = now, derive_groupings(now)
-            previous, digest = digest, structure_hash(structure)
-            if digest != previous:
-                theta_opt.reset_momentum()
+            digest = structure_hash(structure)
+            theta_opt.reset_momentum()
         trace.append(
             TraceRow(
                 step=step,

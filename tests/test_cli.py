@@ -198,6 +198,12 @@ def eval_argv(tmp_path, model, baseline):
     ]
 
 
+def export_dot_argv(tmp_path, tasks, groups, edge_choice):
+    """export-dot on a structure file with these names, per-layer groups and picks."""
+    obj = {"tasks": tasks, "layers": [{"groups": g} for g in groups], "edge_choice": edge_choice}
+    return ["export-dot", "--structure", input_file(tmp_path, json.dumps(obj))]
+
+
 BAD_INPUTS = {
     "relatedness-repeats-a-task": lambda p: bad_config(
         p, benchmark={"relatedness": [[0, 0]]}
@@ -264,6 +270,19 @@ BAD_INPUTS = {
         "export-dot",
         "--structure",
         input_file(p, '{"tasks": ["a", "b"], "layers": [], "edge_choice": []}'),
+    ],
+    "export-dot-pick-outside-the-operations": lambda p: export_dot_argv(
+        p, ["a", "b"], [[[0, 1]]], [[7, 7]]
+    ),
+    "export-dot-groups-disagree-with-the-picks": lambda p: export_dot_argv(
+        p, ["a", "b"], [[[0, 1]]], [[0, 1]]
+    ),
+    "export-dot-three-names-for-two-tasks": lambda p: export_dot_argv(
+        p, ["a", "b", "c"], [[[0, 1]]], [[0, 0]]
+    ),
+    "expected-cost-widths-and-unit-costs": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x2),
+        "--widths", "4,4,4", "--unit-costs", "1,1",
     ],
 }
 

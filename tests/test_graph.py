@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bmtas.graph
 from bmtas.errors import BoundsError, DimensionMismatch
 from bmtas.graph import (
     BranchedStructure,
@@ -14,7 +16,6 @@ from bmtas.graph import (
     count_structures,
     derive_groupings,
     export_dot,
-    grouping_cost,
     structure_cost,
     structure_from_json,
     structure_hash,
@@ -33,7 +34,8 @@ class TestCostTable:
             CostTable((1.0, float("inf")))
 
     def test_analytic_madds(self):
-        table = CostTable.from_layer_dims([(16, 8), (8, 4)])
+        # chain's default cost of a layer is 2 * in_width * out_width
+        table = SupergraphSpec.chain([16, 8, 4], 2).cost_table
         assert table.unit_cost == (256.0, 64.0)
         assert table.num_layers == 2
         assert table.fully_shared_cost == 320.0
@@ -42,6 +44,7 @@ class TestCostTable:
 class TestSupergraphSpec:
     def test_chain_builds_matching_dims_and_costs(self):
         sg = SupergraphSpec.chain([16, 8, 8], 3)
+        assert sg.widths == (16, 8, 8)
         assert sg.num_layers == 2
         assert sg.layer_dims == ((16, 8), (8, 8))
         assert sg.cost_table.unit_cost == (256.0, 128.0)
@@ -50,23 +53,23 @@ class TestSupergraphSpec:
         sg = SupergraphSpec.chain([4, 4], 2, unit_costs=[7.0])
         assert sg.cost_table.unit_cost == (7.0,)
 
-    def test_rejects_broken_width_chain(self):
-        with pytest.raises(DimensionMismatch):
-            SupergraphSpec(
-                num_layers=2,
-                num_tasks=2,
-                layer_dims=((4, 8), (4, 8)),
-                cost_table=CostTable((1.0, 1.0)),
-            )
+    def test_depth_and_dims_derive_from_the_widths(self):
+        sg = SupergraphSpec(np.array([16, 8, 4]), 2, CostTable((1.0, 1.0)))
+        assert sg.widths == (16, 8, 4)
+        assert {type(w) for w in sg.widths} == {int}
+        assert sg.num_layers == 2
+        assert sg.layer_dims == ((16, 8), (8, 4))
 
     def test_rejects_cost_table_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            SupergraphSpec(
-                num_layers=1,
-                num_tasks=2,
-                layer_dims=((4, 4),),
-                cost_table=CostTable((1.0, 1.0)),
-            )
+            SupergraphSpec((4, 4), 2, CostTable((1.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "widths,num_tasks", [((4,), 2), ((4, 4), 0)], ids=["no-layers", "no-tasks"]
+    )
+    def test_rejects_no_layers_or_no_tasks(self, widths, num_tasks):
+        with pytest.raises(ValueError):
+            SupergraphSpec(widths, num_tasks, CostTable((1.0,)))
 
 
 class TestDeriveGroupings:
@@ -103,43 +106,66 @@ class TestDeriveGroupings:
 
 class TestBranchedStructure:
     def test_rejects_non_refining_chain(self):
-        with pytest.raises(ValueError):
-            BranchedStructure(
-                num_tasks=2,
-                num_layers=2,
-                groupings=(Partition((0, 1)), Partition((0, 0))),
-                edge_choice=((0, 1), (0, 0)),
-            )
+        # a file whose groups re-merge at layer 2: the picks induce 01, 01
+        obj = {
+            "tasks": ["a", "b"],
+            "layers": [{"groups": [[0], [1]]}, {"groups": [[0, 1]]}],
+            "edge_choice": [[0, 1], [0, 0]],
+        }
+        with pytest.raises(ValueError, match="disagree"):
+            structure_from_json(obj)
 
     def test_rejects_edge_inconsistent_chain(self):
-        # edges disagree at layer 1 but the grouping claims sharing
-        with pytest.raises(ValueError):
-            BranchedStructure(
-                num_tasks=2,
-                num_layers=1,
-                groupings=(Partition((0, 0)),),
-                edge_choice=((0, 1),),
-            )
+        # edges disagree at layer 1 but the file's groups claim sharing
+        obj = {"tasks": ["a", "b"], "layers": [{"groups": [[0, 1]]}], "edge_choice": [[0, 1]]}
+        with pytest.raises(ValueError, match="disagree"):
+            structure_from_json(obj)
 
     def test_rejects_zero_layers(self):
         with pytest.raises(DimensionMismatch):
-            BranchedStructure(num_tasks=2, num_layers=0, groupings=(), edge_choice=())
+            BranchedStructure(())
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(DimensionMismatch):
+            BranchedStructure(((0, 1), (0,)))
+
+    @pytest.mark.parametrize("row", [(2, 0), (0, -1), (7, 7)])
+    def test_rejects_picks_outside_the_operations(self, row):
+        # a layer has one operation per task, numbered 0..T-1
+        with pytest.raises(BoundsError):
+            BranchedStructure(((0, 0), row))
+
+    def test_picks_become_python_ints(self):
+        s = BranchedStructure([np.array([1, 0], dtype=np.int32), (np.int64(1), 1)])
+        assert s.edge_choice == ((1, 0), (1, 1))
+        assert {type(j) for row in s.edge_choice for j in row} == {int}
+        with pytest.raises(TypeError):
+            BranchedStructure(((0.5, 1.7),))  # not truncated to (0, 1)
+
+    def test_rows_are_the_transposed_picks(self):
+        picks = [(0, 0), (0, 1), (2, 2)]
+        s = BranchedStructure(((0, 0, 2), (0, 1, 2)))
+        assert s == derive_groupings(picks)
+        assert (s.num_tasks, s.num_layers) == (3, 2)
+        assert [str(k) for k in s.groupings] == ["001", "012"]
 
     def test_cost_counts_blocks_per_layer(self):
         s = derive_groupings([(0, 0), (0, 1), (2, 2)])
         table = CostTable((10.0, 100.0))
-        assert grouping_cost(s.groupings[0], 1, table) == 20.0
-        assert structure_cost(s, table) == 20.0 + 300.0
-
-    def test_grouping_cost_layer_bounds(self):
-        table = CostTable((1.0,))
-        with pytest.raises(BoundsError):
-            grouping_cost(Partition((0,)), 2, table)
+        assert [k.num_blocks for k in s.groupings] == [2, 3]
+        assert structure_cost(s, table) == 2 * 10.0 + 3 * 100.0
 
     def test_cost_table_depth_must_match(self):
         s = derive_groupings([(0,), (1,)])
         with pytest.raises(DimensionMismatch):
             structure_cost(s, CostTable((1.0, 1.0)))
+
+
+def test_removed_names_are_gone():
+    assert not hasattr(bmtas.graph, "grouping_cost")
+    assert not hasattr(CostTable, "from_layer_dims")
+    assert [f.name for f in fields(BranchedStructure) if f.init] == ["edge_choice"]
+    assert [f.name for f in fields(SupergraphSpec)] == ["widths", "num_tasks", "cost_table"]
 
 
 def brute_force_chain_count(num_tasks, num_layers):
@@ -217,9 +243,11 @@ routings_st = st.tuples(st.integers(2, 4), st.integers(1, 4)).flatmap(
 @given(routings_st)
 @settings(max_examples=60)
 def test_derived_structures_always_validate(choices):
-    # BranchedStructure.__post_init__ re-checks the chain; reaching here
-    # without an exception is the property
     s = derive_groupings(choices)
+    for l, k in enumerate(s.groupings, start=1):
+        # tasks share at layer l iff their picks agree at layers 1..l
+        assert k == Partition.from_labels([tuple(row[:l]) for row in choices])
+        assert l == 1 or refines(k, s.groupings[l - 2])
     table = CostTable((1.0,) * s.num_layers)
     cost = structure_cost(s, table)
     assert s.num_layers <= cost <= s.num_tasks * s.num_layers

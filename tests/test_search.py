@@ -252,6 +252,7 @@ class TestSearch:
         picks = [a.logits.argmax(axis=2) for a in alphas]
         moved = [s for s in range(1, len(picks)) if not np.array_equal(picks[s], picks[s - 1])]
         assert len(derived) == 1 + len(moved) and derived[1:] == moved
+        assert resets == moved  # the hash digests the picks, so it changes with them
         assert len(moved) < len(res.trace)
 
     def test_heavy_resource_weight_collapses_to_shared(self):
