@@ -202,9 +202,7 @@ def load_config(path) -> dict:
 
 def _build_supergraph(cfg: dict) -> SupergraphSpec:
     sg = cfg["supergraph"]
-    return SupergraphSpec.chain(
-        sg["widths"], cfg["benchmark"]["num_tasks"], sg.get("unit_costs")
-    )
+    return SupergraphSpec.chain(sg["widths"], sg.get("unit_costs"))
 
 
 def _build_task_spec(cfg: dict) -> SyntheticTaskSpec:
@@ -316,26 +314,12 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _unit_costs(text: str, num_layers: int) -> list[float]:
-    costs = [float(u) for u in text.split(",")]
+def _cost_table(unit_costs: str | None, num_layers: int) -> CostTable:
+    """The comma-separated unit costs, one per layer; all ones when absent."""
+    costs = [float(u) for u in unit_costs.split(",")] if unit_costs else [1.0] * num_layers
     if len(costs) != num_layers:
         raise ConfigError("unit costs must cover every layer")
-    return costs
-
-
-def _spec_from_args(args, num_tasks: int, num_layers: int) -> SupergraphSpec:
-    if args.unit_costs and args.widths:
-        raise ConfigError("give --widths or --unit-costs, not both")
-    if args.unit_costs:
-        return SupergraphSpec.chain(
-            [1] * (num_layers + 1), num_tasks, _unit_costs(args.unit_costs, num_layers)
-        )
-    if args.widths:
-        widths = [int(w) for w in args.widths.split(",")]
-        if len(widths) != num_layers + 1:
-            raise ConfigError("widths must have one more entry than layers")
-        return SupergraphSpec.chain(widths, num_tasks)
-    return SupergraphSpec.chain([1] * (num_layers + 1), num_tasks, [1.0] * num_layers)
+    return CostTable(costs)
 
 
 _HOLE = "\0"  # stands in for a probs list while json.dumps writes the report
@@ -379,25 +363,29 @@ def _report_text(report: dict, dist) -> str:
 def cmd_expected_cost(args) -> int:
     with _reading_input():
         alpha = ArchitectureParams.from_json(_load_json(args.alpha))
-        if alpha.num_candidates != alpha.num_tasks:
-            raise ConfigError("logits need one candidate per task")
-        if alpha.num_tasks > MAX_TASKS:
-            raise ConfigError(f"{alpha.num_tasks} tasks; at most {MAX_TASKS} supported")
-        spec = _spec_from_args(args, alpha.num_tasks, alpha.num_layers)
+        if args.unit_costs and args.widths:
+            raise ConfigError("give --widths or --unit-costs, not both")
+        if args.widths:
+            widths = [int(w) for w in args.widths.split(",")]
+            if len(widths) != alpha.num_layers + 1:
+                raise ConfigError("widths must have one more entry than layers")
+            table = SupergraphSpec.chain(widths).cost_table
+        else:
+            table = _cost_table(args.unit_costs, alpha.num_layers)
         if args.oracle:
-            check_enumerable(spec)
-    dist = grouping_distribution(alpha, spec)
-    cost = expected_cost(alpha, spec)
+            check_enumerable(alpha)
+    dist = grouping_distribution(alpha, table)
+    cost = expected_cost(alpha, table)
     report = {
         "expected_cost": cost,
-        "normalized": cost / spec.cost_table.fully_shared_cost,
+        "normalized": cost / table.fully_shared_cost,
         "grouping_distribution": [
             {"layer": l + 1, "probs": _HOLE} for l in range(alpha.num_layers)
         ],
     }
     status = 0
     if args.oracle:
-        reference = brute_force_expected_cost(alpha, spec)
+        reference = brute_force_expected_cost(alpha, table)
         report["oracle"] = reference
         if abs(cost - reference) > 1e-9:
             _log("oracle_mismatch", expected=cost, oracle=reference)
@@ -410,11 +398,7 @@ def cmd_enumerate(args) -> int:
     from .graph import count_structures
 
     with _reading_input():
-        table = CostTable(
-            _unit_costs(args.unit_costs, args.layers)
-            if args.unit_costs
-            else [1.0] * args.layers
-        )
+        table = _cost_table(args.unit_costs, args.layers)
         bell = len(rgs_table(args.tasks))
     total = table.fully_shared_cost
     # cost extremes: one block everywhere vs an immediate full branch

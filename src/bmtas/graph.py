@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -41,7 +42,8 @@ class CostTable:
         if any(u <= 0 or not np.isfinite(u) for u in costs):
             raise ValueError("unit costs must be positive and finite")
         # the expected cost sums 2**T inclusion-exclusion terms of at most the
-        # fully shared cost each, so that bound keeps it and its gradient finite
+        # fully shared cost each, and ArchitectureParams keeps T <= MAX_TASKS,
+        # so this bound keeps the cost and its gradient finite
         if not np.isfinite(2.0**MAX_TASKS * sum(costs)):
             raise ValueError(
                 f"unit costs must sum to at most {np.finfo(float).max / 2**MAX_TASKS:.6g}"
@@ -60,16 +62,18 @@ class CostTable:
 @dataclass(frozen=True)
 class SupergraphSpec:
     """A chain of layers, layer l mapping width widths[l-1] to widths[l], plus
-    the cost table used for resource terms."""
+    the cost table used for resource terms. Every layer holds one candidate
+    operation per task; the task count comes with the data and the logits."""
 
     widths: tuple[int, ...]
-    num_tasks: int
     cost_table: CostTable
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(map(int, self.widths)))
-        if self.num_layers < 1 or self.num_tasks < 1:
-            raise ValueError("need at least one layer and one task")
+        if self.num_layers < 1:
+            raise ValueError("need at least one layer")
+        if min(self.widths) < 1:
+            raise ValueError("widths must be at least 1")
         if self.cost_table.num_layers != self.num_layers:
             raise DimensionMismatch("cost table length does not match layer count")
 
@@ -83,17 +87,14 @@ class SupergraphSpec:
 
     @classmethod
     def chain(
-        cls,
-        widths: Sequence[int],
-        num_tasks: int,
-        unit_costs: Sequence[float] | None = None,
+        cls, widths: Sequence[int], unit_costs: Sequence[float] | None = None
     ) -> "SupergraphSpec":
         """Build from a width chain [w0, w1, ..., wL]; costs default to the
         analytic per-sample MAdds of an affine op, 2 * in_width * out_width."""
         widths = tuple(map(int, widths))
         if unit_costs is None:
             unit_costs = [2.0 * i * o for i, o in zip(widths, widths[1:])]
-        return cls(widths, num_tasks, CostTable(unit_costs))
+        return cls(widths, CostTable(unit_costs))
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,11 @@ def structure_to_json(s: BranchedStructure, task_names: Sequence[str]) -> dict:
 
 def structure_from_json(obj: dict) -> tuple[BranchedStructure, list[str]]:
     """Rebuild from the edge choices; the file's task names and layer groups
-    must agree with them."""
+    must agree with them. Names go into DOT labels, so none may hold a quote,
+    a backslash or a control character."""
     names = [str(n) for n in obj["tasks"]]
+    if any(re.search(r'["\\\x00-\x1f\x7f-\x9f]', n) for n in names):
+        raise ValueError("task names may not hold a quote, a backslash or a control character")
     structure = BranchedStructure(obj["edge_choice"])
     if len(names) != structure.num_tasks:
         raise DimensionMismatch("need one name per task")

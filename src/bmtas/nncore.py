@@ -217,20 +217,21 @@ class OperationParams:
     def init(
         cls,
         spec: SupergraphSpec,
+        num_tasks: int,
         head_dim: int,
         rng: np.random.Generator,
     ) -> "OperationParams":
         weights, biases = [], []
         for in_dim, out_dim in spec.layer_dims:
             w = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, out_dim))
-            weights.append(Tensor(np.repeat(w[None], spec.num_tasks, axis=0)))
-            biases.append(Tensor(np.zeros((spec.num_tasks, out_dim))))
-        enc_out, num_heads = spec.layer_dims[-1][1], spec.num_tasks
+            weights.append(Tensor(np.repeat(w[None], num_tasks, axis=0)))
+            biases.append(Tensor(np.zeros((num_tasks, out_dim))))
+        enc_out = spec.layer_dims[-1][1]
         head_w = [
             rng.normal(0.0, 1.0 / np.sqrt(enc_out), size=(enc_out, head_dim))
-            for _ in range(num_heads)
+            for _ in range(num_tasks)
         ]
-        head_b = np.zeros((num_heads, head_dim))
+        head_b = np.zeros((num_tasks, head_dim))
         return cls(weights, biases, Tensor(np.stack(head_w)), Tensor(head_b))
 
     @property

@@ -32,7 +32,7 @@ def sample_soft(
         raise BoundsError(f"layer {layer} out of range")
     if tau <= 0:
         raise DomainError(f"temperature must be positive, got {tau}")
-    g = gumbel_noise((alpha.num_candidates,), rng)
+    g = gumbel_noise((alpha.num_tasks,), rng)
     return softmax((alpha.logits[task, layer - 1] + g) / tau)
 
 

@@ -30,8 +30,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BoundsError, DimensionMismatch, NumericError
-from .graph import SupergraphSpec
-from .partition import Partition, block_masks, rgs_table
+from .graph import CostTable
+from .partition import MAX_TASKS, Partition, block_masks, rgs_table
 from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 from .partition import meet  # benchmarks/tracing.py counts calls through this name
 
@@ -54,18 +54,21 @@ def softmax(x, axis=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArchitectureParams:
-    """Unnormalized log probabilities over candidate edges.
+    """Unnormalized log probabilities over candidate edges, one per task.
 
     logits[t, l, j] scores candidate j for task t at layer l+1; rows are
     unconstrained reals and only become probabilities through a softmax.
+    The only check of the (T, L, T) shape and of 1 <= T <= MAX_TASKS.
     """
 
     logits: np.ndarray
 
     def __post_init__(self):
         logits = np.array(self.logits, dtype=np.float64)
-        if logits.ndim != 3:
-            raise DimensionMismatch("logits must be a (task, layer, candidate) tensor")
+        if logits.ndim != 3 or logits.shape[2] != logits.shape[0]:
+            raise DimensionMismatch("logits must be a (task, layer, task) tensor")
+        if not 1 <= logits.shape[0] <= MAX_TASKS:
+            raise BoundsError(f"{logits.shape[0]} tasks; supported range is 1..{MAX_TASKS}")
         if not np.all(np.isfinite(logits)):
             raise NumericError("logits contain NaN or Inf")
         logits.setflags(write=False)
@@ -78,10 +81,6 @@ class ArchitectureParams:
     @property
     def num_layers(self) -> int:
         return self.logits.shape[1]
-
-    @property
-    def num_candidates(self) -> int:
-        return self.logits.shape[2]
 
     @classmethod
     def zeros(cls, num_tasks: int, num_layers: int) -> "ArchitectureParams":
@@ -160,11 +159,9 @@ def _edge_tables(num_tasks: int) -> _EdgeTables:
     )
 
 
-def _check_dims(alpha: ArchitectureParams, spec: SupergraphSpec):
-    if alpha.num_tasks != spec.num_tasks or alpha.num_candidates != spec.num_tasks:
-        raise DimensionMismatch("logits task/candidate dims do not match the supergraph")
-    if alpha.num_layers != spec.num_layers:
-        raise DimensionMismatch("logits layer dim does not match the supergraph")
+def _check_dims(alpha: ArchitectureParams, table: CostTable):
+    if alpha.num_layers != table.num_layers:
+        raise DimensionMismatch("logits layer dim does not match the cost table")
 
 
 def _layer_probs(alpha: ArchitectureParams, layer: int) -> np.ndarray:
@@ -187,8 +184,6 @@ def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     """
     if not 1 <= layer <= alpha.num_layers:
         raise BoundsError(f"layer {layer} out of range")
-    if alpha.num_candidates != alpha.num_tasks:
-        raise DimensionMismatch("expected one candidate edge per task")
     tables = _edge_tables(alpha.num_tasks)
     w = _assignment_weights(_layer_probs(alpha, layer))
     n = len(tables.partitions)
@@ -219,9 +214,7 @@ def _merge_tables(num_tasks: int) -> tuple:
     return tuple(tables)
 
 
-def grouping_distribution(
-    alpha: ArchitectureParams, spec: SupergraphSpec
-) -> GroupingDistribution:
+def grouping_distribution(alpha: ArchitectureParams, table: CostTable) -> GroupingDistribution:
     """Distribution of the task grouping at every layer under softmax(alpha),
     clamped at CLAMP_EPS per layer.
 
@@ -230,10 +223,10 @@ def grouping_distribution(
     sigma of k's blocks gives P(kappa_l = k) = sum_sigma mu(sigma) prod_{S in
     sigma} h_l(union of S), mu(sigma) = prod_{S in sigma} (-1)^(|S|-1) (|S|-1)!.
     """
-    rgs = rgs_table(alpha.num_tasks)  # bounds T before 2^T rows
-    h = np.cumprod(_subsets(alpha, spec)[4], axis=1)
+    rgs = rgs_table(alpha.num_tasks)
+    h = np.cumprod(_subsets(alpha, table)[4], axis=1)
     h[0] = 1.0  # unused merge slots hold the empty mask
-    probs = np.empty((len(rgs), spec.num_layers))
+    probs = np.empty((len(rgs), alpha.num_layers))
     for rows, mu, merged in _merge_tables(alpha.num_tasks):
         # h[merged].prod(axis=2) one block at a time: the same products, no 4-D gather
         prod = reduce(np.multiply, (h[merged[..., b]] for b in range(merged.shape[2])))
@@ -242,12 +235,12 @@ def grouping_distribution(
     return GroupingDistribution(rgs, probs / probs.sum(axis=1, keepdims=True))
 
 
-def _subsets(alpha: ArchitectureParams, spec: SupergraphSpec) -> tuple:
+def _subsets(alpha: ArchitectureParams, table: CostTable) -> tuple:
     """Edge probabilities pi (T, L, T), unit costs (L,), and over task
     subsets M, indexed by the bitmask with bit u set iff u is in M: the sign
     (-1)^(|M|-1), 0 for the empty subset; prod[M] = prod_{u in M} pi[u]; and
     agree[M, l] = A_l(M), the chance that all of M pick one edge at layer l."""
-    _check_dims(alpha, spec)
+    _check_dims(alpha, table)
     pi = softmax(alpha.logits, axis=2)
     prod = np.ones((1,) + pi.shape[1:])
     sign = np.array([-1.0])
@@ -256,21 +249,21 @@ def _subsets(alpha: ArchitectureParams, spec: SupergraphSpec) -> tuple:
         prod = np.concatenate([prod, prod * pi[u]])
         sign = np.concatenate([sign, -sign])
     sign[0] = 0.0
-    costs = np.asarray(spec.cost_table.unit_cost, dtype=np.float64)
+    costs = np.asarray(table.unit_cost, dtype=np.float64)
     return pi, costs, sign, prod, prod.sum(axis=2)
 
 
-def expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
+def expected_cost(alpha: ArchitectureParams, table: CostTable) -> float:
     """Expected MAdds of the discretized model under the routing distribution."""
-    return _cost_and_grad(alpha, spec, grad=False)[0]
+    return _cost_and_grad(alpha, table, grad=False)[0]
 
 
-def expected_cost_grad(alpha: ArchitectureParams, spec: SupergraphSpec) -> np.ndarray:
+def expected_cost_grad(alpha: ArchitectureParams, table: CostTable) -> np.ndarray:
     """Exact d expected_cost / d logits, shape (T, L, T)."""
-    return _cost_and_grad(alpha, spec)[1]
+    return _cost_and_grad(alpha, table)[1]
 
 
-def _cost_and_grad(alpha: ArchitectureParams, spec: SupergraphSpec, grad: bool = True):
+def _cost_and_grad(alpha: ArchitectureParams, table: CostTable, grad: bool = True):
     """expected_cost and, if grad, expected_cost_grad from one subset pass.
 
     With before_j(M) = prod_{i<j} A_i(M) and the tail G_j = c_j + A_{j+1}
@@ -278,7 +271,7 @@ def _cost_and_grad(alpha: ArchitectureParams, spec: SupergraphSpec, grad: bool =
     sign_M * before_j(M) * G_j(M), and A_j(M)'s derivative in pi_j[u, c] is
     prod[M - u, j, c] for u in M. The softmax chain rule finishes the job.
     """
-    pi, costs, sign, prod, agree = _subsets(alpha, spec)
+    pi, costs, sign, prod, agree = _subsets(alpha, table)
     cost = float(sign @ np.cumprod(agree, axis=1) @ costs)
     if not grad:
         return cost, None
@@ -300,9 +293,9 @@ def _cost_and_grad(alpha: ArchitectureParams, spec: SupergraphSpec, grad: bool =
     return cost, pi * (dpi - (dpi * pi).sum(axis=2, keepdims=True))
 
 
-def check_enumerable(spec: SupergraphSpec) -> int:
+def check_enumerable(alpha: ArchitectureParams) -> int:
     """The number of joint routings, T^(T*L); BoundsError past ENUM_GUARD."""
-    total = spec.num_tasks ** (spec.num_tasks * spec.num_layers)
+    total = alpha.num_tasks ** (alpha.num_tasks * alpha.num_layers)
     if total > ENUM_GUARD:
         raise BoundsError(
             f"{total} joint routings exceed the enumeration guard {ENUM_GUARD}; "
@@ -311,7 +304,7 @@ def check_enumerable(spec: SupergraphSpec) -> int:
     return total
 
 
-def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -> float:
+def brute_force_expected_cost(alpha: ArchitectureParams, table: CostTable) -> float:
     """Oracle: enumerate every joint routing and average structure costs.
 
     Walks all T^(T*L) routings one by one; only the probability product and
@@ -319,12 +312,12 @@ def brute_force_expected_cost(alpha: ArchitectureParams, spec: SupergraphSpec) -
     because the count explodes; past the guard, only the analytic
     expected_cost is left.
     """
-    _check_dims(alpha, spec)
-    num_tasks, num_layers = spec.num_tasks, spec.num_layers
-    total = check_enumerable(spec)
+    _check_dims(alpha, table)
+    num_tasks, num_layers = alpha.num_tasks, alpha.num_layers
+    total = check_enumerable(alpha)
     tables = _edge_tables(num_tasks)
     per_layer = num_tasks ** num_tasks
-    units = spec.cost_table.unit_cost
+    units = table.unit_cost
 
     routing = np.arange(total)
     prob = np.ones(total)

@@ -237,10 +237,8 @@ def warm_up(supergraph: SupergraphSpec, data: Dataset, config: SearchConfig) -> 
     the later search a meaningful candidate-task affinity to exploit. The
     SGD and batch settings are config's theta_* and batch_size.
     """
-    if data.num_tasks != supergraph.num_tasks:
-        raise ConfigError("dataset task count does not match the supergraph")
     rng = rng_stream(config.seed, "warmup")
-    params = OperationParams.init(supergraph, data.targets_train.shape[2], rng)
+    params = OperationParams.init(supergraph, data.num_tasks, data.targets_train.shape[2], rng)
     routing = [np.arange(data.num_tasks)] * supergraph.num_layers
     ones = (1.0,) * data.num_tasks
     _fit(params, routing, data, ones, config.warmup_steps, rng, config, config.theta_lr)
@@ -259,9 +257,7 @@ def search(
     Raises SearchError (with the partial trace attached) if training hits a
     non-finite value.
     """
-    num_tasks = supergraph.num_tasks
-    if data.num_tasks != num_tasks:
-        raise ConfigError("dataset task count does not match the supergraph")
+    num_tasks = data.num_tasks
     omega = config.weights_for(data)
 
     if params is None:
@@ -287,12 +283,12 @@ def search(
     alpha_opt = Adam([alpha_param], config.alpha_lr, weight_decay=config.alpha_weight_decay)
     shared_cost = supergraph.cost_table.fully_shared_cost
     penalized = config.resource_weight > 0
-    alpha_now = ArchitectureParams(alpha_param.data.copy())
+    alpha_now = ArchitectureParams(alpha_param.data)
     picks = discretize(alpha_now)
     structure = derive_groupings(picks)
     digest = structure_hash(structure)
     # each step's cost pass also yields the gradient the next step uses
-    cost_grad = _cost_and_grad(alpha_now, supergraph, penalized)[1]
+    cost_grad = _cost_and_grad(alpha_now, supergraph.cost_table, penalized)[1]
 
     horizon = max(config.search_steps - 1, 1)
     trace: list[TraceRow] = []
@@ -317,8 +313,8 @@ def search(
                 if penalized:
                     grad = grad + (config.resource_weight / shared_cost) * cost_grad
                 alpha_opt.step([grad])
-                alpha_now = ArchitectureParams(alpha_param.data.copy())
-                cost, cost_grad = _cost_and_grad(alpha_now, supergraph, penalized)
+                alpha_now = ArchitectureParams(alpha_param.data)
+                cost, cost_grad = _cost_and_grad(alpha_now, supergraph.cost_table, penalized)
         except NumericError as exc:
             raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
 

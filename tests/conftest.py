@@ -69,7 +69,7 @@ def pair_benchmark():
             relatedness=Partition((0, 0, 1, 1)),
         )
         data = generate_tasks(spec, rng_stream(seed, "data"))
-        supergraph = SupergraphSpec.chain([16, 8, 8, 8], 4)
+        supergraph = SupergraphSpec.chain([16, 8, 8, 8])
         return spec, data, supergraph
 
     return make

@@ -20,7 +20,7 @@ from bmtas.eval import (
     generate_tasks,
     rsa_matrix,
 )
-from bmtas.graph import SupergraphSpec, derive_groupings, structure_cost
+from bmtas.graph import CostTable, SupergraphSpec, derive_groupings, structure_cost
 from bmtas.nncore import (
     OperationParams,
     Tensor,
@@ -50,10 +50,8 @@ def verdict(capsys, ok: bool, name: str, detail: str, t0: float):
         print(f"[{state}] {name}: {detail} ({time.time() - t0:.1f}s)")
 
 
-def unit_spec(num_tasks, num_layers):
-    return SupergraphSpec.chain(
-        [2] * (num_layers + 1), num_tasks, unit_costs=[1.0] * num_layers
-    )
+def unit_table(num_layers):
+    return CostTable([1.0] * num_layers)
 
 
 def test_criterion_01_oracle_equivalence(capsys):
@@ -64,11 +62,11 @@ def test_criterion_01_oracle_equivalence(capsys):
         if num_tasks ** (num_tasks * num_layers) > ENUM_GUARD:
             continue
         combos += 1
-        spec = unit_spec(num_tasks, num_layers)
+        table = unit_table(num_layers)
         rng = rng_stream(100, "oracle", num_tasks, num_layers)
         for _ in range(50):
             a = ArchitectureParams(random_alpha(rng, num_tasks, num_layers))
-            diff = abs(expected_cost(a, spec) - brute_force_expected_cost(a, spec))
+            diff = abs(expected_cost(a, table) - brute_force_expected_cost(a, table))
             max_diff = max(max_diff, diff)
     ok = max_diff <= 1e-9 and combos == 8
     verdict(
@@ -84,14 +82,14 @@ def test_criterion_01_oracle_equivalence(capsys):
 def test_criterion_02_resource_gradient(capsys):
     """Analytic expected-cost gradient vs central differences at T=3, L=3."""
     t0 = time.time()
-    spec = unit_spec(3, 3)
+    table = unit_table(3)
     rng = rng_stream(101, "grad")
     worst = 0.0
     for _ in range(20):
         logits = random_alpha(rng, 3, 3)
-        grad = expected_cost_grad(ArchitectureParams(logits), spec)
+        grad = expected_cost_grad(ArchitectureParams(logits), table)
         fd = central_diff(
-            lambda x: expected_cost(ArchitectureParams(x.copy()), spec),
+            lambda x: expected_cost(ArchitectureParams(x.copy()), table),
             logits,
             h=1e-5,
         )
@@ -122,9 +120,9 @@ def _load_flat(tensors, vec):
 def test_criterion_03_end_to_end_gradients(capsys):
     """Full search-loss gradients for theta and alpha vs finite differences."""
     t0 = time.time()
-    supergraph = SupergraphSpec.chain([6, 5, 4, 4], 3)
+    supergraph = SupergraphSpec.chain([6, 5, 4, 4])
     rng = rng_stream(102, "e2e")
-    params = OperationParams.init(supergraph, 2, rng)
+    params = OperationParams.init(supergraph, 3, 2, rng)
     # break candidate symmetry; the heads draw task by task, weight then bias,
     # in the order of the per-task head arrays this instance was drawn for
     for p in params.parameters()[:-2]:
@@ -154,7 +152,7 @@ def test_criterion_03_end_to_end_gradients(capsys):
         rows = softmax((alpha + noise) / tau, axis=2)
         scalar = float(task_term([list(rows[t]) for t in range(3)]).data)
         return scalar + lam / shared * expected_cost(
-            ArchitectureParams(alpha.copy()), supergraph
+            ArchitectureParams(alpha.copy()), supergraph.cost_table
         )
 
     # analytic alpha gradient: tape for the task part, exact resource part
@@ -168,7 +166,7 @@ def test_criterion_03_end_to_end_gradients(capsys):
     ]
     backward(task_term(rows_on_tape))
     grad_alpha = alpha_param.grad + lam / shared * expected_cost_grad(
-        ArchitectureParams(alpha0.copy()), supergraph
+        ArchitectureParams(alpha0.copy()), supergraph.cost_table
     )
     fd_alpha = central_diff(loss_of_alpha, alpha0.copy(), h=1e-5)
     err_alpha = relative_error(grad_alpha, fd_alpha)
@@ -281,12 +279,13 @@ def test_criterion_06_gumbel_softmax_limit(capsys):
     t0 = time.time()
     rng = rng_stream(103, "limit")
     logits = rng.normal(size=(5, 1, 4))
-    alpha = ArchitectureParams(logits)
     worst = 0.0
     for row in range(5):
+        # logits hold one candidate per task: the row is task 0's of four
+        alpha = ArchitectureParams(np.repeat(logits[row : row + 1], 4, axis=0))
         counts = np.zeros(4)
         for _ in range(10_000):
-            counts[int(np.argmax(sample_soft(alpha, row, 1, 0.1, rng)))] += 1
+            counts[int(np.argmax(sample_soft(alpha, 0, 1, 0.1, rng)))] += 1
         worst = max(worst, np.abs(counts / 10_000 - softmax(logits[row, 0])).max())
     ok = worst <= 0.02
     verdict(
@@ -314,7 +313,7 @@ def _grid_search(lam: float, seed: int):
             relatedness=Partition((0, 0, 1, 1)),
         )
         data = generate_tasks(spec, rng_stream(seed, "data"))
-        supergraph = SupergraphSpec.chain(BENCH_WIDTHS, 4)
+        supergraph = SupergraphSpec.chain(BENCH_WIDTHS)
         config = SearchConfig(resource_weight=lam, seed=seed)
         _SEARCH_CACHE[key] = (search(config, supergraph, data), data, supergraph)
     return _SEARCH_CACHE[key]
@@ -391,17 +390,15 @@ def test_criterion_09_structural_fuzz(capsys):
         num_tasks = int(rng.integers(2, 5))
         num_layers = int(rng.integers(1, 4))
         units = rng.uniform(0.5, 2.0, size=num_layers)
-        spec = SupergraphSpec.chain(
-            [2] * (num_layers + 1), num_tasks, unit_costs=units
-        )
+        table = CostTable(units)
         choices = rng.integers(0, num_tasks, size=(num_tasks, num_layers))
         structure = derive_groupings(choices)  # validates the chain on build
         logits = np.full((num_tasks, num_layers, num_tasks), -60.0)
         for t in range(num_tasks):
             logits[t, np.arange(num_layers), choices[t]] = 60.0
         diff = abs(
-            structure_cost(structure, spec.cost_table)
-            - expected_cost(ArchitectureParams(logits), spec)
+            structure_cost(structure, table)
+            - expected_cost(ArchitectureParams(logits), table)
         )
         worst = max(worst, diff)
     ok = worst <= 1e-12

@@ -1,9 +1,12 @@
 import ast
 import contextlib
 import csv
+import hashlib
+import importlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from bmtas import cli, resloss
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
-from bmtas.graph import SupergraphSpec, derive_groupings, structure_to_json
+from bmtas.graph import CostTable, derive_groupings, structure_to_json
 from bmtas.partition import MAX_TASKS, Partition, enumerate_partitions
 from bmtas.resloss import (
     ENUM_GUARD,
@@ -26,6 +29,8 @@ from bmtas.resloss import (
 )
 from bmtas.seeding import rng_stream
 from conftest import fresh_python, random_alpha
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def base_config(**overrides):
@@ -284,6 +289,13 @@ BAD_INPUTS = {
         "expected-cost", "--alpha", input_file(p, ALPHA_2x2),
         "--widths", "4,4,4", "--unit-costs", "1,1",
     ],
+    # the = form: argparse would read "--widths -2,-2,-2" as an option
+    "expected-cost-negative-widths": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x2), "--widths=-2,-2,-2"
+    ],
+    "export-dot-name-with-a-quote": lambda p: export_dot_argv(
+        p, ['a"b', "c"], [[[0, 1]]], [[0, 0]]
+    ),
 }
 
 
@@ -385,6 +397,43 @@ class TestExpectedCost:
         assert partitions_built == []
 
 
+# sha256 of `bmtas expected-cost` stdout, each checked by hand against the
+# implementation it replaced: the cost-t7 benchmark's seed-21 inputs with
+# --widths 16,8,8,8,8, T=8 scale-2 logits, and the worked example
+EXPECTED_COST_DIGESTS = {
+    "uniform": "f830caca2fb06245cb5a9959e5a078b8c4e3b13666c8fdec337e2016e79a9301",
+    "scale2": "fb8ee0b47374e64e420e46c4808b949e7699168f435f4463e71ae4d72c611071",
+    "onehot": "521abf49fa5e82a565aec571e90e5ca204310ed16730d062aa1c36fc9f8f802d",
+    "t8": "6aaae3a22cc14b48f579253c95826e66fc109882e981f96549fde294755ce46a",
+    "worked": "e9151afde3bf844c448272f95c7ef84bb05eb6d7dc2175f45f58c82d0d528e0b",
+}
+
+
+def test_expected_cost_output_matches_its_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    cost = workloads.CostWorkload()
+    cost.prepare(tmp_path, 21)
+    argvs = {
+        kind: ["expected-cost", "--alpha", str(path), "--widths", "16,8,8,8,8"]
+        for (kind, _, _), path in zip(workloads.COST_KINDS, cost.paths)
+    }
+    t8 = 2.0 * np.random.default_rng(8).standard_normal((8, 4, 8))
+    argvs["t8"] = [
+        "expected-cost", "--alpha", input_file(tmp_path, json.dumps(t8.tolist()), "t8.json"),
+        "--unit-costs", "3,5,2,4",
+    ]
+    argvs["worked"] = [
+        "expected-cost", "--alpha", input_file(tmp_path, ALPHA_2x2, "worked.json"),
+        "--unit-costs", "1,1", "--oracle",
+    ]
+    digests = {}
+    for name, argv in argvs.items():
+        assert main(argv) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == EXPECTED_COST_DIGESTS
+
+
 UNIT_COSTS = [3.0, 5.0, 2.0, 4.0]
 # (logit standard deviation, boost of one candidate per row); the boosted
 # kind puts many groupings under CLAMP_EPS, so their entries are dropped
@@ -404,12 +453,12 @@ def json_dumps_report(logits, oracle, oracle_offset=0.0):
     """The expected-cost report with every entry written by json.dumps."""
     alpha = ArchitectureParams(logits)
     layers = alpha.num_layers
-    spec = SupergraphSpec.chain([1] * (layers + 1), alpha.num_tasks, UNIT_COSTS[:layers])
-    dist = grouping_distribution(alpha, spec)
-    cost = expected_cost(alpha, spec)
+    table = CostTable(UNIT_COSTS[:layers])
+    dist = grouping_distribution(alpha, table)
+    cost = expected_cost(alpha, table)
     report = {
         "expected_cost": cost,
-        "normalized": cost / spec.cost_table.fully_shared_cost,
+        "normalized": cost / table.fully_shared_cost,
         "grouping_distribution": [
             {
                 "layer": l + 1,
@@ -423,7 +472,7 @@ def json_dumps_report(logits, oracle, oracle_offset=0.0):
         ],
     }
     if oracle:
-        report["oracle"] = brute_force_expected_cost(alpha, spec) + oracle_offset
+        report["oracle"] = brute_force_expected_cost(alpha, table) + oracle_offset
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
@@ -497,14 +546,14 @@ class TestTaskCountCaches:
     @pytest.mark.parametrize("tasks", [1, 4, 7])
     def test_cold_merge_tables_give_the_warm_distribution(self, tasks):
         alpha = ArchitectureParams(kind_logits("scale2", tasks, 3, 2))
-        spec = SupergraphSpec.chain([1] * 4, tasks, UNIT_COSTS[:3])
-        warm = grouping_distribution(alpha, spec)
+        table = CostTable(UNIT_COSTS[:3])
+        warm = grouping_distribution(alpha, table)
         resloss._merge_tables.cache_clear()
-        cold = grouping_distribution(alpha, spec)
+        cold = grouping_distribution(alpha, table)
         assert resloss._merge_tables.cache_info().currsize == 1
         assert np.array_equal(cold.rgs, warm.rgs)
         assert np.array_equal(cold.layers, warm.layers)
-        assert np.array_equal(grouping_distribution(alpha, spec).layers, warm.layers)
+        assert np.array_equal(grouping_distribution(alpha, table).layers, warm.layers)
 
     def test_import_leaves_both_caches_empty(self):
         code = (

@@ -1,4 +1,5 @@
-"""Smoke test: the demos run to the end and print their key lines."""
+"""Smoke test: the demos and the README Quick start run to the end and print
+their key lines."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +40,9 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert [line for line in DEMOS[demo] if line not in proc.stdout] == []
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert fresh_python(code) == "['0011', '0011', '0011']\n1024.0\n"

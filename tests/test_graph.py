@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bmtas.cli
 import bmtas.graph
 from bmtas.errors import BoundsError, DimensionMismatch
 from bmtas.graph import (
@@ -22,6 +23,7 @@ from bmtas.graph import (
     structure_to_json,
 )
 from bmtas.partition import Partition, enumerate_partitions, refines
+from bmtas.resloss import ArchitectureParams
 
 
 class TestCostTable:
@@ -35,7 +37,7 @@ class TestCostTable:
 
     def test_analytic_madds(self):
         # chain's default cost of a layer is 2 * in_width * out_width
-        table = SupergraphSpec.chain([16, 8, 4], 2).cost_table
+        table = SupergraphSpec.chain([16, 8, 4]).cost_table
         assert table.unit_cost == (256.0, 64.0)
         assert table.num_layers == 2
         assert table.fully_shared_cost == 320.0
@@ -43,18 +45,18 @@ class TestCostTable:
 
 class TestSupergraphSpec:
     def test_chain_builds_matching_dims_and_costs(self):
-        sg = SupergraphSpec.chain([16, 8, 8], 3)
+        sg = SupergraphSpec.chain([16, 8, 8])
         assert sg.widths == (16, 8, 8)
         assert sg.num_layers == 2
         assert sg.layer_dims == ((16, 8), (8, 8))
         assert sg.cost_table.unit_cost == (256.0, 128.0)
 
     def test_chain_accepts_explicit_costs(self):
-        sg = SupergraphSpec.chain([4, 4], 2, unit_costs=[7.0])
+        sg = SupergraphSpec.chain([4, 4], unit_costs=[7.0])
         assert sg.cost_table.unit_cost == (7.0,)
 
     def test_depth_and_dims_derive_from_the_widths(self):
-        sg = SupergraphSpec(np.array([16, 8, 4]), 2, CostTable((1.0, 1.0)))
+        sg = SupergraphSpec(np.array([16, 8, 4]), CostTable((1.0, 1.0)))
         assert sg.widths == (16, 8, 4)
         assert {type(w) for w in sg.widths} == {int}
         assert sg.num_layers == 2
@@ -62,14 +64,20 @@ class TestSupergraphSpec:
 
     def test_rejects_cost_table_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            SupergraphSpec((4, 4), 2, CostTable((1.0, 1.0)))
+            SupergraphSpec((4, 4), CostTable((1.0, 1.0)))
 
-    @pytest.mark.parametrize(
-        "widths,num_tasks", [((4,), 2), ((4, 4), 0)], ids=["no-layers", "no-tasks"]
-    )
-    def test_rejects_no_layers_or_no_tasks(self, widths, num_tasks):
+    @pytest.mark.parametrize("widths", [(4,)], ids=["no-layers"])
+    def test_rejects_no_layers_or_no_tasks(self, widths):
+        # a supergraph holds no task count: the logits and the data carry it
         with pytest.raises(ValueError):
-            SupergraphSpec(widths, num_tasks, CostTable((1.0,)))
+            SupergraphSpec(widths, CostTable((1.0,)))
+
+    @pytest.mark.parametrize("widths", [(0, 4), (4, 0), (-2, -2, -2)])
+    def test_rejects_widths_below_one(self, widths):
+        with pytest.raises(ValueError, match="widths must be at least 1"):
+            SupergraphSpec(widths, CostTable((1.0,) * (len(widths) - 1)))
+        with pytest.raises(ValueError):
+            SupergraphSpec.chain(widths)
 
 
 class TestDeriveGroupings:
@@ -165,7 +173,11 @@ def test_removed_names_are_gone():
     assert not hasattr(bmtas.graph, "grouping_cost")
     assert not hasattr(CostTable, "from_layer_dims")
     assert [f.name for f in fields(BranchedStructure) if f.init] == ["edge_choice"]
-    assert [f.name for f in fields(SupergraphSpec)] == ["widths", "num_tasks", "cost_table"]
+    assert [f.name for f in fields(SupergraphSpec)] == ["widths", "cost_table"]
+    # the task count lives only with the logits and the data
+    assert not hasattr(ArchitectureParams, "num_candidates")
+    assert not hasattr(bmtas.cli, "_spec_from_args")
+    assert not hasattr(bmtas.cli, "_unit_costs")
 
 
 def brute_force_chain_count(num_tasks, num_layers):
@@ -275,6 +287,18 @@ def test_json_requires_one_name_per_task():
     s = derive_groupings([(0,), (1,)])
     with pytest.raises(DimensionMismatch):
         structure_to_json(s, ["only"])
+
+
+@pytest.mark.parametrize("name", ['a"b', "a\\b", "a\nb", "a\x00b", "a\x7fb", "a\x85b"])
+def test_json_rejects_names_that_would_break_a_dot_label(name):
+    obj = structure_to_json(derive_groupings([(0,), (0,)]), [name, "c"])
+    with pytest.raises(ValueError, match="task names"):
+        structure_from_json(obj)
+
+
+def test_json_keeps_names_with_spaces_and_non_ascii():
+    obj = structure_to_json(derive_groupings([(0,), (0,)]), ["sem seg", "Größe"])
+    assert structure_from_json(obj)[1] == ["sem seg", "Größe"]
 
 
 class TestExportDot:

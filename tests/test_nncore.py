@@ -164,8 +164,8 @@ class TestLossWeights:
 
 @pytest.fixture
 def small_params():
-    spec = SupergraphSpec.chain([4, 3, 3], 2)
-    return spec, OperationParams.init(spec, head_dim=2, rng=rng_stream(7, "init"))
+    spec = SupergraphSpec.chain([4, 3, 3])
+    return spec, OperationParams.init(spec, 2, head_dim=2, rng=rng_stream(7, "init"))
 
 
 class TestOperationParams:

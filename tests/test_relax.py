@@ -84,13 +84,14 @@ class TestSoftSampling:
 
 class TestDiscretize:
     def test_argmax_per_task_and_layer(self):
-        logits = np.zeros((2, 2, 3))
+        logits = np.zeros((3, 2, 3))
         logits[0, 0, 2] = 1.0
         logits[0, 1, 1] = 1.0
         logits[1, 0, 0] = 1.0
         logits[1, 1, 2] = 1.0
+        logits[2, 0, 1] = 1.0
         picks = discretize(ArchitectureParams(logits))
-        assert picks.tolist() == [[2, 1], [0, 2]]
+        assert picks.tolist() == [[2, 1], [0, 2], [1, 0]]
 
     def test_ties_pick_lowest_index(self):
         assert discretize(ArchitectureParams.zeros(3, 2)).tolist() == [[0, 0]] * 3

@@ -27,9 +27,8 @@ from bmtas.resloss import (
 from conftest import central_diff, random_alpha, relative_error
 
 
-def unit_spec(num_tasks, num_layers):
-    widths = [4] * (num_layers + 1)
-    return SupergraphSpec.chain(widths, num_tasks, unit_costs=[1.0] * num_layers)
+def unit_table(num_layers):
+    return CostTable([1.0] * num_layers)
 
 
 def forcing_alpha(choices_by_task, num_layers, num_tasks, lo=-60.0, hi=60.0):
@@ -48,9 +47,19 @@ class TestArchitectureParams:
         with pytest.raises(NumericError):
             ArchitectureParams(np.full((2, 1, 2), np.nan))
 
+    @pytest.mark.parametrize("shape", [(2, 1, 3), (3, 1, 2)])
+    def test_rejects_other_than_one_candidate_per_task(self, shape):
+        with pytest.raises(DimensionMismatch):
+            ArchitectureParams(np.zeros(shape))
+
+    @pytest.mark.parametrize("num_tasks", [0, MAX_TASKS + 1])
+    def test_rejects_task_counts_outside_one_to_max_tasks(self, num_tasks):
+        with pytest.raises(BoundsError):
+            ArchitectureParams.zeros(num_tasks, 1)
+
     def test_zeros_and_json_round_trip(self):
         a = ArchitectureParams.zeros(3, 2)
-        assert a.num_tasks == 3 and a.num_layers == 2 and a.num_candidates == 3
+        assert a.num_tasks == 3 and a.num_layers == 2
         assert np.array_equal(a.logits, np.zeros((3, 2, 3)))
         b = ArchitectureParams.from_json([[[0.0, 1.5]], [[-2.0, 0.0]]])
         assert np.array_equal(b.logits, [[[0.0, 1.5]], [[-2.0, 0.0]]])
@@ -98,7 +107,7 @@ class TestTransitionKernel:
 class TestGroupingDistribution:
     def test_worked_example_two_tasks_two_layers(self):
         a = ArchitectureParams.zeros(2, 2)
-        dist = grouping_distribution(a, unit_spec(2, 2))
+        dist = grouping_distribution(a, unit_table(2))
         shared = Partition((0, 0))
         assert dist.prob(1, shared) == pytest.approx(0.5)
         assert dist.prob(2, shared) == pytest.approx(0.25)
@@ -106,12 +115,12 @@ class TestGroupingDistribution:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         a = ArchitectureParams(random_alpha(rng, 3, 3))
-        dist = grouping_distribution(a, unit_spec(3, 3))
+        dist = grouping_distribution(a, unit_table(3))
         assert np.allclose(dist.layers.sum(axis=1), 1.0)
         assert np.all(dist.layers >= 0)
 
     def test_prob_layer_bounds(self):
-        dist = grouping_distribution(ArchitectureParams.zeros(2, 1), unit_spec(2, 1))
+        dist = grouping_distribution(ArchitectureParams.zeros(2, 1), unit_table(1))
         with pytest.raises(BoundsError):
             dist.prob(0, Partition((0, 0)))
         with pytest.raises(BoundsError):
@@ -119,7 +128,7 @@ class TestGroupingDistribution:
 
     def test_prob_finds_each_grouping_and_rejects_other_task_counts(self):
         a = ArchitectureParams(random_alpha(np.random.default_rng(5), 3, 2))
-        dist = grouping_distribution(a, unit_spec(3, 2))
+        dist = grouping_distribution(a, unit_table(2))
         assert len(set(dist.layers[1].tolist())) == 5
         for i, rgs in enumerate(dist.rgs.tolist()):
             assert dist.prob(2, Partition(rgs)) == dist.layers[1, i]
@@ -130,29 +139,26 @@ class TestGroupingDistribution:
 class TestExpectedCost:
     def test_worked_example_uniform(self):
         a = ArchitectureParams.zeros(2, 2)
-        assert expected_cost(a, unit_spec(2, 2)) == pytest.approx(3.25)
+        assert expected_cost(a, unit_table(2)) == pytest.approx(3.25)
 
     def test_degenerate_alpha_equals_structure_cost(self):
         choices = [(0, 0, 0), (0, 1, 1), (2, 2, 2)]
         a = forcing_alpha(choices, 3, 3)
-        spec = SupergraphSpec.chain([4, 4, 4, 4], 3, unit_costs=[2.0, 3.0, 5.0])
+        table = CostTable([2.0, 3.0, 5.0])
         s = derive_groupings(choices)
-        assert expected_cost(a, spec) == pytest.approx(
-            structure_cost(s, spec.cost_table), abs=1e-12
-        )
+        assert expected_cost(a, table) == pytest.approx(structure_cost(s, table), abs=1e-12)
 
     def test_extremes(self):
         shared = forcing_alpha([(0, 0), (0, 0), (0, 0)], 2, 3)
         branched = forcing_alpha([(0, 0), (1, 1), (2, 2)], 2, 3)
-        spec = unit_spec(3, 2)
-        assert expected_cost(shared, spec) == pytest.approx(2.0)
-        assert expected_cost(branched, spec) == pytest.approx(6.0)
+        table = unit_table(2)
+        assert expected_cost(shared, table) == pytest.approx(2.0)
+        assert expected_cost(branched, table) == pytest.approx(6.0)
 
     def test_spec_mismatch_rejected(self):
+        # only the layer count can disagree: the logits alone carry the task count
         with pytest.raises(DimensionMismatch):
-            expected_cost(ArchitectureParams.zeros(2, 1), unit_spec(3, 1))
-        with pytest.raises(DimensionMismatch):
-            expected_cost(ArchitectureParams.zeros(2, 2), unit_spec(2, 1))
+            expected_cost(ArchitectureParams.zeros(2, 2), unit_table(1))
 
 
 alpha_st = st.tuples(st.integers(2, 3), st.integers(1, 3)).flatmap(
@@ -168,9 +174,9 @@ alpha_st = st.tuples(st.integers(2, 3), st.integers(1, 3)).flatmap(
 @settings(max_examples=40, deadline=None)
 def test_expected_cost_bounded_by_extremes(logits):
     a = ArchitectureParams(logits)
-    spec = unit_spec(a.num_tasks, a.num_layers)
-    cost = expected_cost(a, spec)
-    assert spec.num_layers - 1e-9 <= cost <= a.num_tasks * spec.num_layers + 1e-9
+    table = unit_table(a.num_layers)
+    cost = expected_cost(a, table)
+    assert table.num_layers - 1e-9 <= cost <= a.num_tasks * table.num_layers + 1e-9
 
 
 @given(alpha_st, st.floats(-5, 5))
@@ -178,37 +184,37 @@ def test_expected_cost_bounded_by_extremes(logits):
 def test_expected_cost_shift_invariant(logits, shift):
     a = ArchitectureParams(logits)
     b = ArchitectureParams(logits + shift)
-    spec = unit_spec(a.num_tasks, a.num_layers)
-    assert expected_cost(a, spec) == pytest.approx(expected_cost(b, spec), rel=1e-12)
+    table = unit_table(a.num_layers)
+    assert expected_cost(a, table) == pytest.approx(expected_cost(b, table), rel=1e-12)
 
 
 class TestOracle:
     @pytest.mark.parametrize("num_tasks,num_layers", [(2, 2), (2, 3), (3, 2)])
     def test_matches_markov_chain(self, num_tasks, num_layers):
         rng = np.random.default_rng(3)
-        spec = unit_spec(num_tasks, num_layers)
+        table = unit_table(num_layers)
         for _ in range(10):
             a = ArchitectureParams(random_alpha(rng, num_tasks, num_layers))
             assert abs(
-                expected_cost(a, spec) - brute_force_expected_cost(a, spec)
+                expected_cost(a, table) - brute_force_expected_cost(a, table)
             ) <= 1e-9
 
     def test_guard_refuses_large_spaces(self):
         a = ArchitectureParams.zeros(4, 3)
         assert 4 ** 12 > ENUM_GUARD
         with pytest.raises(BoundsError, match="use fewer tasks or layers"):
-            brute_force_expected_cost(a, unit_spec(4, 3))
+            brute_force_expected_cost(a, unit_table(3))
 
 
 class TestGradient:
     @pytest.mark.parametrize("num_tasks,num_layers", [(2, 2), (3, 2), (2, 3)])
     def test_matches_finite_differences(self, num_tasks, num_layers):
         rng = np.random.default_rng(4)
-        spec = unit_spec(num_tasks, num_layers)
+        table = unit_table(num_layers)
         logits = random_alpha(rng, num_tasks, num_layers)
-        grad = expected_cost_grad(ArchitectureParams(logits), spec)
+        grad = expected_cost_grad(ArchitectureParams(logits), table)
         fd = central_diff(
-            lambda x: expected_cost(ArchitectureParams(x.copy()), spec), logits
+            lambda x: expected_cost(ArchitectureParams(x.copy()), table), logits
         )
         assert relative_error(grad, fd) <= 1e-6
 
@@ -216,24 +222,24 @@ class TestGradient:
         # shift invariance means the gradient sums to zero over candidates
         rng = np.random.default_rng(5)
         a = ArchitectureParams(random_alpha(rng, 3, 3))
-        grad = expected_cost_grad(a, unit_spec(3, 3))
+        grad = expected_cost_grad(a, unit_table(3))
         assert grad.shape == (3, 3, 3)
         assert np.allclose(grad.sum(axis=2), 0.0, atol=1e-12)
 
     def test_zero_at_saturation(self):
         # a fully decided routing sits on a plateau
         a = forcing_alpha([(0,), (1,)], 1, 2, lo=-200.0, hi=200.0)
-        grad = expected_cost_grad(a, unit_spec(2, 1))
+        grad = expected_cost_grad(a, unit_table(1))
         assert np.allclose(grad, 0.0)
 
 
 def test_clamped_chain_survives_extreme_logits():
     a = forcing_alpha([(0, 0), (1, 1), (2, 2)], 2, 3, lo=-300.0, hi=300.0)
-    spec = unit_spec(3, 2)
-    dist = grouping_distribution(a, spec)
+    table = unit_table(2)
+    dist = grouping_distribution(a, table)
     assert np.all(np.isfinite(dist.layers))
     assert np.allclose(dist.layers.sum(axis=1), 1.0)
-    assert expected_cost(a, spec) == pytest.approx(6.0, abs=1e-12)
+    assert expected_cost(a, table) == pytest.approx(6.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("num_tasks", range(1, 7))
@@ -255,14 +261,14 @@ def test_edge_tables_match_python_loops(num_tasks):
     assert np.array_equal(_assignment_weights(pi), weights)
 
 
-def chain_distribution(a, spec):
+def chain_distribution(a, table):
     """Per-layer grouping distribution folded through the transition
     kernels of the grouping chain, clamped at CLAMP_EPS per layer."""
     n = len(_edge_tables(a.num_tasks).partitions)
-    layers = np.empty((spec.num_layers, n))
+    layers = np.empty((table.num_layers, n))
     p = np.zeros(n)
     p[0] = 1.0  # all tasks share: the all-zero RGS is listed first
-    for l in range(1, spec.num_layers + 1):
+    for l in range(1, table.num_layers + 1):
         p = p @ transition_kernel(a, l)
         p = np.where(p < CLAMP_EPS, 0.0, p)
         p = p / p.sum()
@@ -270,14 +276,14 @@ def chain_distribution(a, spec):
     return layers
 
 
-def chain_cost(a, spec):
+def chain_cost(a, table):
     """Expected cost folded from the clamped grouping chain."""
-    layers = chain_distribution(a, spec)
-    units = np.asarray(spec.cost_table.unit_cost)
+    layers = chain_distribution(a, table)
+    units = np.asarray(table.unit_cost)
     return float(units @ layers @ _edge_tables(a.num_tasks).num_blocks)
 
 
-def chain_adjoint_grad(a, spec):
+def chain_adjoint_grad(a, table):
     """d cost / d logits by reverse accumulation through the unclamped chain.
 
     With g_l the adjoint of the layer-l grouping vector, g_L = c_L and
@@ -288,7 +294,7 @@ def chain_adjoint_grad(a, spec):
     tables = _edge_tables(a.num_tasks)
     num_tasks, num_layers = a.num_tasks, a.num_layers
     n = len(tables.partitions)
-    costs = np.asarray(spec.cost_table.unit_cost)[:, None] * tables.num_blocks
+    costs = np.asarray(table.unit_cost)[:, None] * tables.num_blocks
     assignments = np.array(list(itertools.product(range(num_tasks), repeat=num_tasks)))
     kernels = [transition_kernel(a, l) for l in range(1, num_layers + 1)]
     states = np.zeros((num_layers, n))
@@ -323,16 +329,16 @@ wide_alpha_st = st.tuples(st.integers(1, 7), st.integers(1, 4)).flatmap(
 )
 
 
-def costed_spec(num_tasks, num_layers):
-    return SupergraphSpec.chain([3, 5, 2, 4, 6][: num_layers + 1], num_tasks)
+def costed_table(num_layers):
+    return SupergraphSpec.chain([3, 5, 2, 4, 6][: num_layers + 1]).cost_table
 
 
 @given(wide_alpha_st)
 @settings(max_examples=60, deadline=None)
 def test_inclusion_exclusion_matches_clamped_chain(logits):
     a = ArchitectureParams(logits)
-    spec = costed_spec(a.num_tasks, a.num_layers)
-    assert relative_error(expected_cost(a, spec), chain_cost(a, spec)) <= 1e-10
+    table = costed_table(a.num_layers)
+    assert relative_error(expected_cost(a, table), chain_cost(a, table)) <= 1e-10
 
 
 @given(wide_alpha_st)
@@ -341,9 +347,9 @@ def test_inclusion_exclusion_matches_clamped_chain(logits):
 @settings(max_examples=60, deadline=None)
 def test_moebius_distribution_matches_clamped_chain(logits):
     a = ArchitectureParams(logits)
-    spec = costed_spec(a.num_tasks, a.num_layers)
-    got = grouping_distribution(a, spec)
-    want = chain_distribution(a, spec)
+    table = costed_table(a.num_layers)
+    got = grouping_distribution(a, table)
+    want = chain_distribution(a, table)
     assert got.rgs.tolist() == [list(p.rgs) for p in _edge_tables(a.num_tasks).partitions]
     assert np.abs(got.layers - want).max() <= 1e-12
     assert np.all(got.layers >= 0)
@@ -419,17 +425,18 @@ def test_distribution_bounds_tasks_before_the_subset_table(monkeypatch):
         raise AssertionError("2^T subset rows built for an unsupported T")
 
     monkeypatch.setattr(resloss, "_subsets", refuse)
+    # the logits refuse T = 9 before any table is built
     with pytest.raises(BoundsError):
-        grouping_distribution(ArchitectureParams.zeros(9, 2), unit_spec(9, 2))
+        grouping_distribution(ArchitectureParams.zeros(9, 2), unit_table(2))
 
 
 @given(wide_alpha_st)
 @settings(max_examples=30, deadline=None)
 def test_gradient_matches_chain_adjoint(logits):
     a = ArchitectureParams(logits)
-    spec = costed_spec(a.num_tasks, a.num_layers)
-    diff = np.abs(expected_cost_grad(a, spec) - chain_adjoint_grad(a, spec)).max()
-    assert diff <= 1e-10 * spec.cost_table.fully_shared_cost
+    table = costed_table(a.num_layers)
+    diff = np.abs(expected_cost_grad(a, table) - chain_adjoint_grad(a, table)).max()
+    assert diff <= 1e-10 * table.fully_shared_cost
 
 
 @pytest.mark.parametrize("kind", ["scale2", "agreeing"])
@@ -438,10 +445,10 @@ def test_largest_accepted_cost_table_keeps_cost_and_gradient_finite(kind):
     top = np.finfo(float).max / 2**MAX_TASKS
     with pytest.raises(ValueError):
         CostTable((np.nextafter(top, np.inf),))
-    spec = SupergraphSpec.chain([1, 1, 1], MAX_TASKS, [top / 2, top / 2])
+    table = CostTable([top / 2, top / 2])
     logits = random_alpha(np.random.default_rng(9), MAX_TASKS, 2)
     if kind == "agreeing":  # every subset agrees: all 2**T terms near top
         logits[:, :, 0] += 40.0
-    cost, grad = resloss._cost_and_grad(ArchitectureParams(logits), spec)
+    cost, grad = resloss._cost_and_grad(ArchitectureParams(logits), table)
     assert np.isfinite(cost) and top <= cost <= MAX_TASKS * top
     assert np.isfinite(grad).all()
