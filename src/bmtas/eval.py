@@ -177,20 +177,6 @@ class Dataset:
     def num_tasks(self) -> int:
         return len(self.task_names)
 
-    @property
-    def input_dim(self) -> int:
-        return self.inputs_train.shape[1]
-
-    def select_tasks(self, tasks: Sequence[int]) -> "Dataset":
-        """Subset view keeping task names, for single-task comparisons."""
-        return Dataset(
-            task_names=tuple(self.task_names[t] for t in tasks),
-            inputs_train=self.inputs_train,
-            inputs_test=self.inputs_test,
-            targets_train=self.targets_train[list(tasks)],
-            targets_test=self.targets_test[list(tasks)],
-        )
-
 
 def _orthonormal_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(dim, max(rows, 1))))

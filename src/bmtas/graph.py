@@ -62,11 +62,13 @@ class CostTable:
 @dataclass(frozen=True)
 class SupergraphSpec:
     """A chain of layers, layer l mapping width widths[l-1] to widths[l], plus
-    the cost table used for resource terms. Every layer holds one candidate
-    operation per task; the task count comes with the data and the logits."""
+    the cost table used for resource terms, by default the analytic
+    per-sample MAdds of an affine op, 2 * in_width * out_width. Every layer
+    holds one candidate operation per task; the task count comes with the
+    data and the logits."""
 
     widths: tuple[int, ...]
-    cost_table: CostTable
+    cost_table: CostTable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(map(int, self.widths)))
@@ -74,6 +76,9 @@ class SupergraphSpec:
             raise ValueError("need at least one layer")
         if min(self.widths) < 1:
             raise ValueError("widths must be at least 1")
+        if self.cost_table is None:
+            table = CostTable([2.0 * i * o for i, o in self.layer_dims])
+            object.__setattr__(self, "cost_table", table)
         if self.cost_table.num_layers != self.num_layers:
             raise DimensionMismatch("cost table length does not match layer count")
 
@@ -89,12 +94,9 @@ class SupergraphSpec:
     def chain(
         cls, widths: Sequence[int], unit_costs: Sequence[float] | None = None
     ) -> "SupergraphSpec":
-        """Build from a width chain [w0, w1, ..., wL]; costs default to the
-        analytic per-sample MAdds of an affine op, 2 * in_width * out_width."""
-        widths = tuple(map(int, widths))
-        if unit_costs is None:
-            unit_costs = [2.0 * i * o for i, o in zip(widths, widths[1:])]
-        return cls(widths, CostTable(unit_costs))
+        """Build from a width chain [w0, w1, ..., wL] and, optionally, one unit
+        cost per layer."""
+        return cls(widths, None if unit_costs is None else CostTable(unit_costs))
 
 
 @dataclass(frozen=True)
@@ -159,26 +161,16 @@ def count_structures(num_tasks: int, num_layers: int) -> int:
     every such chain is realizable by some routing, and routings that
     induce the same chain describe the same architecture.
     """
-    rgs = rgs_table(num_tasks)
-    place = num_tasks ** np.arange(num_tasks - 1, -1, -1)
-    codes = rgs @ place  # ascending, as the rows are lexicographic
-    sizes = rgs.max(axis=1) + 1
-    # per block count m, the groupings k with m blocks and, row by row, the
-    # indices of their coarsenings: merging k's blocks by the RGS s of
-    # length m gives the grouping s[k], already in canonical form
-    coarsenings = []
-    for m in range(1, num_tasks + 1):
-        ks = np.flatnonzero(sizes == m)
-        merged = rgs_table(m)[:, rgs[ks]] @ place
-        coarsenings.append((ks, np.searchsorted(codes, merged.T)))
-    # Python ints: the count outgrows int64 with depth
-    counts = np.ones(len(rgs), dtype=object)
-    for _ in range(num_layers - 1):
-        above = counts
-        counts = np.empty_like(above)
-        for ks, coarse in coarsenings:
-            counts[ks] = above[coarse].sum(axis=1)
-    return int(counts.sum())
+    # a chain ending in a grouping of m blocks continues upward as a chain on
+    # those m blocks: f_L(n) = sum_m S(n, m) f_(L-1)(m) and f_1(n) = B_n, so
+    # f_L = S^(L-1) B with stirling[n-1, m-1] = S(n, m), in Python ints, as
+    # the count outgrows int64
+    rgs_table(num_tasks)  # checks 1 <= num_tasks <= MAX_TASKS
+    stirling = np.zeros((num_tasks, num_tasks), dtype=object)
+    for n in range(1, num_tasks + 1):
+        stirling[n - 1, :n] = np.bincount(rgs_table(n).max(axis=1)).tolist()
+    steps = np.linalg.matrix_power(stirling, max(num_layers - 1, 0))
+    return int((steps @ stirling.sum(axis=1))[-1])
 
 
 def structure_hash(s: BranchedStructure) -> str:

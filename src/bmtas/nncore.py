@@ -5,9 +5,10 @@ Training does not run on the tape: `search._features` and
 by hand over the stacked arrays of `OperationParams` (each layer's
 operations, and the task heads, stacked along a leading axis), reading each
 parameter's `.data` and writing its `.grad`. `SGD` keeps every parameter in
-one flat buffer, of which each `.data` is a view, and steps it with
-whole-buffer ufuncs; `Adam` steps the architecture logits. The tape
-(`Tensor`, `backward`, and the ops `candidate_forward`, `mixed_layer_forward`,
+one flat buffer, of which each `.data` is a view, and steps it from their
+`.grad` with whole-buffer ufuncs; `Adam` steps one array, the architecture
+logits, with betas (0.9, 0.999) and eps 1e-8. The tape (`Tensor`,
+`backward`, and the ops `candidate_forward`, `mixed_layer_forward`,
 `head_forward` and `task_loss`) is the slow, define-by-run reference that
 checks that engine and the end-to-end gradients: ops record their parents
 and a closure that maps the output gradient to parent gradients, and
@@ -23,6 +24,9 @@ import numpy as np
 from .errors import BoundsError, DimensionMismatch, DomainError, ModeError, NumericError
 from .graph import SupergraphSpec
 from .resloss import softmax as _softmax
+
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -238,18 +242,10 @@ class OperationParams:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def num_heads(self) -> int:
-        return self.head_weights.shape[0]
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for l, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
-            named += [(f"l{l}.w", w), (f"l{l}.b", b)]
-        return named + [("head.w", self.head_weights), ("head.b", self.head_biases)]
-
     def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
+        """Each layer's weights then biases, then the heads' weights and biases."""
+        layers = [p for wb in zip(self.weights, self.biases) for p in wb]
+        return layers + [self.head_weights, self.head_biases]
 
 
 def candidate_forward(params: OperationParams, layer: int, candidate: int, x) -> Tensor:
@@ -291,7 +287,7 @@ def mixed_layer_forward(params: OperationParams, layer: int, z_row, x) -> Tensor
 
 def head_forward(params: OperationParams, task: int, features) -> Tensor:
     """Affine task head; excluded from every resource cost."""
-    if not 0 <= task < params.num_heads:
+    if not 0 <= task < params.head_weights.shape[0]:
         raise BoundsError(f"task {task} out of range")
     features = _wrap(features)
     return features @ params.head_weights[task] + params.head_biases[task]
@@ -341,11 +337,8 @@ class SGD:
             )
             p.data, start = view, stop
 
-    def step(self, grads=None):
-        grads = grads if grads is not None else collect_grads(self.params)
-        if len(grads) != len(self.params):
-            raise DimensionMismatch("one gradient per parameter required")
-        g = np.concatenate(grads, axis=None)
+    def step(self):
+        g = np.concatenate(collect_grads(self.params), axis=None)
         g += self.weight_decay * self.flat
         self.velocity *= self.momentum
         self.velocity += g
@@ -356,29 +349,24 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, params, lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.params = list(params)
+    """Adam on one array, value, with L2 weight decay folded into the gradient."""
+
+    def __init__(self, value, lr, weight_decay=0.0):
+        self.value = np.asarray(value, dtype=np.float64)
         self.lr = float(lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
         self.t = 0
 
-    def step(self, grads=None):
-        grads = grads if grads is not None else collect_grads(self.params)
-        if len(grads) != len(self.params):
-            raise DimensionMismatch("one gradient per parameter required")
+    def step(self, grad):
         self.t += 1
-        b1, b2 = self.betas
-        for p, m, v, g in zip(self.params, self.m, self.v, grads):
-            g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
+        b1, b2 = ADAM_BETAS
+        g = grad + self.weight_decay * self.value
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * g * g
+        m_hat = self.m / (1.0 - b1 ** self.t)
+        v_hat = self.v / (1.0 - b2 ** self.t)
+        self.value = self.value - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

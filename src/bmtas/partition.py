@@ -67,16 +67,6 @@ class Partition:
             rgs.append(seen[v])
         return cls(tuple(rgs))
 
-    @classmethod
-    def coarsest(cls, num_tasks: int) -> "Partition":
-        """The single-block grouping: all tasks share."""
-        return cls((0,) * num_tasks)
-
-    @classmethod
-    def finest(cls, num_tasks: int) -> "Partition":
-        """The all-singletons grouping: no task shares."""
-        return cls(tuple(range(num_tasks)))
-
     def blocks(self) -> list[list[int]]:
         """Blocks as task-index lists, ordered by smallest member."""
         out: list[list[int]] = [[] for _ in range(self.num_blocks)]

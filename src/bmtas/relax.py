@@ -1,16 +1,17 @@
 """Gumbel-Softmax relaxation of discrete routing, annealing, discretization.
 
-During search every routing row is a temperature-softened sample; the final
-architecture is the plain argmax of the logits. The soft sample multiplies
-candidate outputs directly (a mixture), there is no straight-through pass.
+During search every routing row is a temperature-softened sample, the
+search's softmax((logits + gumbel_noise) / tau); the final architecture is
+the plain argmax of the logits. The soft sample multiplies candidate outputs
+directly (a mixture), there is no straight-through pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundsError, DomainError
-from .resloss import ArchitectureParams, softmax
+from .errors import BoundsError
+from .resloss import ArchitectureParams
 
 # keeps -log(-log(u)) finite at both ends of the uniform draw
 NOISE_EPS = 1e-12
@@ -20,20 +21,6 @@ def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
     """Standard Gumbel draws via -log(-log(u)), u kept away from {0, 1}."""
     u = rng.uniform(NOISE_EPS, 1.0 - NOISE_EPS, size=shape)
     return -np.log(-np.log(u))
-
-
-def sample_soft(
-    alpha: ArchitectureParams, task: int, layer: int, tau: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one soft routing row softmax((logits + g) / tau) for (task, 1-based layer)."""
-    if not 0 <= task < alpha.num_tasks:
-        raise BoundsError(f"task {task} out of range")
-    if not 1 <= layer <= alpha.num_layers:
-        raise BoundsError(f"layer {layer} out of range")
-    if tau <= 0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-    g = gumbel_noise((alpha.num_tasks,), rng)
-    return softmax((alpha.logits[task, layer - 1] + g) / tau)
 
 
 def schedule_tau(start: float, end: float, step: int, total: int) -> float:

@@ -257,7 +257,7 @@ def search(
     Raises SearchError (with the partial trace attached) if training hits a
     non-finite value.
     """
-    num_tasks = data.num_tasks
+    logits_shape = (data.num_tasks, supergraph.num_layers, data.num_tasks)
     omega = config.weights_for(data)
 
     if params is None:
@@ -273,17 +273,16 @@ def search(
     n_alpha = min(max(1, round(config.alpha_data_fraction * n_train)), n_train - 1)
     alpha_rows, theta_rows = perm[:n_alpha], perm[n_alpha:]
 
-    alpha_param = Tensor(np.zeros((num_tasks, supergraph.num_layers, num_tasks)))
     theta_opt = SGD(
         params.parameters(),
         config.theta_lr,
         config.theta_momentum,
         config.theta_weight_decay,
     )
-    alpha_opt = Adam([alpha_param], config.alpha_lr, weight_decay=config.alpha_weight_decay)
+    alpha_opt = Adam(np.zeros(logits_shape), config.alpha_lr, config.alpha_weight_decay)
     shared_cost = supergraph.cost_table.fully_shared_cost
     penalized = config.resource_weight > 0
-    alpha_now = ArchitectureParams(alpha_param.data)
+    alpha_now = ArchitectureParams(alpha_opt.value)
     picks = discretize(alpha_now)
     structure = derive_groupings(picks)
     digest = structure_hash(structure)
@@ -294,26 +293,22 @@ def search(
     trace: list[TraceRow] = []
     for step in range(1, config.search_steps + 1):
         tau = schedule_tau(config.tau_start, config.tau_end, step - 1, horizon)
-        noise = gumbel_noise(
-            (num_tasks, supergraph.num_layers, num_tasks), gumbel_rng
-        )
+        noise = gumbel_noise(logits_shape, gumbel_rng)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # as in _fit
                 # weight phase: routing is a constant sample
-                z_const = softmax((alpha_param.data + noise) / tau, axis=2)
+                z_const = softmax((alpha_opt.value + noise) / tau, axis=2)
                 idx = _batch(theta_batches, theta_rows, config.batch_size)
                 losses = _backward_tasks(params, list(z_const.swapaxes(0, 1)), data, idx, omega)[0]
                 theta_opt.step()
 
                 # architecture phase: same noise, routing differentiated
                 idx = _batch(alpha_batches, alpha_rows, config.batch_size)
-                grad = _architecture_grad(
-                    params, alpha_param.data, noise, tau, data, idx, omega
-                )
+                grad = _architecture_grad(params, alpha_opt.value, noise, tau, data, idx, omega)
                 if penalized:
                     grad = grad + (config.resource_weight / shared_cost) * cost_grad
-                alpha_opt.step([grad])
-                alpha_now = ArchitectureParams(alpha_param.data)
+                alpha_opt.step(grad)
+                alpha_now = ArchitectureParams(alpha_opt.value)
                 cost, cost_grad = _cost_and_grad(alpha_now, supergraph.cost_table, penalized)
         except NumericError as exc:
             raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc

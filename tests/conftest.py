@@ -14,6 +14,13 @@ from bmtas.partition import Partition
 from bmtas.eval import SyntheticTaskSpec, generate_tasks
 from bmtas.seeding import rng_stream
 
+# the failure message of every test that pins output bytes
+PINNED_PLATFORM = (
+    "the pinned output was taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; "
+    "another numpy, BLAS or CPU may round floats differently, and a change that "
+    "alters the output on purpose must say why and update the pin"
+)
+
 
 def central_diff(f, x, h=1e-5):
     """Central finite-difference gradient of scalar f over a flat array."""

@@ -31,7 +31,7 @@ from bmtas.nncore import (
     task_loss,
 )
 from bmtas.partition import Partition, enumerate_partitions, refines
-from bmtas.relax import gumbel_noise, sample_soft
+from bmtas.relax import gumbel_noise
 from bmtas.resloss import (
     ENUM_GUARD,
     ArchitectureParams,
@@ -39,6 +39,7 @@ from bmtas.resloss import (
     expected_cost,
     expected_cost_grad,
 )
+from bmtas.resloss import softmax as bmtas_softmax
 from bmtas.search import SearchConfig, retrain_model, search
 from bmtas.seeding import rng_stream
 from conftest import central_diff, random_alpha, relative_error
@@ -281,11 +282,10 @@ def test_criterion_06_gumbel_softmax_limit(capsys):
     logits = rng.normal(size=(5, 1, 4))
     worst = 0.0
     for row in range(5):
-        # logits hold one candidate per task: the row is task 0's of four
-        alpha = ArchitectureParams(np.repeat(logits[row : row + 1], 4, axis=0))
-        counts = np.zeros(4)
-        for _ in range(10_000):
-            counts[int(np.argmax(sample_soft(alpha, 0, 1, 0.1, rng)))] += 1
+        # 10^4 routing rows as the search draws them, one Gumbel draw per logit
+        noise = gumbel_noise((10_000, 4), rng)
+        picks = bmtas_softmax((logits[row, 0] + noise) / 0.1, axis=1).argmax(axis=1)
+        counts = np.bincount(picks, minlength=4)
         worst = max(worst, np.abs(counts / 10_000 - softmax(logits[row, 0])).max())
     ok = worst <= 0.02
     verdict(

@@ -28,7 +28,7 @@ from bmtas.resloss import (
     grouping_distribution,
 )
 from bmtas.seeding import rng_stream
-from conftest import fresh_python, random_alpha
+from conftest import PINNED_PLATFORM, fresh_python, random_alpha
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -293,6 +293,9 @@ BAD_INPUTS = {
     "expected-cost-negative-widths": lambda p: [
         "expected-cost", "--alpha", input_file(p, ALPHA_2x2), "--widths=-2,-2,-2"
     ],
+    "expected-cost-mixed-sign-widths": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x2), "--widths=-2,2,2"
+    ],
     "export-dot-name-with-a-quote": lambda p: export_dot_argv(
         p, ['a"b', "c"], [[[0, 1]]], [[0, 0]]
     ),
@@ -307,6 +310,13 @@ def test_bad_input_exits_2_with_one_config_error(case, tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["event"] == "config_error"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("widths", ["-2,-2,-2", "-2,2,2"])
+def test_negative_widths_report_the_width_rule(widths, tmp_path, capsys):
+    argv = ["expected-cost", "--alpha", input_file(tmp_path, ALPHA_2x2), f"--widths={widths}"]
+    assert main(argv) == 2
+    assert "widths must be at least 1" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestEnumerate:
@@ -431,7 +441,55 @@ def test_expected_cost_output_matches_its_pinned_digests(tmp_path, monkeypatch, 
     for name, argv in argvs.items():
         assert main(argv) == 0
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digests == EXPECTED_COST_DIGESTS
+    assert digests == EXPECTED_COST_DIGESTS, PINNED_PLATFORM
+
+
+# criterion 10's run config
+DETERMINISM_CONFIG = {
+    "experiment": "determinism",
+    "supergraph": {"widths": [16, 8, 8, 8]},
+    "benchmark": {
+        "num_tasks": 4,
+        "input_dim": 16,
+        "hidden_dim": 8,
+        "target_dim": 4,
+        "relatedness": [[0, 1], [2, 3]],
+    },
+    "search": {"lambda": 0.05, "warmup_steps": 150, "search_steps": 150, "retrain_steps": 150},
+}
+
+# sha256 of the `bmtas search` artifacts of the README config at seed 0 and
+# of criterion 10's config at seed 3
+SEARCH_DIGESTS = {
+    "pairs/seed0": {
+        "structure.json": "33584c06ae42504212785c52cc35c08aae17ba0dcb31ffa5a37f579cfd224e8a",
+        "structure.dot": "93f122d773388c0a6e9f3117b86819a32d61e7c31cfed3dd1aa61e11450887f5",
+        "trace.csv": "73065468b3cb964c4f27a5f1c10af75ca1662947820a48ca708d66c4755eb56d",
+        "metrics.json": "43503be8124fbb697f322aeb247dcda3865d684475cbe4f6770a8b8093f69a42",
+    },
+    "determinism/seed3": {
+        "structure.json": "f47c535adea066f93bbefc2fda28853267fea61e7767217e74803e4895d292f6",
+        "structure.dot": "190cff03cbd8825cb145a953474447231caeadfb882429ad50a1bd906cad0a40",
+        "trace.csv": "d03b741878441749e2ac376ba960d575da633d34fd9161fc0667f4960a12fb75",
+        "metrics.json": "52747474edc5bd8698fa7b039022832ae29bc2093d59746be87d31bab0311c0d",
+    },
+}
+
+
+def test_search_artifacts_match_their_pinned_digests(tmp_path):
+    readme = (BENCHMARKS.parent / "README.md").read_text()
+    configs = {
+        0: json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0]),
+        3: DETERMINISM_CONFIG,
+    }
+    for seed, cfg in configs.items():
+        path = input_file(tmp_path, json.dumps(cfg), f"seed{seed}.json")
+        assert main(["search", "--config", path, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    digests = {
+        run: {n: hashlib.sha256((tmp_path / run / n).read_bytes()).hexdigest() for n in pins}
+        for run, pins in SEARCH_DIGESTS.items()
+    }
+    assert digests == SEARCH_DIGESTS, PINNED_PLATFORM
 
 
 UNIT_COSTS = [3.0, 5.0, 2.0, 4.0]

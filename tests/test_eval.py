@@ -190,7 +190,7 @@ class TestGenerateTasks:
         assert data.inputs_train.shape == (512, 16)
         assert data.inputs_test.shape == (256, 16)
         assert all(y.shape == (512, 3) for y in data.targets_train)
-        assert data.num_tasks == 4 and data.input_dim == 16
+        assert data.num_tasks == 4
         assert data.targets_train.shape == (4, 512, 3)
 
     def test_noiseless_targets_live_in_group_subspace(self):
@@ -227,11 +227,3 @@ class TestGenerateTasks:
         assert all(
             np.array_equal(x, y) for x, y in zip(a.targets_train, b.targets_train)
         )
-
-    def test_select_tasks_keeps_names_and_rows(self):
-        data = generate_tasks(pair_spec(), rng_stream(28, "data"))
-        sub = data.select_tasks([2])
-        assert sub.task_names == ("t2",)
-        assert np.array_equal(sub.targets_train[0], data.targets_train[2])
-        assert sub.inputs_train is data.inputs_train
-

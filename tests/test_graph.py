@@ -72,11 +72,12 @@ class TestSupergraphSpec:
         with pytest.raises(ValueError):
             SupergraphSpec(widths, CostTable((1.0,)))
 
-    @pytest.mark.parametrize("widths", [(0, 4), (4, 0), (-2, -2, -2)])
+    @pytest.mark.parametrize("widths", [(0, 4), (4, 0), (-2, -2, -2), (-2, 2, 2)])
     def test_rejects_widths_below_one(self, widths):
         with pytest.raises(ValueError, match="widths must be at least 1"):
             SupergraphSpec(widths, CostTable((1.0,) * (len(widths) - 1)))
-        with pytest.raises(ValueError):
+        # checked before the default unit costs 2 * in * out are derived
+        with pytest.raises(ValueError, match="widths must be at least 1"):
             SupergraphSpec.chain(widths)
 
 
@@ -223,6 +224,7 @@ def test_count_structures_known_values():
         assert count_structures(2, L) == L + 1
     assert count_structures(3, 1) == 5  # B_3
     assert count_structures(6, 200) == 7303558113551
+    assert count_structures(8, 1000) == 316035592591647943515501
 
 
 @pytest.mark.parametrize("num_tasks", [7, 8])

@@ -185,10 +185,10 @@ class TestOperationParams:
 
     def test_named_parameters_cover_everything(self, small_params):
         _, params = small_params
-        named = params.named_parameters()
-        names = [n for n, _ in named]
-        assert names == ["l1.w", "l1.b", "l2.w", "l2.b", "head.w", "head.b"]
-        shapes = [p.shape for _, p in named]
+        w, b, heads = params.weights, params.biases, [params.head_weights, params.head_biases]
+        got = params.parameters()  # l1.w, l1.b, l2.w, l2.b, head.w, head.b
+        assert got == [w[0], b[0], w[1], b[1], *heads]
+        shapes = [p.shape for p in got]
         assert shapes == [(2, 4, 3), (2, 3), (2, 3, 3), (2, 3), (2, 3, 2), (2, 2)]
 
     def test_layer_shape_agreement_enforced(self):
@@ -318,13 +318,15 @@ class TestSGD:
         opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.01)
         want = reference_sgd(x0, grads, 0.1, 0.9, 0.01, 4)
         for i in range(4):
-            opt.step([grads[i]])
+            p.grad = grads[i]
+            opt.step()
             assert np.allclose(p.data, want[i])
 
     def test_lr_scales(self):
         p, q = Tensor(np.zeros(1)), Tensor(np.zeros(1))
         opt = SGD([p, q], lr=1.0, momentum=0.0, lr_scales=[1.0, 0.25])
-        opt.step([np.ones(1), np.ones(1)])
+        p.grad = q.grad = np.ones(1)
+        opt.step()
         assert p.data[0] == -1.0 and q.data[0] == -0.25
         with pytest.raises(DimensionMismatch):
             SGD([p], lr=1.0, lr_scales=[1.0, 2.0])
@@ -333,13 +335,15 @@ class TestSGD:
         # one factor per stacked operation, as retraining's 1/|block|
         w = Tensor(np.zeros((2, 1, 3)))
         opt = SGD([w], lr=1.0, momentum=0.0, lr_scales=[np.array([[[1.0]], [[0.5]]])])
-        opt.step([np.ones((2, 1, 3))])
+        w.grad = np.ones((2, 1, 3))
+        opt.step()
         np.testing.assert_array_equal(w.data[:, 0], [[-1.0] * 3, [-0.5] * 3])
 
     def test_reset_momentum(self):
         p = Tensor(np.zeros(2))
         opt = SGD([p], lr=0.1, momentum=0.9)
-        opt.step([np.ones(2)])
+        p.grad = np.ones(2)
+        opt.step()
         assert np.any(opt.velocity != 0)
         opt.reset_momentum()
         assert np.all(opt.velocity == 0)
@@ -359,7 +363,9 @@ class TestSGD:
                 for v in velocity:
                     v[...] = 0.0
             grads = [rng.normal(size=s) for s in shapes]
-            opt.step(grads)
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
             for i, (g, s) in enumerate(zip(grads, scales)):
                 g = g + 0.01 * want[i]
                 velocity[i] *= 0.9
@@ -371,13 +377,8 @@ class TestSGD:
         assert opt.flat.base is opt.velocity.base
         assert all(np.shares_memory(p.data, opt.flat) for p in params)
 
-    def test_grad_count_checked(self):
-        opt = SGD([Tensor(np.zeros(1))], lr=0.1)
-        with pytest.raises(DimensionMismatch):
-            opt.step([np.ones(1), np.ones(1)])
 
-
-def reference_adam(x0, grads, lr, betas, eps, weight_decay, steps):
+def reference_adam(x0, grads, lr, weight_decay, steps, betas=(0.9, 0.999), eps=1e-8):
     x = np.array(x0, dtype=np.float64)
     m = np.zeros_like(x)
     v = np.zeros_like(x)
@@ -398,18 +399,16 @@ class TestAdam:
         rng = np.random.default_rng(14)
         x0 = rng.normal(size=(4,))
         grads = [rng.normal(size=(4,)) for _ in range(5)]
-        p = Tensor(x0.copy())
-        opt = Adam([p], lr=0.05, betas=(0.9, 0.999), weight_decay=0.02)
-        want = reference_adam(x0, grads, 0.05, (0.9, 0.999), 1e-8, 0.02, 5)
+        opt = Adam(x0.copy(), lr=0.05, weight_decay=0.02)
+        want = reference_adam(x0, grads, 0.05, 0.02, 5)
         for i in range(5):
-            opt.step([grads[i]])
-            assert np.allclose(p.data, want[i])
+            opt.step(grads[i])
+            assert np.allclose(opt.value, want[i])
 
     def test_minimizes_quadratic(self):
-        p = Tensor(np.array([4.0, -3.0]))
-        opt = Adam([p], lr=0.2)
+        opt = Adam(np.array([4.0, -3.0]), lr=0.2)
         for _ in range(200):
-            reset_grads([p])
+            p = Tensor(opt.value)
             backward((p * p).mean())
-            opt.step()
-        assert np.abs(p.data).max() < 1e-3
+            opt.step(p.grad)
+        assert np.abs(opt.value).max() < 1e-3

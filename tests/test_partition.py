@@ -120,10 +120,9 @@ def test_from_labels_idempotent_on_canonical(p):
 
 
 def test_coarsest_finest():
-    assert Partition.coarsest(4).rgs == (0, 0, 0, 0)
-    assert Partition.finest(4).rgs == (0, 1, 2, 3)
-    assert Partition.coarsest(4).num_blocks == 1
-    assert Partition.finest(4).num_blocks == 4
+    assert Partition.from_labels([7, 7, 7, 7]).num_blocks == 1
+    assert Partition.from_labels([3, 2, 1, 0]).rgs == (0, 1, 2, 3)
+    assert Partition((0, 1, 2, 3)).num_blocks == 4
 
 
 def test_blocks_ordered_by_smallest_member():
@@ -188,8 +187,9 @@ def test_meet_algebra(a, data):
     )
     assert meet(a, a) == a
     assert meet(a, b) == meet(b, a)
-    assert meet(a, Partition.coarsest(n)) == a
-    assert meet(a, Partition.finest(n)) == Partition.finest(n)
+    finest = Partition(tuple(range(n)))
+    assert meet(a, Partition((0,) * n)) == a
+    assert meet(a, finest) == finest
 
 
 def test_str_and_properties():

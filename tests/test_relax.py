@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
-from bmtas.errors import BoundsError, ConfigError, DomainError
-from bmtas.relax import discretize, gumbel_noise, sample_soft, schedule_tau
+from bmtas.errors import BoundsError, ConfigError
+from bmtas.relax import discretize, gumbel_noise, schedule_tau
 from bmtas.resloss import ArchitectureParams
+from bmtas.resloss import softmax as bmtas_softmax
 from bmtas.search import SearchConfig
 from bmtas.seeding import rng_stream
 
@@ -47,39 +48,30 @@ class TestGumbelNoise:
         assert g.var() == pytest.approx(np.pi ** 2 / 6, abs=0.05)
 
 
+def soft_rows(logits, tau, rng):
+    """Routing rows as the search draws them: one Gumbel draw per logit, then
+    the numpy softmax over the last axis."""
+    return bmtas_softmax((logits + gumbel_noise(logits.shape, rng)) / tau, axis=-1)
+
+
 class TestSoftSampling:
     def test_soft_row_formula(self):
-        a = ArchitectureParams(np.random.default_rng(0).normal(size=(3, 2, 3)))
+        logits = np.random.default_rng(0).normal(size=(3, 2, 3))
         tau = 0.7
-        row = sample_soft(a, 1, 2, tau, rng_stream(4, "gumbel"))
-        noise = gumbel_noise((3,), rng_stream(4, "gumbel"))
-        assert np.allclose(row, softmax((a.logits[1, 1] + noise) / tau))
-
-    def test_positive_temperature_required(self):
-        a = ArchitectureParams.zeros(2, 1)
-        for tau in (0.0, -1.0):
-            with pytest.raises(DomainError):
-                sample_soft(a, 0, 1, tau, rng_stream(0))
+        rows = soft_rows(logits, tau, rng_stream(4, "gumbel"))
+        noise = gumbel_noise((3, 2, 3), rng_stream(4, "gumbel"))
+        for t, l in np.ndindex(3, 2):
+            assert np.allclose(rows[t, l], softmax((logits[t, l] + noise[t, l]) / tau))
 
     def test_sample_soft_is_a_distribution(self):
-        a = ArchitectureParams.zeros(3, 2)
-        rng = rng_stream(2, "soft")
-        row = sample_soft(a, 1, 2, 0.5, rng)
-        assert row.shape == (3,)
-        assert np.all(row > 0) and row.sum() == pytest.approx(1.0)
-
-    def test_bounds(self):
-        a = ArchitectureParams.zeros(2, 2)
-        rng = rng_stream(3)
-        with pytest.raises(BoundsError):
-            sample_soft(a, 2, 1, 1.0, rng)
-        with pytest.raises(BoundsError):
-            sample_soft(a, 0, 3, 1.0, rng)
+        rows = soft_rows(np.zeros((3, 2, 3)), 0.5, rng_stream(2, "soft"))
+        assert rows.shape == (3, 2, 3)
+        assert np.all(rows > 0)
+        np.testing.assert_allclose(rows.sum(axis=-1), 1.0)
 
     def test_low_tau_concentrates(self):
-        a = ArchitectureParams.zeros(2, 1)
-        z = sample_soft(a, 0, 1, 0.001, rng_stream(5))
-        assert z.max() > 0.999
+        z = soft_rows(np.zeros((2, 1, 2)), 0.001, rng_stream(5))
+        assert np.all(z.max(axis=-1) > 0.999)
 
 
 class TestDiscretize:
@@ -101,9 +93,7 @@ def test_gumbel_softmax_limit_matches_softmax():
     """At low temperature argmax frequencies approach the softmax itself."""
     rng = rng_stream(6, "limit")
     logits = np.array([0.8, -0.3, 0.1, -1.2])
-    a = ArchitectureParams(logits.reshape(1, 1, 4).repeat(4, axis=0).copy())
-    counts = np.zeros(4)
     n = 4000
-    for _ in range(n):
-        counts[np.argmax(sample_soft(a, 0, 1, 0.05, rng))] += 1
+    picks = soft_rows(np.tile(logits, (n, 1)), 0.05, rng).argmax(axis=1)
+    counts = np.bincount(picks, minlength=4)
     assert np.abs(counts / n - softmax(logits)).max() < 0.03

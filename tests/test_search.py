@@ -1,5 +1,5 @@
 import inspect
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +13,11 @@ import bmtas.relax
 import bmtas.resloss
 from bmtas.cli import CONFIG_SCHEMA
 from bmtas.errors import BoundsError, ConfigError, DomainError, NumericError, SearchError
-from bmtas.eval import SyntheticTaskSpec, generate_tasks
+from bmtas.eval import Dataset, SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
 from bmtas.nncore import (
     SGD,
+    Adam,
     OperationParams,
     Tensor,
     backward,
@@ -120,6 +121,14 @@ class TestSearchConfig:
         assert not hasattr(bmtas.nncore, "LossWeights")
         for stage in (warm_up, retrain, retrain_model):
             assert not {"steps", "rng", "seed"} & set(inspect.signature(stage).parameters)
+        # names that only tests read, and optimizer options with one value in use
+        assert not hasattr(bmtas.relax, "sample_soft")
+        assert not {"select_tasks", "input_dim"} & set(dir(Dataset))
+        assert not {"coarsest", "finest"} & set(dir(Partition))
+        assert not {"num_heads", "named_parameters"} & set(dir(OperationParams))
+        assert list(inspect.signature(Adam).parameters) == ["value", "lr", "weight_decay"]
+        assert list(inspect.signature(Adam.step).parameters) == ["self", "grad"]
+        assert list(inspect.signature(SGD.step).parameters) == ["self"]
 
     def test_weights_for_checks_length(self):
         data, _ = small_benchmark()
@@ -278,7 +287,13 @@ class TestRetrain:
         cfg = quick_config(seed=3)
         joint = retrain_model(branched_structure(3, 2), sg, data, cfg)
         for t, name in enumerate(data.task_names):
-            solo = retrain_model(branched_structure(1, 2), sg, data.select_tasks([t]), cfg)
+            solo_data = replace(
+                data,
+                task_names=(name,),
+                targets_train=data.targets_train[[t]],
+                targets_test=data.targets_test[[t]],
+            )
+            solo = retrain_model(branched_structure(1, 2), sg, solo_data, cfg)
             assert joint.test_mse[name] == solo.test_mse[name]
             np.testing.assert_array_equal(
                 joint.params.head_weights.data[t], solo.params.head_weights.data[0]
