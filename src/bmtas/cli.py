@@ -91,7 +91,6 @@ CONFIG_SCHEMA = {
                 "train_samples": {"type": "integer", "minimum": 2},
                 "test_samples": {"type": "integer", "minimum": 1},
                 "signal_scale": {"type": "number", "exclusiveMinimum": 0},
-                "share_private": {"type": "boolean"},
             },
         },
         "search": {
@@ -101,21 +100,11 @@ CONFIG_SCHEMA = {
                 "lambda": {"type": "number", "minimum": 0},
                 "warmup_steps": {"type": "integer", "minimum": 0},
                 "search_steps": {"type": "integer", "minimum": 1},
-                "alpha_data_fraction": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
                 "tau_start": {"type": "number", "exclusiveMinimum": 0},
                 "tau_end": {"type": "number", "exclusiveMinimum": 0},
                 "theta_lr": {"type": "number", "exclusiveMinimum": 0},
-                "theta_momentum": {"type": "number", "minimum": 0},
-                "theta_weight_decay": {"type": "number", "minimum": 0},
                 "alpha_lr": {"type": "number", "exclusiveMinimum": 0},
-                "alpha_weight_decay": {"type": "number", "minimum": 0},
-                "batch_size": {"type": "integer", "minimum": 1},
                 "retrain_steps": {"type": "integer", "minimum": 0},
-                "retrain_lr": {"type": "number", "exclusiveMinimum": 0},
                 "omega": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
@@ -397,10 +386,14 @@ def cmd_expected_cost(args) -> int:
 def cmd_enumerate(args) -> int:
     from .graph import count_structures
 
+    if args.layers < 1:
+        raise ConfigError(f"--layers must be at least 1, got {args.layers}")
     with _reading_input():
-        table = _cost_table(args.unit_costs, args.layers)
+        if args.unit_costs:
+            total = _cost_table(args.unit_costs, args.layers).fully_shared_cost
+        else:  # a unit cost of 1 a layer, which needs no table
+            total = float(args.layers)
         bell = len(rgs_table(args.tasks))
-    total = table.fully_shared_cost
     # cost extremes: one block everywhere vs an immediate full branch
     report = {
         "tasks": args.tasks,

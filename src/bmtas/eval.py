@@ -147,7 +147,6 @@ class SyntheticTaskSpec:
     train_samples: int = 512
     test_samples: int = 256
     signal_scale: float = 0.2
-    share_private: bool = False
 
     def __post_init__(self):
         if self.relatedness.num_tasks != self.num_tasks:
@@ -211,14 +210,10 @@ def generate_tasks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> Dataset
     # architecture gradients) shrink quadratically with it while the resource
     # term is amplitude-free, so this is what keeps resource weights on a
     # small grid (0.05, 0.5) able to tip grouping decisions.
-    if spec.share_private:
-        one = spec.signal_scale * _orthonormal_rows(rng, spec.target_dim, spec.hidden_dim)
-        private = [one] * spec.num_tasks
-    else:
-        private = [
-            spec.signal_scale * _orthonormal_rows(rng, spec.target_dim, spec.hidden_dim)
-            for _ in range(spec.num_tasks)
-        ]
+    private = [
+        spec.signal_scale * _orthonormal_rows(rng, spec.target_dim, spec.hidden_dim)
+        for _ in range(spec.num_tasks)
+    ]
 
     x_train = rng.normal(size=(spec.train_samples, spec.input_dim))
     x_test = rng.normal(size=(spec.test_samples, spec.input_dim))

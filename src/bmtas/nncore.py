@@ -7,14 +7,14 @@ operations, and the task heads, stacked along a leading axis), reading each
 parameter's `.data` and writing its `.grad`. `SGD` keeps every parameter in
 one flat buffer, of which each `.data` is a view, and steps it from their
 `.grad` with whole-buffer ufuncs; `Adam` steps one array, the architecture
-logits, with betas (0.9, 0.999) and eps 1e-8. The tape (`Tensor`,
-`backward`, and the ops `candidate_forward`, `mixed_layer_forward`,
-`head_forward` and `task_loss`) is the slow, define-by-run reference that
-checks that engine and the end-to-end gradients: ops record their parents
-and a closure that maps the output gradient to parent gradients, and
-`backward` replays the tape in reverse topological order. Everything is
-double precision; the vocabulary is affine + tanh operations, affine task
-heads of one width and MSE.
+logits. Both take a learning rate and read the rest from the constants below.
+The tape (`Tensor`, `backward`, and the ops `candidate_forward`,
+`mixed_layer_forward`, `head_forward` and `task_loss`) is the slow,
+define-by-run reference that checks that engine and the end-to-end
+gradients: ops record their parents and a closure that maps the output
+gradient to parent gradients, and `backward` replays the tape in reverse
+topological order. Everything is double precision; the vocabulary is
+affine + tanh operations, affine task heads of one width and MSE.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from .errors import BoundsError, DimensionMismatch, DomainError, ModeError, Nume
 from .graph import SupergraphSpec
 from .resloss import softmax as _softmax
 
+SGD_MOMENTUM = 0.9
+SGD_WEIGHT_DECAY = 1e-4
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+ADAM_WEIGHT_DECAY = 5e-5
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -303,7 +306,7 @@ def task_loss(prediction, target) -> Tensor:
 
 
 class SGD:
-    """Momentum SGD, L2 weight decay folded into the gradient.
+    """Momentum SGD (SGD_MOMENTUM), L2 weight decay (SGD_WEIGHT_DECAY) folded into the gradient.
 
     The parameters and their velocity live in one contiguous buffer, and
     each parameter's .data becomes a view into it, so that a step is a few
@@ -315,11 +318,9 @@ class SGD:
     the restart that follows an architecture change.
     """
 
-    def __init__(self, params, lr, momentum=0.9, weight_decay=0.0, lr_scales=None):
+    def __init__(self, params, lr, lr_scales=None):
         self.params = list(params)
         self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         scales = lr_scales if lr_scales is not None else [1.0] * len(self.params)
         if len(scales) != len(self.params):
             raise DimensionMismatch("one lr scale per parameter required")
@@ -339,8 +340,8 @@ class SGD:
 
     def step(self):
         g = np.concatenate(collect_grads(self.params), axis=None)
-        g += self.weight_decay * self.flat
-        self.velocity *= self.momentum
+        g += SGD_WEIGHT_DECAY * self.flat
+        self.velocity *= SGD_MOMENTUM
         self.velocity += g
         self.flat -= self.step_size * self.velocity
 
@@ -349,12 +350,11 @@ class SGD:
 
 
 class Adam:
-    """Adam on one array, value, with L2 weight decay folded into the gradient."""
+    """Adam on one array, value, L2 weight decay ADAM_WEIGHT_DECAY folded into the gradient."""
 
-    def __init__(self, value, lr, weight_decay=0.0):
+    def __init__(self, value, lr):
         self.value = np.asarray(value, dtype=np.float64)
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
         self.t = 0
@@ -362,7 +362,7 @@ class Adam:
     def step(self, grad):
         self.t += 1
         b1, b2 = ADAM_BETAS
-        g = grad + self.weight_decay * self.value
+        g = grad + ADAM_WEIGHT_DECAY * self.value
         self.m *= b1
         self.m += (1.0 - b1) * g
         self.v *= b2

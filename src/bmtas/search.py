@@ -44,6 +44,9 @@ from .resloss import ArchitectureParams, _cost_and_grad, softmax
 from .resloss import expected_cost, expected_cost_grad  # as above, for the tracer
 from .seeding import rng_stream
 
+BATCH_SIZE = 32  # training rows per weight or architecture step
+ALPHA_DATA_FRACTION = 0.2  # share of the training rows kept for the architecture steps
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -53,24 +56,20 @@ class SearchConfig:
     config's lambda is resource_weight, the multiplier on the normalized
     expected cost (1.0 = fully shared), so its useful range is independent
     of the cost table's units. The temperature anneals linearly from
-    tau_start to tau_end over the search steps. omega weights the task
-    losses, all 1 when None.
+    tau_start to tau_end over the search steps. theta_lr is the SGD
+    learning rate of warm-up, search and retraining, alpha_lr Adam's. omega
+    weights the task losses, all 1 when None. Fixed training details are
+    constants: BATCH_SIZE and ALPHA_DATA_FRACTION here, the rest in `nncore`.
     """
 
     resource_weight: float = 0.0
     warmup_steps: int = 300
     search_steps: int = 300
-    alpha_data_fraction: float = 0.2
     tau_start: float = 5.0
     tau_end: float = 0.1
     theta_lr: float = 0.3
-    theta_momentum: float = 0.9
-    theta_weight_decay: float = 1e-4
     alpha_lr: float = 0.01
-    alpha_weight_decay: float = 5e-5
-    batch_size: int = 32
     retrain_steps: int = 400
-    retrain_lr: float | None = None
     seed: int = 0
     omega: tuple[float, ...] | None = None
 
@@ -79,12 +78,8 @@ class SearchConfig:
             raise ConfigError("resource_weight must be non-negative and finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if not 0 < self.alpha_data_fraction < 1:
-            raise ConfigError("alpha_data_fraction must lie strictly in (0, 1)")
         if min(self.warmup_steps, self.retrain_steps) < 0 or self.search_steps < 1:
             raise ConfigError("step counts out of range")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
         if not self.tau_start >= self.tau_end > 0:
             raise ConfigError("need tau_start >= tau_end > 0")
         if self.omega is not None:
@@ -120,8 +115,8 @@ class SearchResult:
     trace: list[TraceRow]
 
 
-def _batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
-    return pool[rng.choice(len(pool), size=min(size, len(pool)), replace=False)]
+def _batch(rng: np.random.Generator, pool: np.ndarray) -> np.ndarray:
+    return pool[rng.choice(len(pool), size=min(BATCH_SIZE, len(pool)), replace=False)]
 
 
 def _features(params: OperationParams, routing, x: np.ndarray):
@@ -211,18 +206,12 @@ def _architecture_grad(params, logits, noise, tau, data, idx, omega) -> np.ndarr
     return z * (dz - (z[..., None, :] @ dz[..., None])[..., 0]) * inv_tau
 
 
-def _fit(params, routing, data, omega, steps, rng, config, lr, lr_scales=None):
-    """Plain momentum SGD with config's theta_* settings, one batch a step."""
-    opt = SGD(
-        params.parameters(),
-        lr,
-        config.theta_momentum,
-        config.theta_weight_decay,
-        lr_scales=lr_scales,
-    )
+def _fit(params, routing, data, omega, steps, rng, lr, lr_scales=None):
+    """Plain momentum SGD at learning rate lr, one batch a step."""
+    opt = SGD(params.parameters(), lr, lr_scales)
     all_rows = np.arange(data.inputs_train.shape[0])
     for _ in range(steps):
-        idx = _batch(rng, all_rows, config.batch_size)
+        idx = _batch(rng, all_rows)
         # a diverging step overflows; the finiteness checks of the engine and
         # ArchitectureParams raise NumericError for it, so numpy stays quiet
         with np.errstate(over="ignore", invalid="ignore"):
@@ -235,13 +224,13 @@ def warm_up(supergraph: SupergraphSpec, data: Dataset, config: SearchConfig) -> 
 
     Candidates start identical; warm-up is what differentiates them, giving
     the later search a meaningful candidate-task affinity to exploit. The
-    SGD and batch settings are config's theta_* and batch_size.
+    learning rate is config's theta_lr.
     """
     rng = rng_stream(config.seed, "warmup")
     params = OperationParams.init(supergraph, data.num_tasks, data.targets_train.shape[2], rng)
     routing = [np.arange(data.num_tasks)] * supergraph.num_layers
     ones = (1.0,) * data.num_tasks
-    _fit(params, routing, data, ones, config.warmup_steps, rng, config, config.theta_lr)
+    _fit(params, routing, data, ones, config.warmup_steps, rng, config.theta_lr)
     return params
 
 
@@ -254,32 +243,27 @@ def search(
     """Run the alternating optimization and return the discretized result.
 
     When params is omitted, warm-up runs first with this config's settings.
-    Raises SearchError (with the partial trace attached) if training hits a
-    non-finite value.
+    Raises ConfigError for fewer than two training rows and SearchError
+    (with the partial trace attached) if training hits a non-finite value.
     """
     logits_shape = (data.num_tasks, supergraph.num_layers, data.num_tasks)
     omega = config.weights_for(data)
+    n_train = data.inputs_train.shape[0]
+    if n_train < 2:  # each split keeps at least one row
+        raise ConfigError("search needs at least 2 training rows, one for each data split")
+    perm = rng_stream(config.seed, "search", "split").permutation(n_train)
+    n_alpha = min(max(1, round(ALPHA_DATA_FRACTION * n_train)), n_train - 1)
+    alpha_rows, theta_rows = perm[:n_alpha], perm[n_alpha:]
 
     if params is None:
         params = warm_up(supergraph, data, config)
 
-    split_rng = rng_stream(config.seed, "search", "split")
     gumbel_rng = rng_stream(config.seed, "search", "gumbel")
     theta_batches = rng_stream(config.seed, "search", "theta-batches")
     alpha_batches = rng_stream(config.seed, "search", "alpha-batches")
 
-    n_train = data.inputs_train.shape[0]
-    perm = split_rng.permutation(n_train)
-    n_alpha = min(max(1, round(config.alpha_data_fraction * n_train)), n_train - 1)
-    alpha_rows, theta_rows = perm[:n_alpha], perm[n_alpha:]
-
-    theta_opt = SGD(
-        params.parameters(),
-        config.theta_lr,
-        config.theta_momentum,
-        config.theta_weight_decay,
-    )
-    alpha_opt = Adam(np.zeros(logits_shape), config.alpha_lr, config.alpha_weight_decay)
+    theta_opt = SGD(params.parameters(), config.theta_lr)
+    alpha_opt = Adam(np.zeros(logits_shape), config.alpha_lr)
     shared_cost = supergraph.cost_table.fully_shared_cost
     penalized = config.resource_weight > 0
     alpha_now = ArchitectureParams(alpha_opt.value)
@@ -298,12 +282,12 @@ def search(
             with np.errstate(over="ignore", invalid="ignore"):  # as in _fit
                 # weight phase: routing is a constant sample
                 z_const = softmax((alpha_opt.value + noise) / tau, axis=2)
-                idx = _batch(theta_batches, theta_rows, config.batch_size)
+                idx = _batch(theta_batches, theta_rows)
                 losses = _backward_tasks(params, list(z_const.swapaxes(0, 1)), data, idx, omega)[0]
                 theta_opt.step()
 
                 # architecture phase: same noise, routing differentiated
-                idx = _batch(alpha_batches, alpha_rows, config.batch_size)
+                idx = _batch(alpha_batches, alpha_rows)
                 grad = _architecture_grad(params, alpha_opt.value, noise, tau, data, idx, omega)
                 if penalized:
                     grad = grad + (config.resource_weight / shared_cost) * cost_grad
@@ -367,11 +351,11 @@ def retrain_model(
 ) -> RetrainedModel:
     """Train the branched network from fresh weights.
 
-    One op instance per (layer, block); a shared op's learning rate is
-    divided by the number of tasks in its block. Initialization streams
-    are keyed by the task names inside each block, which makes a fully
-    branched run reproduce independently trained single-task networks
-    exactly. Every stream is keyed by config.seed.
+    One op instance per (layer, block); a shared op's learning rate, from
+    config's theta_lr, is divided by the number of tasks in its block.
+    Initialization streams are keyed by the task names inside each block,
+    which makes a fully branched run reproduce independently trained
+    single-task networks exactly. Every stream is keyed by config.seed.
     """
     if structure.num_tasks != data.num_tasks:
         raise ConfigError("structure task count does not match the dataset")
@@ -379,7 +363,6 @@ def retrain_model(
         raise ConfigError("structure depth does not match the supergraph")
     names = data.task_names
     seed, omega = config.seed, config.weights_for(data)
-    lr = config.retrain_lr if config.retrain_lr is not None else config.theta_lr
 
     weights, biases, scales = [], [], []
     for layer, grouping in enumerate(structure.groupings, start=1):
@@ -404,8 +387,8 @@ def retrain_model(
     params = OperationParams(weights, biases, Tensor(np.stack(head_w)), Tensor(head_b))
     routing = [np.array(g.rgs) for g in structure.groupings]
     batches = rng_stream(seed, "retrain-batches")
-    steps = config.retrain_steps
-    _fit(params, routing, data, omega, steps, batches, config, lr, scales + [1.0, 1.0])
+    steps, lr = config.retrain_steps, config.theta_lr
+    _fit(params, routing, data, omega, steps, batches, lr, scales + [1.0, 1.0])
 
     model = RetrainedModel(structure, names, params, test_mse={})
     for t, name in enumerate(names):

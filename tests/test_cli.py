@@ -123,6 +123,34 @@ class TestLoadConfig:
     def test_schema_is_valid(self):
         jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
 
+    def test_schema_vocabulary(self):
+        # every keyword and type the schema uses, so that a reader or
+        # replacement of the validator knows the whole of what it must cover
+        keywords, types = set(), set()
+
+        def walk(node):
+            keywords.update(node)
+            types.add(node["type"])
+            for child in node.get("properties", {}).values():
+                walk(child)
+            if "items" in node:
+                walk(node["items"])
+
+        walk(cli.CONFIG_SCHEMA)
+        assert keywords == {
+            "type",
+            "required",
+            "properties",
+            "additionalProperties",
+            "items",
+            "minItems",
+            "minLength",
+            "minimum",
+            "maximum",
+            "exclusiveMinimum",
+        }
+        assert types == {"object", "array", "string", "integer", "number"}
+
     @pytest.mark.parametrize(
         "section, edits",
         [
@@ -169,8 +197,10 @@ class TestExitCodes:
 
 def bad_config(tmp_path, **edits):
     """search argv for base_config with edits {section: {key: value}}; the
-    strings "INF" and "BIG" are written as the JSON numbers 1e400 and 10**400."""
-    cfg = base_config()
+    strings "INF" and "BIG" are written as the JSON numbers 1e400 and 10**400.
+    Its output_dir is under tmp_path, so a config that is wrongly accepted
+    writes nothing into the working directory."""
+    cfg = base_config(output_dir=str(tmp_path / "runs"))
     for section, values in edits.items():
         cfg[section].update(values)
     path = tmp_path / "run.json"
@@ -231,11 +261,13 @@ BAD_INPUTS = {
     ),
     "search-lambda-override-NaN": lambda p: bad_config(p) + ["--lambda", "nan"],
     "search-negative-seed": lambda p: bad_config(p) + ["--seed", "-1"],
+    "search-sets-a-removed-setting": lambda p: bad_config(p, search={"batch_size": 16}),
     "search-out-under-a-file": lambda p: bad_config(p) + ["--out", input_file(p, "", "a-file")],
     "enumerate-non-numeric-unit-costs": lambda p: [
         "enumerate", "--tasks", "2", "--layers", "2", "--unit-costs", "a,b"
     ],
     "enumerate-zero-layers": lambda p: ["enumerate", "--tasks", "2", "--layers", "0"],
+    "enumerate-negative-layers": lambda p: ["enumerate", "--tasks", "2", "--layers", "-5"],
     "enumerate-nine-tasks": lambda p: ["enumerate", "--tasks", "9", "--layers", "2"],
     "expected-cost-non-numeric-widths": lambda p: [
         "expected-cost", "--alpha", input_file(p, ALPHA_2x1), "--widths", "a,b"
@@ -319,6 +351,13 @@ def test_negative_widths_report_the_width_rule(widths, tmp_path, capsys):
     assert "widths must be at least 1" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("layers", ["0", "-5"])
+def test_layers_below_one_report_the_layers_rule(layers, capsys):
+    assert main(["enumerate", "--tasks", "3", "--layers", layers]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"--layers must be at least 1, got {layers}"
+
+
 class TestEnumerate:
     def test_counts(self, capsys):
         assert main(["enumerate", "--tasks", "3", "--layers", "2"]) == 0
@@ -333,6 +372,20 @@ class TestEnumerate:
         report = json.loads(capsys.readouterr().out)
         assert (report["bell"], report["structures"]) == (4140, 1855570)
         assert partitions_built == []
+
+    def test_unit_layer_costs_build_no_cost_table(self, capsys, monkeypatch):
+        built = []
+        post_init = CostTable.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CostTable, "__post_init__", counted)
+        assert main(["enumerate", "--tasks", "8", "--layers", "1000000000"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["min_cost"], report["max_cost"]) == (1e9, 8e9)
+        assert built == []
 
     def test_unit_costs(self, capsys):
         assert (

@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from bmtas import eval as bmtas_eval
+from bmtas.cli import CONFIG_SCHEMA
 from bmtas.errors import DimensionMismatch, DomainError
 from bmtas.eval import (
     MetricRecord,
@@ -182,6 +184,11 @@ class TestSyntheticTaskSpec:
         with pytest.raises(DomainError):
             pair_spec(train_samples=0)
 
+    def test_fields_are_the_config_benchmark_keys(self):
+        keys = set(CONFIG_SCHEMA["properties"]["benchmark"]["properties"])
+        names = [f.name for f in fields(SyntheticTaskSpec)]
+        assert set(names) == keys and len(names) == 9
+
 
 class TestGenerateTasks:
     def test_shapes_and_names(self):
@@ -213,12 +220,6 @@ class TestGenerateTasks:
         )
         ratio = large.targets_train[0].std() / small.targets_train[0].std()
         assert ratio == pytest.approx(10.0, rel=1e-9)
-
-    def test_share_private_makes_pair_targets_identical(self):
-        spec = pair_spec(noise_std=0.0, share_private=True)
-        data = generate_tasks(spec, rng_stream(26, "data"))
-        assert np.allclose(data.targets_train[0], data.targets_train[1])
-        assert not np.allclose(data.targets_train[0], data.targets_train[2])
 
     def test_seeded_and_deterministic(self):
         a = generate_tasks(pair_spec(), rng_stream(27, "data"))

@@ -13,6 +13,9 @@ from bmtas.errors import (
 )
 from bmtas.graph import SupergraphSpec
 from bmtas.nncore import (
+    ADAM_WEIGHT_DECAY,
+    SGD_MOMENTUM,
+    SGD_WEIGHT_DECAY,
     Adam,
     OperationParams,
     SGD,
@@ -315,16 +318,17 @@ class TestSGD:
         x0 = rng.normal(size=(3,))
         grads = [rng.normal(size=(3,)) for _ in range(4)]
         p = Tensor(x0.copy())
-        opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.01)
-        want = reference_sgd(x0, grads, 0.1, 0.9, 0.01, 4)
+        opt = SGD([p], lr=0.1)
+        want = reference_sgd(x0, grads, 0.1, SGD_MOMENTUM, SGD_WEIGHT_DECAY, 4)
         for i in range(4):
             p.grad = grads[i]
             opt.step()
             assert np.allclose(p.data, want[i])
 
     def test_lr_scales(self):
+        # from zero, so that the first step is the scaled gradient alone
         p, q = Tensor(np.zeros(1)), Tensor(np.zeros(1))
-        opt = SGD([p, q], lr=1.0, momentum=0.0, lr_scales=[1.0, 0.25])
+        opt = SGD([p, q], lr=1.0, lr_scales=[1.0, 0.25])
         p.grad = q.grad = np.ones(1)
         opt.step()
         assert p.data[0] == -1.0 and q.data[0] == -0.25
@@ -334,14 +338,14 @@ class TestSGD:
     def test_array_lr_scales_scale_each_operation(self):
         # one factor per stacked operation, as retraining's 1/|block|
         w = Tensor(np.zeros((2, 1, 3)))
-        opt = SGD([w], lr=1.0, momentum=0.0, lr_scales=[np.array([[[1.0]], [[0.5]]])])
+        opt = SGD([w], lr=1.0, lr_scales=[np.array([[[1.0]], [[0.5]]])])
         w.grad = np.ones((2, 1, 3))
         opt.step()
         np.testing.assert_array_equal(w.data[:, 0], [[-1.0] * 3, [-0.5] * 3])
 
     def test_reset_momentum(self):
         p = Tensor(np.zeros(2))
-        opt = SGD([p], lr=0.1, momentum=0.9)
+        opt = SGD([p], lr=0.1)
         p.grad = np.ones(2)
         opt.step()
         assert np.any(opt.velocity != 0)
@@ -355,7 +359,7 @@ class TestSGD:
         scales = [rng.uniform(0.1, 1.0, (3, 1, 1)), rng.uniform(0.1, 1.0, (3, 1)), 1.0]
         want = [rng.normal(size=s) for s in shapes]
         params = [Tensor(a.copy()) for a in want]
-        opt = SGD(params, lr=0.3, momentum=0.9, weight_decay=0.01, lr_scales=scales)
+        opt = SGD(params, lr=0.3, lr_scales=scales)
         velocity = [np.zeros(s) for s in shapes]
         for step in range(6):
             if step == 3:
@@ -367,8 +371,8 @@ class TestSGD:
                 p.grad = g
             opt.step()
             for i, (g, s) in enumerate(zip(grads, scales)):
-                g = g + 0.01 * want[i]
-                velocity[i] *= 0.9
+                g = g + SGD_WEIGHT_DECAY * want[i]
+                velocity[i] *= SGD_MOMENTUM
                 velocity[i] += g
                 want[i] = want[i] - 0.3 * np.asarray(s) * velocity[i]
             for p, w in zip(params, want):
@@ -399,8 +403,8 @@ class TestAdam:
         rng = np.random.default_rng(14)
         x0 = rng.normal(size=(4,))
         grads = [rng.normal(size=(4,)) for _ in range(5)]
-        opt = Adam(x0.copy(), lr=0.05, weight_decay=0.02)
-        want = reference_adam(x0, grads, 0.05, 0.02, 5)
+        opt = Adam(x0.copy(), lr=0.05)
+        want = reference_adam(x0, grads, 0.05, ADAM_WEIGHT_DECAY, 5)
         for i in range(5):
             opt.step(grads[i])
             assert np.allclose(opt.value, want[i])

@@ -73,13 +73,7 @@ class TestSearchConfig:
         with pytest.raises(ConfigError):
             SearchConfig(seed=-1)
         with pytest.raises(ConfigError):
-            SearchConfig(alpha_data_fraction=0.0)
-        with pytest.raises(ConfigError):
-            SearchConfig(alpha_data_fraction=1.0)
-        with pytest.raises(ConfigError):
             SearchConfig(search_steps=0)
-        with pytest.raises(ConfigError):
-            SearchConfig(batch_size=0)
         for start, end in ((0.1, 5.0), (1.0, 0.0), (0.0, 0.0), (1.0, -1.0)):
             with pytest.raises(ConfigError):
                 SearchConfig(tau_start=start, tau_end=end)
@@ -111,7 +105,7 @@ class TestSearchConfig:
         assert "resource_weight" not in keys and "lambda" in keys
         want = keys - {"lambda"} | {"resource_weight", "seed"}
         names = [f.name for f in fields(SearchConfig)]
-        assert set(names) == want and len(names) == 16
+        assert set(names) == want and len(names) == 10
         defaults = SearchConfig()  # plain values, no nested config object
         assert all(isinstance(getattr(defaults, n), (int, float, type(None))) for n in names)
 
@@ -126,9 +120,23 @@ class TestSearchConfig:
         assert not {"select_tasks", "input_dim"} & set(dir(Dataset))
         assert not {"coarsest", "finest"} & set(dir(Partition))
         assert not {"num_heads", "named_parameters"} & set(dir(OperationParams))
-        assert list(inspect.signature(Adam).parameters) == ["value", "lr", "weight_decay"]
         assert list(inspect.signature(Adam.step).parameters) == ["self", "grad"]
         assert list(inspect.signature(SGD.step).parameters) == ["self"]
+        # training settings that no run set, now constants of search and nncore
+        settings = {
+            "theta_momentum",
+            "theta_weight_decay",
+            "alpha_weight_decay",
+            "batch_size",
+            "alpha_data_fraction",
+            "retrain_lr",
+        }
+        assert not settings & {f.name for f in fields(SearchConfig)}
+        assert not settings & set(CONFIG_SCHEMA["properties"]["search"]["properties"])
+        assert "share_private" not in {f.name for f in fields(SyntheticTaskSpec)}
+        assert "share_private" not in CONFIG_SCHEMA["properties"]["benchmark"]["properties"]
+        assert list(inspect.signature(SGD).parameters) == ["params", "lr", "lr_scales"]
+        assert list(inspect.signature(Adam).parameters) == ["value", "lr"]
 
     def test_weights_for_checks_length(self):
         data, _ = small_benchmark()
@@ -202,6 +210,20 @@ class TestSearch:
             with np.errstate(over="ignore", invalid="ignore"):
                 search(cfg, sg, data)
         assert isinstance(err.value.trace, list)
+
+    def test_needs_two_training_rows_before_warm_up(self, monkeypatch):
+        # each data split keeps at least one row, so one row would leave the
+        # architecture steps an empty batch
+        def no_warm_up(*args):
+            raise AssertionError("warm-up started")
+
+        monkeypatch.setattr("bmtas.search.warm_up", no_warm_up)
+        data, sg = small_benchmark(train=1)
+        with pytest.raises(ConfigError, match="at least 2 training rows"):
+            search(quick_config(), sg, data)
+        data, sg = small_benchmark(train=2)
+        cfg = quick_config(warmup_steps=0, search_steps=2)
+        assert len(search(cfg, sg, data, params=warm_up(sg, data, cfg)).trace) == 2
 
     def test_non_finite_logits_raise_search_error_with_step(self):
         spec = SyntheticTaskSpec(
@@ -492,7 +514,7 @@ class TestEngineGuards:
                 with np.errstate(over="ignore", invalid="ignore"):
                     _backward_tasks(params, routing, data, all_rows, (1.0,) * 3)
             with pytest.raises(NumericError):
-                _fit(params, routing, data, (1.0,) * 3, 1, rng_stream(0), quick_config(), 0.3)
+                _fit(params, routing, data, (1.0,) * 3, 1, rng_stream(0), 0.3)
         with pytest.raises(SearchError, match="at step 1"):
             search(quick_config(warmup_steps=0), sg, data, params=params)
 
