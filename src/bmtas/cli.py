@@ -305,7 +305,10 @@ def cmd_search(args) -> int:
 
 def _cost_table(unit_costs: str | None, num_layers: int) -> CostTable:
     """The comma-separated unit costs, one per layer; all ones when absent."""
-    costs = [float(u) for u in unit_costs.split(",")] if unit_costs else [1.0] * num_layers
+    if unit_costs is None:
+        costs = [1.0] * num_layers
+    else:
+        costs = [float(u) for u in unit_costs.split(",")]
     if len(costs) != num_layers:
         raise ConfigError("unit costs must cover every layer")
     return CostTable(costs)
@@ -352,9 +355,10 @@ def _report_text(report: dict, dist) -> str:
 def cmd_expected_cost(args) -> int:
     with _reading_input():
         alpha = ArchitectureParams.from_json(_load_json(args.alpha))
-        if args.unit_costs and args.widths:
+        # an empty value is given, and fails to parse
+        if args.unit_costs is not None and args.widths is not None:
             raise ConfigError("give --widths or --unit-costs, not both")
-        if args.widths:
+        if args.widths is not None:
             widths = [int(w) for w in args.widths.split(",")]
             if len(widths) != alpha.num_layers + 1:
                 raise ConfigError("widths must have one more entry than layers")
@@ -389,7 +393,7 @@ def cmd_enumerate(args) -> int:
     if args.layers < 1:
         raise ConfigError(f"--layers must be at least 1, got {args.layers}")
     with _reading_input():
-        if args.unit_costs:
+        if args.unit_costs is not None:
             total = _cost_table(args.unit_costs, args.layers).fully_shared_cost
         else:  # a unit cost of 1 a layer, which needs no table
             total = float(args.layers)
@@ -423,7 +427,10 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first main() call and reused by the later ones; each
+    parse_args call fills a new namespace, so no call sees another's options."""
     parser = argparse.ArgumentParser(
         prog="bmtas",
         description="Branched multi-task architecture search on a toy supergraph.",
@@ -477,7 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at the null device, so
+        # that the flush at shutdown writes nowhere instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _log("runtime_error", error="standard output was closed early", kind="BrokenPipeError")
+        return 1
     except ConfigError as exc:
         _log("config_error", error=str(exc))
         return 2

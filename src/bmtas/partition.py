@@ -20,8 +20,8 @@ from .errors import BoundsError, DimensionMismatch
 # Largest task count a grouping may cover; the config schema's num_tasks
 # bound reads it. Neither the expected cost nor the grouping distribution needs
 # lattice tables: on a 2-core machine a default-length T=8 four-pair
-# `bmtas search` took 1.4-1.6 s and 43 MB; a T=8, L=4 `bmtas expected-cost` 0.09-0.11 s
-# cold (building its per-T tables), 0.05-0.07 s warm, 0.27-0.36 s and 58 MB as a process.
+# `bmtas search` took 1.4-1.6 s and 43 MB; a T=8, L=4 `bmtas expected-cost` 0.05-0.08 s
+# cold (building its per-T tables), 0.02-0.04 s warm, 0.23-0.30 s and 58 MB as a process.
 MAX_TASKS = 8
 
 

@@ -197,8 +197,9 @@ def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _merge_tables(num_tasks: int) -> tuple:
     """Per block count m: which groupings k of rgs_table(num_tasks) have m
-    blocks, mu of each merge s of m blocks, and merged[s, k, j], the bitmask
-    of the union of k's blocks that s puts in block j, or 0."""
+    blocks, mu of each merge s of m blocks, and merged[j, s, k], the bitmask
+    of the union of k's blocks that s puts in block j, or 0. merged is
+    block-major, so each block's gather index is one contiguous array."""
     rgs = rgs_table(num_tasks)
     masks = block_masks(rgs).astype(np.float64)
     sizes = rgs.max(axis=1) + 1
@@ -209,7 +210,7 @@ def _merge_tables(num_tasks: int) -> tuple:
         less = np.maximum(onehot.sum(axis=1) - 1, 0)  # merged block sizes less one
         mu = (-1.0) ** less.sum(axis=1) * factorials[less].prod(axis=1)
         # a float64 product of masks below 2^MAX_TASKS is exact, and BLAS-fast
-        merged = (masks[sizes == m, :m] @ onehot).astype(np.int64)
+        merged = (onehot.transpose(2, 0, 1) @ masks[sizes == m, :m].T).astype(np.int64)
         tables.append((sizes == m, mu, merged))
     return tuple(tables)
 
@@ -228,8 +229,11 @@ def grouping_distribution(alpha: ArchitectureParams, table: CostTable) -> Groupi
     h[0] = 1.0  # unused merge slots hold the empty mask
     probs = np.empty((len(rgs), alpha.num_layers))
     for rows, mu, merged in _merge_tables(alpha.num_tasks):
-        # h[merged].prod(axis=2) one block at a time: the same products, no 4-D gather
-        prod = reduce(np.multiply, (h[merged[..., b]] for b in range(merged.shape[2])))
+        # h[merged].prod(axis=0) one block at a time, in block order: the same
+        # products, no 4-D gather; np.take is numpy's fast path for one axis
+        prod = np.take(h, merged[0], axis=0)
+        for idx in merged[1:]:
+            prod *= np.take(h, idx, axis=0)
         probs[rows] = np.einsum("s,skl->kl", mu, prod)
     probs = np.where(probs.T < CLAMP_EPS, 0.0, probs.T)
     return GroupingDistribution(rgs, probs / probs.sum(axis=1, keepdims=True))

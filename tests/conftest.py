@@ -46,14 +46,20 @@ def relative_error(got, want):
     return np.linalg.norm(got - want) / denom
 
 
-def fresh_python(code: str) -> str:
-    """Standard output of `code` run by a new interpreter that imports bmtas
-    from this checkout's src/."""
+def fresh_env() -> dict:
+    """The environment of a new interpreter that imports bmtas from this
+    checkout's src/."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of `code` run by a new interpreter that imports bmtas
+    from this checkout's src/."""
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

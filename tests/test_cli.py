@@ -5,6 +5,8 @@ import hashlib
 import importlib
 import io
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from bmtas.resloss import (
     grouping_distribution,
 )
 from bmtas.seeding import rng_stream
-from conftest import PINNED_PLATFORM, fresh_python, random_alpha
+from conftest import PINNED_PLATFORM, fresh_env, fresh_python, random_alpha
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -331,6 +333,19 @@ BAD_INPUTS = {
     "export-dot-name-with-a-quote": lambda p: export_dot_argv(
         p, ['a"b', "c"], [[[0, 1]]], [[0, 0]]
     ),
+    # an empty value is given, not absent
+    "expected-cost-empty-widths-and-unit-costs": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x2), "--widths=", "--unit-costs", "3,3"
+    ],
+    "expected-cost-empty-widths": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x2), "--widths="
+    ],
+    "expected-cost-empty-unit-costs": lambda p: [
+        "expected-cost", "--alpha", input_file(p, ALPHA_2x2), "--unit-costs="
+    ],
+    "enumerate-empty-unit-costs": lambda p: [
+        "enumerate", "--tasks", "3", "--layers", "2", "--unit-costs="
+    ],
 }
 
 
@@ -450,6 +465,39 @@ class TestExpectedCost:
             for unit, layer in zip([3, 5, 2, 4], layers)
         )
         assert folded == pytest.approx(report["expected_cost"], rel=1e-12)
+
+    def test_calls_in_one_process_share_the_parser_and_no_options(self, tmp_path, capsys):
+        alpha = self.write_alpha(tmp_path, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+        argv = ["expected-cost", "--alpha", alpha]
+        cli.build_parser.cache_clear()
+        assert main(argv + ["--unit-costs", "1,1", "--oracle"]) == 0
+        assert "oracle" in json.loads(capsys.readouterr().out)
+        assert main(argv + ["--unit-costs", "1,1"]) == 0
+        assert "oracle" not in json.loads(capsys.readouterr().out)
+        # the earlier --unit-costs does not trip the not-both rule
+        assert main(argv + ["--widths", "4,2,2"]) == 0
+        # unit costs 16 and 8; E[blocks] is 1.5 at layer 1 and 1.75 at layer 2
+        assert json.loads(capsys.readouterr().out)["expected_cost"] == pytest.approx(38.0)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_a_reader_that_closes_early_gets_one_runtime_error(self, tmp_path):
+        alpha = self.write_alpha(tmp_path, random_alpha(np.random.default_rng(7), 7, 4).tolist())
+        with subprocess.Popen(
+            [sys.executable, "-m", "bmtas.cli", "expected-cost", "--alpha", alpha],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=fresh_env(),
+        ) as proc:
+            # the report is about 1.1 MB, far more than a pipe holds
+            assert proc.stdout.read(2) == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["event"] == "runtime_error"
 
     def test_eight_tasks_build_no_partitions(self, tmp_path, capsys, partitions_built):
         alpha = self.write_alpha(tmp_path, random_alpha(np.random.default_rng(8), 8, 4).tolist())
@@ -685,6 +733,10 @@ class TestTaskCountCaches:
             entry = {"partition": part.blocks(), "prob": 0.25}
             want = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n" + " " * 8)
             assert f"{head}{0.25!r}{cli._ENTRY_TAIL}" == want
+
+    def test_import_builds_no_parser(self):
+        code = "import bmtas.cli as c; print(c.build_parser.cache_info().currsize)"
+        assert fresh_python(code) == "0\n"
 
     def test_import_builds_no_config_validator(self):
         code = "import bmtas.cli as c; print(c._config_validator.cache_info().currsize)"

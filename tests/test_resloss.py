@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -380,7 +381,8 @@ def merge_tables_from_partitions(num_tasks):
             ]
             for blocks in (s.blocks() for s in merges)
         ], dtype=np.int64).reshape(len(merges), -1, m)
-        tables.append((sizes == m, mu, merged))
+        # block-major: merged[j, s, k]
+        tables.append((sizes == m, mu, np.ascontiguousarray(merged.transpose(2, 0, 1))))
     return tables
 
 
@@ -393,12 +395,48 @@ def test_merge_tables_match_partition_blocks(num_tasks):
         for a, b in zip(g, w):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+            assert a.flags.c_contiguous
     for m, (_, mu, _) in enumerate(got, start=1):
         # the construction from scipy's float factorial that math.factorial replaced
         onehot = resloss.rgs_table(m)[:, :, None] == np.arange(m)
         less = np.maximum(onehot.sum(axis=1) - 1, 0)
         want_mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
         assert mu.dtype == want_mu.dtype and np.array_equal(mu, want_mu)
+
+
+def fancy_indexed_distribution(alpha, table):
+    """grouping_distribution by fancy indexing, h[merged[..., b]] over the
+    (S, K, m) layout, the blocks multiplied by reduce in block order: the
+    reference that the np.take gather must match bit for bit."""
+    rgs = resloss.rgs_table(alpha.num_tasks)
+    h = np.cumprod(resloss._subsets(alpha, table)[4], axis=1)
+    h[0] = 1.0
+    probs = np.empty((len(rgs), alpha.num_layers))
+    for rows, mu, merged in resloss._merge_tables(alpha.num_tasks):
+        merged = np.moveaxis(merged, 0, -1)
+        prod = functools.reduce(
+            np.multiply, (h[merged[..., b]] for b in range(merged.shape[2]))
+        )
+        probs[rows] = np.einsum("s,skl->kl", mu, prod)
+    probs = np.where(probs.T < CLAMP_EPS, 0.0, probs.T)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+GATHER_LOGIT_KINDS = {
+    "uniform": lambda rng, t, l: np.zeros((t, l, t)),
+    "scale2": lambda rng, t, l: random_alpha(rng, t, l),
+    "onehot": lambda rng, t, l: forcing_alpha(rng.integers(t, size=(t, l)), l, t).logits,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GATHER_LOGIT_KINDS))
+@pytest.mark.parametrize("num_tasks", range(1, MAX_TASKS + 1))
+def test_take_gather_matches_fancy_indexing_bit_for_bit(num_tasks, kind):
+    rng = np.random.default_rng(num_tasks)
+    a = ArchitectureParams(GATHER_LOGIT_KINDS[kind](rng, num_tasks, 4))
+    table = costed_table(a.num_layers)
+    got = grouping_distribution(a, table).layers
+    assert np.array_equal(got, fancy_indexed_distribution(a, table))
 
 
 @given(
