@@ -157,6 +157,8 @@ class SyntheticTaskSpec:
             raise DomainError("signal_scale must be positive")
         if min(self.input_dim, self.hidden_dim, self.target_dim) < 1:
             raise DomainError("dimensions must be positive")
+        if not self.target_dim <= self.hidden_dim <= self.input_dim:
+            raise DomainError("dimensions need target_dim <= hidden_dim <= input_dim")
         if min(self.train_samples, self.test_samples) < 1:
             raise DomainError("sample counts must be positive")
 

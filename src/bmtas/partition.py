@@ -20,7 +20,7 @@ from .errors import BoundsError, DimensionMismatch
 # Largest task count a grouping may cover; the config schema's num_tasks
 # bound reads it. Neither the expected cost nor the grouping distribution needs
 # lattice tables: on a 2-core machine a default-length T=8 four-pair
-# `bmtas search` took 1.4-1.6 s and 43 MB; a T=8, L=4 `bmtas expected-cost` 0.05-0.08 s
+# `bmtas search` took 0.66-0.88 s and 43 MB; a T=8, L=4 `bmtas expected-cost` 0.05-0.08 s
 # cold (building its per-T tables), 0.02-0.04 s warm, 0.23-0.30 s and 58 MB as a process.
 MAX_TASKS = 8
 

@@ -48,8 +48,8 @@ def softmax(x, axis=None) -> np.ndarray:
     """exp(x) normalized over axis (all of x for None), shifted by the max
     first; the same operations, so the same bits, as scipy.special.softmax."""
     x = np.asarray(x)
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class ArchitectureParams:
             raise DimensionMismatch("logits must be a (task, layer, task) tensor")
         if not 1 <= logits.shape[0] <= MAX_TASKS:
             raise BoundsError(f"{logits.shape[0]} tasks; supported range is 1..{MAX_TASKS}")
-        if not np.all(np.isfinite(logits)):
+        if not np.isfinite(logits).all():
             raise NumericError("logits contain NaN or Inf")
         logits.setflags(write=False)
         object.__setattr__(self, "logits", logits)
@@ -239,6 +239,14 @@ def grouping_distribution(alpha: ArchitectureParams, table: CostTable) -> Groupi
     return GroupingDistribution(rgs, probs / probs.sum(axis=1, keepdims=True))
 
 
+@lru_cache(maxsize=None)
+def _subset_signs(num_tasks: int) -> np.ndarray:
+    """The sign column of `_subsets`, built once per task count; read-only."""
+    sign = np.array([0.0] + [(-1.0) ** (m.bit_count() - 1) for m in range(1, 1 << num_tasks)])
+    sign.setflags(write=False)
+    return sign
+
+
 def _subsets(alpha: ArchitectureParams, table: CostTable) -> tuple:
     """Edge probabilities pi (T, L, T), unit costs (L,), and over task
     subsets M, indexed by the bitmask with bit u set iff u is in M: the sign
@@ -246,15 +254,13 @@ def _subsets(alpha: ArchitectureParams, table: CostTable) -> tuple:
     agree[M, l] = A_l(M), the chance that all of M pick one edge at layer l."""
     _check_dims(alpha, table)
     pi = softmax(alpha.logits, axis=2)
-    prod = np.ones((1,) + pi.shape[1:])
-    sign = np.array([-1.0])
+    prod = np.empty((1 << alpha.num_tasks,) + pi.shape[1:])
+    prod[0] = 1.0
     for u in range(alpha.num_tasks):
         # subsets holding u follow, in the same order, those without it
-        prod = np.concatenate([prod, prod * pi[u]])
-        sign = np.concatenate([sign, -sign])
-    sign[0] = 0.0
+        np.multiply(prod[: 1 << u], pi[u], out=prod[1 << u : 2 << u])
     costs = np.asarray(table.unit_cost, dtype=np.float64)
-    return pi, costs, sign, prod, prod.sum(axis=2)
+    return pi, costs, _subset_signs(alpha.num_tasks), prod, prod.sum(axis=2)
 
 
 def expected_cost(alpha: ArchitectureParams, table: CostTable) -> float:

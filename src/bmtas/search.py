@@ -6,14 +6,17 @@ One batched engine carries every stage. `_features` runs all tasks'
 encoders at once over the stacked operation arrays of `OperationParams`, and
 `_backward_tasks` is its hand-written reverse pass: it writes the gradients
 of the omega-weighted task losses into the parameters' `.grad`, or returns
-the gradient of each routing row, or both. Each layer is routed either by
-one operation index per task (warm-up, retraining and prediction), which
-gathers the T weight slices used, or by a (tasks, operations) array of
-Gumbel-Softmax mixture rows (the search). The task heads are one stacked
-affine map, so loss and head gradients are one batched call each. The
-architecture gradient is the softmax's chain rule on the row gradients.
-Arrays are combined in the order of the `nncore` tape's ops, which stays as
-the engine's test oracle.
+the gradient of each routing row. Each layer is routed either by one
+operation index per task (warm-up, retraining and prediction), which
+gathers the T weight slices used unless task t takes operation t, or by a
+(tasks, operations) array of Gumbel-Softmax mixture rows (the search). The
+task heads are one stacked affine map, so loss and head gradients are one
+batched call each. The architecture gradient is the softmax's chain rule on
+the row gradients. Arrays are combined in the order of the `nncore` tape's
+ops, which stays as the engine's test oracle. Two reductions fix the bits:
+the operations are mixed by a left fold, and a shared operation's gradient
+is summed over tasks by numpy's reduction, which is pairwise for eight or
+more one-element terms.
 
 Every iteration draws fresh routing noise, takes one weight step on the
 large data split, one architecture step (task loss plus the weighted,
@@ -32,13 +35,8 @@ from .errors import BoundsError, ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
 from .nncore import SGD, Adam, OperationParams, Tensor
-from .nncore import (  # benchmarks/tracing.py patches these names here
-    backward,
-    candidate_forward,
-    head_forward,
-    mixed_layer_forward,
-    task_loss,
-)
+# benchmarks/tracing.py patches these names here
+from .nncore import backward, candidate_forward, head_forward, mixed_layer_forward, task_loss
 from .relax import discretize, gumbel_noise, schedule_tau
 from .resloss import ArchitectureParams, _cost_and_grad, softmax
 from .resloss import expected_cost, expected_cost_grad  # as above, for the tracer
@@ -119,43 +117,50 @@ def _batch(rng: np.random.Generator, pool: np.ndarray) -> np.ndarray:
     return pool[rng.choice(len(pool), size=min(BATCH_SIZE, len(pool)), replace=False)]
 
 
+def _loss_scale(omega, data: Dataset, pool: np.ndarray) -> np.ndarray:
+    """omega[t] / (batch rows * target width) as (T, 1, 1), for batches from pool."""
+    size = min(BATCH_SIZE, len(pool)) * data.targets_train.shape[2]
+    return (np.asarray(omega, dtype=np.float64) / size)[:, None, None]
+
+
 def _features(params: OperationParams, routing, x: np.ndarray):
     """Every routed task's encoder output, shape (T, B, out), and per layer
     the (input, outputs, weights) triple that `_backward_tasks` reuses.
 
-    routing[l] routes layer l+1 in one of two kinds, and its kind selects
-    the computation. Discrete routing is an integer array of shape (T,),
-    task t's operation index: the layer gathers those T weight slices and
-    runs each on its task's input, (T, B, out). Soft routing is a (T, C)
-    array whose row t mixes the layer's C operations for task t: layer 1
+    routing[l] routes layer l+1, and its kind selects the computation. An
+    integer array of shape (T,) holds task t's operation index: the layer
+    gathers those T weight slices and runs each on its task's input,
+    (T, B, out); None routes task t to operation t and gathers nothing. A
+    (T, C) array's row t mixes the layer's C operations for task t: layer 1
     runs each operation once on x, (1, C, B, out), deeper layers every
     operation on every task's input, (T, C, B, out), and the outputs are
-    summed one operation at a time, in the tape's order, so that sums match
-    it bitwise.
+    summed by a left fold in the tape's order, so that sums match it bitwise.
     """
     h, cache = x[None], []
     for w, b, r in zip(params.weights, params.biases, routing):
-        soft = r.ndim == 2
-        w, b = (w.data, b.data[:, None]) if soft else (w.data[r], b.data[r, None])
-        pre = (h[:, None] if soft else h) @ w + b
+        soft = r is not None and r.ndim == 2
+        w, b = (w.data, b.data[:, None]) if r is None or soft else (w.data[r], b.data[r, None])
+        pre = (h[:, None] if soft else h) @ w
+        pre += b
         if not np.isfinite(pre).all():  # before tanh, which would hide it
             raise NumericError("tensor holds NaN or Inf")
-        y = np.tanh(pre)
+        y = np.tanh(pre, out=pre)
         cache.append((h, y, w))
-        if soft:
-            h = r[:, 0, None, None] * y[:, 0]
+        if soft:  # not .sum(axis=1), which adds 8 or more 1-element terms pairwise
+            m = r[:, :, None, None] * y
+            h = m[:, 0]
             for c in range(1, r.shape[1]):
-                h = h + r[:, c, None, None] * y[:, c]
+                h += m[:, c]
         else:
             h = y
     return h, cache
 
 
-def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, omega, row_grads=False):
+def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, scale, row_grads=False):
     """Unweighted losses of the T tasks on the training rows idx, task t
     routed by routing[l][t] (see `_features`). By default a fresh .grad on
-    every parameter for sum_t omega[t] * loss_t; with row_grads, instead,
-    per layer the gradient of the soft routing[l], (T, C), and no .grad."""
+    every parameter for sum_t omega[t] * loss_t, scale being `_loss_scale`;
+    with row_grads, instead, per layer the gradient of the soft routing[l]."""
     h, cache = _features(params, routing, data.inputs_train[idx])
     hw, hb = params.head_weights.data, params.head_biases.data
     diff = h @ hw + hb[:, None] - data.targets_train[:, idx]
@@ -163,17 +168,20 @@ def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, omega,
     losses = (diff * diff).sum(axis=(1, 2)) / size  # each task's mean
     if not np.isfinite(losses).all():
         raise NumericError("tensor holds NaN or Inf")
-    g = (np.asarray(omega, dtype=np.float64) / size)[:, None, None] * diff
-    g = g + g  # d/d diff of diff * diff, one term per factor
+    g = scale * diff
+    g += g  # d/d diff of diff * diff, one term per factor
     if not row_grads:
         params.head_weights.grad = h.swapaxes(1, 2) @ g
         params.head_biases.grad = g.sum(axis=1)
     dh, dz = g @ hw.swapaxes(1, 2), []
     for l in reversed(range(params.num_layers)):
         w, b, r, (h, y, wr) = params.weights[l], params.biases[l], routing[l], cache[l]
-        if r.ndim == 1:
-            dpre = dh * (1.0 - y * y)
-            if not row_grads:
+        if r is None or r.ndim == 1:
+            dpre = np.subtract(1.0, np.multiply(y, y, out=y), out=y)  # y is spent here
+            dpre *= dh
+            if not row_grads and r is None:  # one term per operation: no scatter, no sum
+                w.grad, b.grad = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
+            elif not row_grads:
                 # each task's term in its operation's slot and zeros elsewhere,
                 # summed over tasks by the mixture path's reduction and order
                 tasks = np.arange(len(r))
@@ -185,7 +193,10 @@ def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, omega,
         else:
             if row_grads:
                 dz.insert(0, (dh[:, None] * y).sum(axis=2).sum(axis=2))
-            dpre = dh[:, None] * r[:, :, None, None] * (1.0 - y * y)
+                if not l:
+                    break  # nothing reads layer 1's dpre
+            dpre = dh[:, None] * r[:, :, None, None]
+            dpre *= np.subtract(1.0, np.multiply(y, y, out=y), out=y)
             if not row_grads:
                 w.grad = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
                 b.grad = dpre.sum(axis=2).sum(axis=0)
@@ -194,28 +205,30 @@ def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, omega,
     return losses.tolist(), dz
 
 
-def _architecture_grad(params, logits, noise, tau, data, idx, omega) -> np.ndarray:
+def _architecture_grad(params, logits, noise, tau, data, idx, scale) -> np.ndarray:
     """d sum_t omega[t] * loss_t / d logits under the routing rows
     softmax((logits + noise) / tau), the softmax's chain rule on the row
     gradients."""
     inv_tau = 1.0 / tau
     z = softmax((logits + noise) * inv_tau, axis=2)
-    rows = list(z.swapaxes(0, 1))
-    dz = _backward_tasks(params, rows, data, idx, omega, row_grads=True)[1]
+    dz = _backward_tasks(params, list(z.swapaxes(0, 1)), data, idx, scale, row_grads=True)[1]
     dz = np.stack(dz, axis=1)
     return z * (dz - (z[..., None, :] @ dz[..., None])[..., 0]) * inv_tau
 
 
-def _fit(params, routing, data, omega, steps, rng, lr, lr_scales=None):
-    """Plain momentum SGD at learning rate lr, one batch a step."""
+def _fit(stage, params, routing, data, omega, steps, rng, lr, lr_scales=None):
+    """Plain momentum SGD at learning rate lr, one batch a step; errors name stage and step."""
     opt = SGD(params.parameters(), lr, lr_scales)
     all_rows = np.arange(data.inputs_train.shape[0])
-    for _ in range(steps):
-        idx = _batch(rng, all_rows)
-        # a diverging step overflows; the finiteness checks of the engine and
-        # ArchitectureParams raise NumericError for it, so numpy stays quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            _backward_tasks(params, routing, data, idx, omega)
+    scale = _loss_scale(omega, data, all_rows)
+    # a diverging step overflows; the finiteness checks of the engine and
+    # ArchitectureParams raise NumericError for it, so numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            try:
+                _backward_tasks(params, routing, data, _batch(rng, all_rows), scale)
+            except NumericError as exc:
+                raise NumericError(f"non-finite value at {stage} step {step}: {exc}") from exc
             opt.step()
 
 
@@ -228,9 +241,9 @@ def warm_up(supergraph: SupergraphSpec, data: Dataset, config: SearchConfig) -> 
     """
     rng = rng_stream(config.seed, "warmup")
     params = OperationParams.init(supergraph, data.num_tasks, data.targets_train.shape[2], rng)
-    routing = [np.arange(data.num_tasks)] * supergraph.num_layers
+    routing = [None] * supergraph.num_layers  # task t on operation t
     ones = (1.0,) * data.num_tasks
-    _fit(params, routing, data, ones, config.warmup_steps, rng, config.theta_lr)
+    _fit("warm-up", params, routing, data, ones, config.warmup_steps, rng, config.theta_lr)
     return params
 
 
@@ -265,7 +278,7 @@ def search(
     theta_opt = SGD(params.parameters(), config.theta_lr)
     alpha_opt = Adam(np.zeros(logits_shape), config.alpha_lr)
     shared_cost = supergraph.cost_table.fully_shared_cost
-    penalized = config.resource_weight > 0
+    penalized, penalty = config.resource_weight > 0, config.resource_weight / shared_cost
     alpha_now = ArchitectureParams(alpha_opt.value)
     picks = discretize(alpha_now)
     structure = derive_groupings(picks)
@@ -273,45 +286,38 @@ def search(
     # each step's cost pass also yields the gradient the next step uses
     cost_grad = _cost_and_grad(alpha_now, supergraph.cost_table, penalized)[1]
 
+    theta_scale, alpha_scale = (_loss_scale(omega, data, pool) for pool in (theta_rows, alpha_rows))
     horizon = max(config.search_steps - 1, 1)
     trace: list[TraceRow] = []
-    for step in range(1, config.search_steps + 1):
-        tau = schedule_tau(config.tau_start, config.tau_end, step - 1, horizon)
-        noise = gumbel_noise(logits_shape, gumbel_rng)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _fit
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _fit
+        for step in range(1, config.search_steps + 1):
+            tau = schedule_tau(config.tau_start, config.tau_end, step - 1, horizon)
+            noise = gumbel_noise(logits_shape, gumbel_rng)
+            try:
                 # weight phase: routing is a constant sample
-                z_const = softmax((alpha_opt.value + noise) / tau, axis=2)
+                rows = list(softmax((alpha_opt.value + noise) / tau, axis=2).swapaxes(0, 1))
                 idx = _batch(theta_batches, theta_rows)
-                losses = _backward_tasks(params, list(z_const.swapaxes(0, 1)), data, idx, omega)[0]
+                losses = _backward_tasks(params, rows, data, idx, theta_scale)[0]
                 theta_opt.step()
 
                 # architecture phase: same noise, routing differentiated
                 idx = _batch(alpha_batches, alpha_rows)
-                grad = _architecture_grad(params, alpha_opt.value, noise, tau, data, idx, omega)
+                value = alpha_opt.value
+                grad = _architecture_grad(params, value, noise, tau, data, idx, alpha_scale)
                 if penalized:
-                    grad = grad + (config.resource_weight / shared_cost) * cost_grad
+                    grad = grad + penalty * cost_grad
                 alpha_opt.step(grad)
                 alpha_now = ArchitectureParams(alpha_opt.value)
                 cost, cost_grad = _cost_and_grad(alpha_now, supergraph.cost_table, penalized)
-        except NumericError as exc:
-            raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
+            except NumericError as exc:
+                raise SearchError(f"non-finite value at step {step}: {exc}", trace) from exc
 
-        now = discretize(alpha_now)
-        if not np.array_equal(now, picks):
-            picks, structure = now, derive_groupings(now)
-            digest = structure_hash(structure)
-            theta_opt.reset_momentum()
-        trace.append(
-            TraceRow(
-                step=step,
-                tau=tau,
-                task_losses=tuple(losses),
-                resource_loss=cost / shared_cost,
-                expected_cost=cost,
-                structure_hash=digest,
-            )
-        )
+            now = discretize(alpha_now)
+            if not np.array_equal(now, picks):
+                picks, structure = now, derive_groupings(now)
+                digest = structure_hash(structure)
+                theta_opt.reset_momentum()
+            trace.append(TraceRow(step, tau, tuple(losses), cost / shared_cost, cost, digest))
 
     return SearchResult(structure=structure, alpha_final=alpha_now, trace=trace)
 
@@ -388,7 +394,7 @@ def retrain_model(
     routing = [np.array(g.rgs) for g in structure.groupings]
     batches = rng_stream(seed, "retrain-batches")
     steps, lr = config.retrain_steps, config.theta_lr
-    _fit(params, routing, data, omega, steps, batches, lr, scales + [1.0, 1.0])
+    _fit("retrain", params, routing, data, omega, steps, batches, lr, scales + [1.0, 1.0])
 
     model = RetrainedModel(structure, names, params, test_mse={})
     for t, name in enumerate(names):

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from bmtas import cli, resloss
 from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
-from bmtas.graph import CostTable, derive_groupings, structure_to_json
+from bmtas.graph import (
+    CostTable,
+    derive_groupings,
+    structure_cost,
+    structure_from_json,
+    structure_to_json,
+)
 from bmtas.partition import MAX_TASKS, Partition, enumerate_partitions
 from bmtas.resloss import (
     ENUM_GUARD,
@@ -196,6 +202,17 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert [json.loads(line)["event"] for line in lines][-1] == "runtime_error"
 
+    def test_diverging_warm_up_names_its_stage_and_step(self, tmp_path, capsys):
+        argv = bad_config(tmp_path, search={"theta_lr": 1e300})
+        assert main(argv + ["--out", str(tmp_path / "runs")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "event": "runtime_error",
+            "error": "non-finite value at warm-up step 2: tensor holds NaN or Inf",
+            "kind": "NumericError",
+        }
+
 
 def bad_config(tmp_path, **edits):
     """search argv for base_config with edits {section: {key: value}}; the
@@ -346,6 +363,13 @@ BAD_INPUTS = {
     "enumerate-empty-unit-costs": lambda p: [
         "enumerate", "--tasks", "3", "--layers", "2", "--unit-costs="
     ],
+    # the benchmark's widths must satisfy target_dim <= hidden_dim <= input_dim
+    "hidden_dim-above-input_dim": lambda p: bad_config(
+        p, supergraph={"widths": [4, 6, 6]}, benchmark={"input_dim": 4, "hidden_dim": 5}
+    ),
+    "target_dim-above-hidden_dim": lambda p: bad_config(
+        p, benchmark={"hidden_dim": 2, "target_dim": 6}
+    ),
 }
 
 
@@ -559,8 +583,23 @@ DETERMINISM_CONFIG = {
     "search": {"lambda": 0.05, "warmup_steps": 150, "search_steps": 150, "retrain_steps": 150},
 }
 
-# sha256 of the `bmtas search` artifacts of the README config at seed 0 and
-# of criterion 10's config at seed 3
+# a short eight-task run, the one pinned run whose soft layers mix C=8
+# operations and whose shared operations sum the gradients of eight tasks
+EIGHT_TASK_CONFIG = {
+    "experiment": "eight",
+    "supergraph": {"widths": [16, 8, 8, 8]},
+    "benchmark": {
+        "num_tasks": 8,
+        "input_dim": 16,
+        "hidden_dim": 4,
+        "target_dim": 2,
+        "relatedness": [[0, 1], [2, 3], [4, 5], [6, 7]],
+    },
+    "search": {"lambda": 0.05, "warmup_steps": 60, "search_steps": 60, "retrain_steps": 60},
+}
+
+# sha256 of the `bmtas search` artifacts of the README config at seed 0, of
+# criterion 10's config at seed 3 and of the eight-task config at seed 0
 SEARCH_DIGESTS = {
     "pairs/seed0": {
         "structure.json": "33584c06ae42504212785c52cc35c08aae17ba0dcb31ffa5a37f579cfd224e8a",
@@ -574,23 +613,55 @@ SEARCH_DIGESTS = {
         "trace.csv": "d03b741878441749e2ac376ba960d575da633d34fd9161fc0667f4960a12fb75",
         "metrics.json": "52747474edc5bd8698fa7b039022832ae29bc2093d59746be87d31bab0311c0d",
     },
+    "eight/seed0": {
+        "structure.json": "dccbf1f62cdefb27bb7a9d6b4ceca57be54a47f8784170be0fab5ed15964106d",
+        "structure.dot": "db5ef38511cf8401594e78d4968a644a0bde0ca4edf28184d9d5f09bbc4750c6",
+        "trace.csv": "fe5a5d8ee061af5e52cf7227e8f9a1eedfc6e6e81f4a9dec2f848d50e1819d9a",
+        "metrics.json": "ba7de98b4b05d4be07ef5737c7cc033a87e26ede932e8c4445cebe218665a43f",
+    },
 }
 
 
-def test_search_artifacts_match_their_pinned_digests(tmp_path):
+def pinned_configs():
+    """Run directory -> (seed, config) of each pinned search run."""
     readme = (BENCHMARKS.parent / "README.md").read_text()
-    configs = {
-        0: json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0]),
-        3: DETERMINISM_CONFIG,
+    return {
+        "pairs/seed0": (0, json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])),
+        "determinism/seed3": (3, DETERMINISM_CONFIG),
+        "eight/seed0": (0, EIGHT_TASK_CONFIG),
     }
-    for seed, cfg in configs.items():
-        path = input_file(tmp_path, json.dumps(cfg), f"seed{seed}.json")
-        assert main(["search", "--config", path, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """The output directory of the pinned search runs, made once."""
+    out = tmp_path_factory.mktemp("pinned")
+    for seed, cfg in pinned_configs().values():
+        path = input_file(out, json.dumps(cfg), f"{cfg['experiment']}.json")
+        assert main(["search", "--config", path, "--seed", str(seed), "--out", str(out)]) == 0
+    return out
+
+
+def test_search_artifacts_match_their_pinned_digests(pinned_runs):
     digests = {
-        run: {n: hashlib.sha256((tmp_path / run / n).read_bytes()).hexdigest() for n in pins}
+        run: {n: hashlib.sha256((pinned_runs / run / n).read_bytes()).hexdigest() for n in pins}
         for run, pins in SEARCH_DIGESTS.items()
     }
     assert digests == SEARCH_DIGESTS, PINNED_PLATFORM
+
+
+@pytest.mark.parametrize("run", list(SEARCH_DIGESTS))
+def test_pinned_artifacts_agree_with_each_other(run, pinned_runs, capsys):
+    run_dir = pinned_runs / run
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    capsys.readouterr()
+    assert main(["export-dot", "--structure", str(run_dir / "structure.json")]) == 0
+    assert capsys.readouterr().out == (run_dir / "structure.dot").read_text()
+    with open(run_dir / "trace.csv", newline="") as f:
+        assert list(csv.DictReader(f))[-1]["structure_hash"] == metrics["structure_hash"]
+    structure = structure_from_json(json.loads((run_dir / "structure.json").read_text()))[0]
+    table = cli._build_supergraph(pinned_configs()[run][1]).cost_table
+    assert structure_cost(structure, table) == metrics["structure_cost"]
 
 
 UNIT_COSTS = [3.0, 5.0, 2.0, 4.0]

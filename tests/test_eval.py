@@ -183,6 +183,10 @@ class TestSyntheticTaskSpec:
             pair_spec(hidden_dim=0)
         with pytest.raises(DomainError):
             pair_spec(train_samples=0)
+        for dims in ({"hidden_dim": 17}, {"target_dim": 5}):
+            with pytest.raises(DomainError, match="target_dim <= hidden_dim <= input_dim"):
+                pair_spec(**dims)
+        pair_spec(input_dim=4, hidden_dim=4, target_dim=4)  # equal widths are allowed
 
     def test_fields_are_the_config_benchmark_keys(self):
         keys = set(CONFIG_SCHEMA["properties"]["benchmark"]["properties"])

@@ -25,6 +25,7 @@ from bmtas.resloss import (
     grouping_distribution,
     transition_kernel,
 )
+import engine_reference
 from conftest import central_diff, random_alpha, relative_error
 
 
@@ -402,6 +403,20 @@ def test_merge_tables_match_partition_blocks(num_tasks):
         less = np.maximum(onehot.sum(axis=1) - 1, 0)
         want_mu = (-1.0) ** less.sum(axis=1) * factorial(less).prod(axis=1)
         assert mu.dtype == want_mu.dtype and np.array_equal(mu, want_mu)
+
+
+@pytest.mark.parametrize("num_tasks", range(1, MAX_TASKS + 1))
+def test_subsets_match_the_concatenated_build_bit_for_bit(num_tasks):
+    # the preallocated buffer holds the same products, factor for factor
+    rng = np.random.default_rng(num_tasks)
+    for logits in (random_alpha(rng, num_tasks, 3), np.zeros((num_tasks, 2, num_tasks))):
+        alpha = ArchitectureParams(logits)
+        _, _, sign, prod, agree = resloss._subsets(alpha, CostTable([1.0] * len(logits[0])))
+        want = engine_reference.subsets(logits)
+        for got, ref in zip((sign, prod, agree), want):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert not sign.flags.writeable and sign is resloss._subset_signs(num_tasks)
 
 
 def fancy_indexed_distribution(alpha, table):

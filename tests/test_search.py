@@ -36,12 +36,14 @@ from bmtas.search import (
     _backward_tasks,
     _features,
     _fit,
+    _loss_scale,
     retrain,
     retrain_model,
     search,
     warm_up,
 )
 from bmtas.seeding import rng_stream
+import engine_reference
 
 
 def small_benchmark(seed=0, num_tasks=3, train=128):
@@ -433,12 +435,13 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
     x, targets = data.inputs_train, data.targets_train
     omega = rng.uniform(0.5, 2.0, num_tasks)
     idx = np.arange(batch)
+    scale = _loss_scale(omega, data, idx)
 
     leaves = [[Tensor(r[t]) for r in rows] for t in range(num_tasks)]
     want_losses = tape_pass(params, leaves, x, targets, omega)
     want_theta = collect_grads(params.parameters())
     want_rows = [np.stack([task[l].grad for task in leaves]) for l in range(num_layers)]
-    losses = _backward_tasks(params, routing, data, idx, omega)[0]
+    losses = _backward_tasks(params, routing, data, idx, scale)[0]
     assert max_diff(losses, want_losses) <= 1e-10
     assert max_diff([p.grad for p in params.parameters()], want_theta) <= 1e-10
 
@@ -447,7 +450,7 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
     # count. The architecture step writes no .grad.
     for p in params.parameters():
         p.grad = None
-    row_losses, dz = _backward_tasks(params, rows, data, idx, omega, row_grads=True)
+    row_losses, dz = _backward_tasks(params, rows, data, idx, scale, row_grads=True)
     assert row_losses == losses
     assert max_diff(dz, want_rows) <= 1e-10
     assert all(p.grad is None for p in params.parameters())
@@ -463,7 +466,7 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
             for t in range(num_tasks)
         ]
         tape_pass(params, on_tape, x, targets, omega)
-        got = _architecture_grad(params, logits, noise, tau, data, idx, omega)
+        got = _architecture_grad(params, logits, noise, tau, data, idx, scale)
         assert max_diff([got], [alpha.grad]) <= 1e-10
 
 
@@ -487,16 +490,96 @@ def test_gathered_routing_equals_one_hot_mixture(num_tasks, num_layers, batch, s
     picks = [rng.integers(0, c, num_tasks) for c in counts]
     params = random_network(rng, num_tasks, counts, widths)
     data = random_task_data(rng, params, num_tasks, batch)
-    omega = rng.uniform(0.5, 2.0, num_tasks)
+    scale = _loss_scale(rng.uniform(0.5, 2.0, num_tasks), data, np.arange(batch))
     runs = []
     for routing in (picks, [np.eye(c)[p] for c, p in zip(counts, picks)]):
-        losses = _backward_tasks(params, routing, data, np.arange(batch), omega)[0]
+        losses = _backward_tasks(params, routing, data, np.arange(batch), scale)[0]
         features = _features(params, routing, data.inputs_train)[0]
         runs.append((losses, features, [p.grad for p in params.parameters()]))
     (losses, features, grads), (want_losses, want_features, want_grads) = runs
     assert losses == want_losses
     assert np.array_equal(features, want_features)
     assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def reference_case(rng, num_tasks, ops, num_layers, batch, out):
+    """A network of `ops` operations per layer, hidden widths `out`, its data
+    and loss scale, and soft routing rows of shape (num_tasks, ops)."""
+    widths = [int(rng.integers(1, 6))] + [out] * num_layers
+    params = random_network(rng, num_tasks, [ops] * num_layers, widths)
+    data = random_task_data(rng, params, num_tasks, batch)
+    omega = rng.uniform(0.5, 2.0, num_tasks)
+    rows = [softmax(2.0 * rng.normal(size=(num_tasks, ops)), axis=1) for _ in range(num_layers)]
+    return params, data, omega, _loss_scale(omega, data, np.arange(batch)), rows
+
+
+case_shapes = dict(
+    num_tasks=st.integers(1, 8),
+    ops=st.integers(1, 8),
+    num_layers=st.integers(1, 3),
+    batch=st.integers(1, 6),
+    out=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**case_shapes)
+# eight one-element terms per output: np.sum would add them pairwise
+@example(num_tasks=4, ops=8, num_layers=2, batch=1, out=1, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_soft_mix_matches_the_left_fold_loop(num_tasks, ops, num_layers, batch, out, seed):
+    params, data, _, _, rows = reference_case(
+        np.random.default_rng(seed), num_tasks, ops, num_layers, batch, out
+    )
+    x = data.inputs_train
+    got, want = _features(params, rows, x), engine_reference.features(params, rows, x)
+    assert same_bits(got[0], want[0])
+    assert all(same_bits(g[1], w[1]) for g, w in zip(got[1], want[1]))
+
+
+@given(**case_shapes)
+@example(num_tasks=8, ops=8, num_layers=3, batch=4, out=1, seed=0)
+@example(num_tasks=8, ops=8, num_layers=2, batch=1, out=8, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_its_reference_bit_for_bit(num_tasks, ops, num_layers, batch, out, seed):
+    # the weight pass and the architecture pass over soft rows, and gathered
+    # routing, against the formulas with one fresh temporary per numpy call
+    rng = np.random.default_rng(seed)
+    params, data, omega, scale, rows = reference_case(rng, num_tasks, ops, num_layers, batch, out)
+    picks = [rng.integers(0, ops, num_tasks) for _ in range(num_layers)]
+    idx = np.arange(batch)
+    for routing in (rows, picks):
+        want_losses = engine_reference.backward_tasks(params, routing, data, idx, omega)[0]
+        want = [p.grad for p in params.parameters()]
+        assert _backward_tasks(params, routing, data, idx, scale)[0] == want_losses
+        assert all(same_bits(p.grad, w) for p, w in zip(params.parameters(), want))
+    want = engine_reference.backward_tasks(params, rows, data, idx, omega, row_grads=True)
+    got = _backward_tasks(params, rows, data, idx, scale, row_grads=True)
+    assert got[0] == want[0] and all(same_bits(g, w) for g, w in zip(got[1], want[1]))
+
+
+@given(**{k: v for k, v in case_shapes.items() if k != "ops"})
+@example(num_tasks=8, num_layers=3, batch=1, out=1, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_identity_routing_equals_scatter_and_sum(num_tasks, num_layers, batch, out, seed):
+    # None routes task t to operation t; its gradients hold each slot's one
+    # term, where the scatter adds zeros to it: equal up to the sign of zero
+    params, data, omega, scale, _ = reference_case(
+        np.random.default_rng(seed), num_tasks, num_tasks, num_layers, batch, out
+    )
+    idx = np.arange(batch)
+    identity = [np.arange(num_tasks)] * num_layers
+    want_losses = engine_reference.backward_tasks(params, identity, data, idx, omega)[0]
+    want = [p.grad for p in params.parameters()]
+    assert _backward_tasks(params, [None] * num_layers, data, idx, scale)[0] == want_losses
+    assert all(np.array_equal(p.grad, w) for p, w in zip(params.parameters(), want))
+    features = _features(params, [None] * num_layers, data.inputs_train)[0]
+    assert same_bits(features, engine_reference.features(params, identity, data.inputs_train)[0])
 
 
 class TestEngineGuards:
@@ -509,14 +592,30 @@ class TestEngineGuards:
             pre = data.inputs_train @ params.weights[0].data[0]
         assert np.isinf(pre).any() and np.isfinite(np.tanh(pre)).all()
         all_rows = np.arange(data.inputs_train.shape[0])
+        scale = _loss_scale((1.0,) * 3, data, all_rows)
         for routing in ([np.eye(3)] * sg.num_layers, [np.arange(3)] * sg.num_layers):
             with pytest.raises(NumericError):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _backward_tasks(params, routing, data, all_rows, (1.0,) * 3)
+                    _backward_tasks(params, routing, data, all_rows, scale)
             with pytest.raises(NumericError):
-                _fit(params, routing, data, (1.0,) * 3, 1, rng_stream(0), 0.3)
+                _fit("warm-up", params, routing, data, (1.0,) * 3, 1, rng_stream(0), 0.3)
         with pytest.raises(SearchError, match="at step 1"):
             search(quick_config(warmup_steps=0), sg, data, params=params)
+
+    def test_training_failures_name_their_stage_and_step(self):
+        data, sg = small_benchmark()
+        settings = np.geterr()
+        with pytest.raises(NumericError, match="^non-finite value at warm-up step 2: tensor"):
+            warm_up(sg, data, quick_config(theta_lr=1e300))
+        structure = derive_groupings(np.zeros((3, sg.num_layers), dtype=int))
+        with pytest.raises(NumericError, match="^non-finite value at retrain step 2: tensor"):
+            retrain_model(structure, sg, data, quick_config(theta_lr=1e300))
+        params = warm_up(sg, data, quick_config(warmup_steps=0))
+        params.weights[0].data[...] = 1e308
+        with pytest.raises(SearchError, match="^non-finite value at step 1: tensor"):
+            search(quick_config(), sg, data, params=params)
+        # each training loop's errstate block closes when its error leaves it
+        assert np.geterr() == settings
 
     def test_one_resource_pass_per_step(self, monkeypatch):
         calls = []
