@@ -18,6 +18,8 @@ from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from .errors import BmtasError, ConfigError
 from .eval import MetricRecord, SyntheticTaskSpec, delta_m, generate_tasks
 from .graph import (
@@ -321,22 +323,24 @@ _ENTRY_TAIL = _ENTRY_BREAK + "}"
 
 
 @lru_cache(maxsize=None)
-def _probs_entries(num_tasks: int) -> tuple[str, ...]:
-    """Each grouping's probs entry in the report text up to its prob, as
-    json.dumps(sort_keys=True, indent=2) writes it; _ENTRY_TAIL follows the
-    prob. Each block's text is written once, indexed by its bitmask."""
+def _probs_entries(num_tasks: int) -> np.ndarray:
+    """Each grouping's probs entry in the report text up to its prob, after the
+    separator that ends the entry before it, as json.dumps(sort_keys=True,
+    indent=2) writes them; a read-only object array, for a mask to index."""
     blocks = [
         f"[{_TASK_BREAK}"
         + f",{_TASK_BREAK}".join(str(t) for t in range(num_tasks) if mask >> t & 1)
         + f"{_BLOCK_BREAK}]"
         for mask in range(1 << num_tasks)
     ]
-    return tuple(
-        f'{{{_KEY_BREAK}"partition": [{_BLOCK_BREAK}'
+    entries = np.array([
+        f'{_ENTRY_TAIL},{_ENTRY_BREAK}{{{_KEY_BREAK}"partition": [{_BLOCK_BREAK}'
         + f",{_BLOCK_BREAK}".join(blocks[mask] for mask in row if mask)
         + f'{_KEY_BREAK}],{_KEY_BREAK}"prob": '
         for row in block_masks(rgs_table(num_tasks)).tolist()
-    )
+    ], dtype=object)
+    entries.setflags(write=False)
+    return entries
 
 
 def _report_text(report: dict, dist) -> str:
@@ -344,12 +348,17 @@ def _report_text(report: dict, dist) -> str:
     probs list of its layer: the groupings of positive probability, in order."""
     entries = _probs_entries(dist.rgs.shape[1])
     text = json.dumps(report, sort_keys=True, indent=2).split(json.dumps(_HOLE))
-    for l, row in enumerate(dist.layers.tolist()):
-        body = f",{_ENTRY_BREAK}".join(
-            f"{head}{p!r}{_ENTRY_TAIL}" for head, p in zip(entries, row) if p > 0
-        )
-        text[l] += f"[{_ENTRY_BREAK}{body}\n      ]"
-    return "".join(text)
+    parts = text[:1]
+    for layer, rest in zip(dist.layers, text[1:]):
+        keep = layer > 0
+        body = [""] * (2 * int(keep.sum()))
+        if body:  # else repr([]) would split into [""], and json.dumps writes []
+            body[::2] = entries[keep].tolist()
+            body[1::2] = repr(layer[keep].tolist())[1:-1].split(", ")
+            body[0] = "[" + body[0][len(_ENTRY_TAIL) + 1 :]  # not the first one's separator
+        parts += body
+        parts += (f"{_ENTRY_TAIL}\n      ]" if body else "[]", rest)
+    return "".join(parts)
 
 
 def cmd_expected_cost(args) -> int:

@@ -68,7 +68,9 @@ def delta_m(model: MetricRecord, baseline: MetricRecord) -> float:
             raise DomainError("baseline metric of 0 makes the ratio undefined")
         sign = -1.0 if lower else 1.0
         total += sign * (m - b) / b
-    return 100.0 * total / len(model.values)
+    if not np.isfinite(mean := 100.0 * total / len(model.values)):  # beyond the largest float
+        raise DomainError("the average relative change is not finite")
+    return mean
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

@@ -13,10 +13,12 @@ gathers the T weight slices used unless task t takes operation t, or by a
 task heads are one stacked affine map, so loss and head gradients are one
 batched call each. The architecture gradient is the softmax's chain rule on
 the row gradients. Arrays are combined in the order of the `nncore` tape's
-ops, which stays as the engine's test oracle. Two reductions fix the bits:
-the operations are mixed by a left fold, and a shared operation's gradient
-is summed over tasks by numpy's reduction, which is pairwise for eight or
-more one-element terms.
+ops, which stays as the engine's test oracle. Three reductions fix the bits:
+numpy's sum mixes the operations, a left fold, but an accumulate mixes eight
+or more one-element terms, which numpy adds pairwise; batch sums fold a
+batch-major copy in one loop, as numpy folds a batch of width 2 or more, and
+keep numpy's pairwise sum at width 1; numpy's reduction sums a shared
+operation's gradient over tasks, pairwise for eight or more such terms.
 
 Every iteration draws fresh routing noise, takes one weight step on the
 large data split, one architecture step (task loss plus the weighted,
@@ -146,14 +148,21 @@ def _features(params: OperationParams, routing, x: np.ndarray):
             raise NumericError("tensor holds NaN or Inf")
         y = np.tanh(pre, out=pre)
         cache.append((h, y, w))
-        if soft:  # not .sum(axis=1), which adds 8 or more 1-element terms pairwise
+        if soft:  # numpy's sum is a left fold but for 8 or more 1-element terms
             m = r[:, :, None, None] * y
-            h = m[:, 0]
-            for c in range(1, r.shape[1]):
-                h += m[:, c]
+            pairwise = m.shape[1] >= 8 and m[0, 0].size == 1
+            h = np.add.accumulate(m, axis=1)[:, -1] if pairwise else m.sum(axis=1)
         else:
             h = y
     return h, cache
+
+
+def _batch_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=2) of a (T, C, B, out) array, bit for bit: numpy's left fold
+    over the batch for out >= 2, run as one long loop over a batch-major copy."""
+    if a.shape[3] == 1:  # numpy sums a batch of width 1 pairwise
+        return a.sum(axis=2)
+    return np.ascontiguousarray(a.transpose(2, 0, 1, 3)).sum(axis=0)
 
 
 def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, scale, row_grads=False):
@@ -192,14 +201,14 @@ def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, scale,
                 dh = dpre @ wr.swapaxes(1, 2)
         else:
             if row_grads:
-                dz.insert(0, (dh[:, None] * y).sum(axis=2).sum(axis=2))
+                dz.insert(0, _batch_sum(dh[:, None] * y).sum(axis=2))
                 if not l:
                     break  # nothing reads layer 1's dpre
             dpre = dh[:, None] * r[:, :, None, None]
             dpre *= np.subtract(1.0, np.multiply(y, y, out=y), out=y)
             if not row_grads:
                 w.grad = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
-                b.grad = dpre.sum(axis=2).sum(axis=0)
+                b.grad = _batch_sum(dpre).sum(axis=0)
             if l:
                 dh = (dpre @ wr.swapaxes(1, 2)).sum(axis=1)
     return losses.tolist(), dz

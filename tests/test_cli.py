@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -315,6 +316,13 @@ BAD_INPUTS = {
     "eval-records-with-empty-task-lists": lambda p: eval_argv(p, record(), record()),
     "eval-zero-baseline": lambda p: eval_argv(
         p, record(("a", 1.0)), record(("a", 0.0))
+    ),
+    # finite values whose relative change overflows to inf and to -inf
+    "eval-change-overflows-upward": lambda p: eval_argv(
+        p, record(("a", 1e308)), record(("a", 1e-310))
+    ),
+    "eval-change-overflows-downward": lambda p: eval_argv(
+        p, record(("a", 1e308)), record(("a", -1e308))
     ),
     "eval-records-name-different-tasks": lambda p: eval_argv(
         p, record(("a", 1.0)), record(("b", 1.0))
@@ -761,6 +769,20 @@ class TestReportText:
         assert code == 1
         assert out == json_dumps_report(logits, True, oracle_offset=1.0)
 
+    def test_a_layer_without_positive_probability_lists_nothing(self):
+        # no softmax yields such a layer, but repr([]) would split into [""]
+        parts = enumerate_partitions(3)
+        layers = np.array([[0.0] * 5, [0.5, 0.0, 0.25, 0.0, 0.25], [0.0] * 4 + [1.0]])
+        dist = SimpleNamespace(rgs=np.array([p.rgs for p in parts]), layers=layers)
+        holes = [{"layer": l, "probs": cli._HOLE} for l in (1, 2, 3)]
+
+        def probs(row):
+            return [{"partition": q.blocks(), "prob": p} for q, p in zip(parts, row) if p > 0]
+
+        lists = [{"layer": l, "probs": probs(r)} for l, r in zip((1, 2, 3), layers.tolist())]
+        got = cli._report_text({"grouping_distribution": holes}, dist)
+        assert got == json.dumps({"grouping_distribution": lists}, sort_keys=True, indent=2)
+
 
 class TestTaskCountCaches:
     def test_interleaved_task_counts_reproduce_their_output(self, tmp_path):
@@ -803,7 +825,10 @@ class TestTaskCountCaches:
         for head, part in zip(entries, parts):
             entry = {"partition": part.blocks(), "prob": 0.25}
             want = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n" + " " * 8)
-            assert f"{head}{0.25!r}{cli._ENTRY_TAIL}" == want
+            # each entry carries the separator that closes the one before it
+            tail = cli._ENTRY_TAIL
+            assert want.endswith(tail)
+            assert f"{head}{0.25!r}" == f"{tail},{cli._ENTRY_BREAK}{want[: -len(tail)]}"
 
     def test_import_builds_no_parser(self):
         code = "import bmtas.cli as c; print(c.build_parser.cache_info().currsize)"

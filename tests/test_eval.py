@@ -61,6 +61,20 @@ class TestDeltaM:
         with pytest.raises(DomainError):
             delta_m(model, base)
 
+    @pytest.mark.parametrize(
+        "m, b",
+        [
+            ((1e308, 1.0), (1e-310, 1.0)),  # the average overflows to inf
+            ((1e308, 1.0), (-1e308, 1.0)),  # to -inf
+            ((1e308, 1e308), (1e-310, -1e308)),  # inf + -inf is nan
+        ],
+    )
+    def test_average_beyond_the_largest_float_rejected(self, m, b):
+        model = MetricRecord(values=m, lower_better=(False, False))
+        base = MetricRecord(values=b, lower_better=(False, False))
+        with pytest.raises(DomainError, match="not finite"):
+            delta_m(model, base)
+
     def test_direction_and_name_mismatches_rejected(self):
         a = MetricRecord(values=(1.0,), lower_better=(False,))
         b = MetricRecord(values=(1.0,), lower_better=(True,))

@@ -34,6 +34,7 @@ from bmtas.search import (
     SearchResult,
     _architecture_grad,
     _backward_tasks,
+    _batch_sum,
     _features,
     _fit,
     _loss_scale,
@@ -545,6 +546,9 @@ def test_soft_mix_matches_the_left_fold_loop(num_tasks, ops, num_layers, batch, 
 @given(**case_shapes)
 @example(num_tasks=8, ops=8, num_layers=3, batch=4, out=1, seed=0)
 @example(num_tasks=8, ops=8, num_layers=2, batch=1, out=8, seed=1)
+# a full batch, which numpy sums pairwise at out 1 and in order at out 2
+@example(num_tasks=4, ops=4, num_layers=3, batch=32, out=1, seed=0)
+@example(num_tasks=4, ops=4, num_layers=3, batch=32, out=2, seed=0)
 @settings(max_examples=60, deadline=None)
 def test_engine_matches_its_reference_bit_for_bit(num_tasks, ops, num_layers, batch, out, seed):
     # the weight pass and the architecture pass over soft rows, and gathered
@@ -561,6 +565,19 @@ def test_engine_matches_its_reference_bit_for_bit(num_tasks, ops, num_layers, ba
     want = engine_reference.backward_tasks(params, rows, data, idx, omega, row_grads=True)
     got = _backward_tasks(params, rows, data, idx, scale, row_grads=True)
     assert got[0] == want[0] and all(same_bits(g, w) for g, w in zip(got[1], want[1]))
+
+
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), st.integers(1, 8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(4, 4, 32, 1), seed=0)
+@example(shape=(4, 4, 32, 2), seed=0)
+@settings(max_examples=100, deadline=None)
+def test_batch_sum_is_numpys_sum_over_the_batch(shape, seed):
+    # (T, C, B, out): a left fold for out >= 2, pairwise over B >= 8 for out == 1
+    a = np.random.default_rng(seed).normal(size=shape)
+    assert same_bits(_batch_sum(a), a.sum(axis=2))
 
 
 @given(**{k: v for k, v in case_shapes.items() if k != "ops"})
