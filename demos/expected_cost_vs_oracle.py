@@ -31,7 +31,7 @@ for layer in (1, 2):
 
 print()
 print("== random logits, larger instance ==")
-table3 = SupergraphSpec.chain([8, 8, 8, 8]).cost_table
+table3 = SupergraphSpec([8, 8, 8, 8]).cost_table
 logits = rng.normal(scale=2.0, size=(3, 3, 3))
 alpha3 = ArchitectureParams(logits)
 fast = expected_cost(alpha3, table3)

@@ -37,7 +37,7 @@ spec = SyntheticTaskSpec(
     relatedness=Partition((0, 0, 1, 1)),
 )
 data = generate_tasks(spec, rng_stream(0, "data"))
-supergraph = SupergraphSpec.chain([16, 8, 8, 8])
+supergraph = SupergraphSpec([16, 8, 8, 8])
 
 # train every task on its own branch so the features share nothing but data
 picks = [[t] * 3 for t in range(4)]

@@ -25,7 +25,7 @@ print(f"meet({a}, {b}) = {meet(a, b)}")
 
 print()
 print("== branched structures over a three-layer chain ==")
-spec = SupergraphSpec.chain([8, 8, 8, 8])
+spec = SupergraphSpec([8, 8, 8, 8])
 print(f"valid refinement chains: {count_structures(4, 3)}")
 
 # build one by hand from per-task picks: row t lists task t's operation per layer

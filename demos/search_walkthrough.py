@@ -24,7 +24,7 @@ spec = SyntheticTaskSpec(
     relatedness=Partition((0, 0, 1, 1)),
 )
 data = generate_tasks(spec, rng_stream(SEED, "data"))
-supergraph = SupergraphSpec.chain([16, 8, 8, 8])
+supergraph = SupergraphSpec([16, 8, 8, 8])
 
 print(f"benchmark: {spec.num_tasks} tasks, generating pairs {spec.relatedness}")
 print(f"supergraph: widths {[16, 8, 8, 8]}, "

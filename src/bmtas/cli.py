@@ -191,11 +191,6 @@ def load_config(path) -> dict:
     return obj
 
 
-def _build_supergraph(cfg: dict) -> SupergraphSpec:
-    sg = cfg["supergraph"]
-    return SupergraphSpec.chain(sg["widths"], sg.get("unit_costs"))
-
-
 def _build_task_spec(cfg: dict) -> SyntheticTaskSpec:
     b = cfg["benchmark"]
     return SyntheticTaskSpec(**{**b, "relatedness": Partition.from_json(b["relatedness"])})
@@ -259,7 +254,7 @@ def cmd_search(args) -> int:
         cfg.setdefault("search", {})["lambda"] = args.lambda_override
     out_root = Path(args.out or cfg.get("output_dir", "runs")) / cfg["experiment"]
     with _reading_input():
-        supergraph = _build_supergraph(cfg)
+        supergraph = SupergraphSpec(**cfg["supergraph"])
         task_spec = _build_task_spec(cfg)
         jobs = [
             (cfg["experiment"], supergraph, task_spec, _build_search_config(cfg, seed))
@@ -268,13 +263,13 @@ def cmd_search(args) -> int:
         workers = os.environ.get("BMTAS_WORKERS", "1")
         if not workers.strip().isdecimal():
             raise ConfigError(f"BMTAS_WORKERS must be a whole number, got {workers!r}")
-        workers = int(workers)
+        workers = min(int(workers), len(jobs))  # a pool starts all its workers at once
         try:
             out_root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot write {out_root}: {exc.strerror or exc}") from exc
 
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: only a pool needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -371,7 +366,7 @@ def cmd_expected_cost(args) -> int:
             widths = [int(w) for w in args.widths.split(",")]
             if len(widths) != alpha.num_layers + 1:
                 raise ConfigError("widths must have one more entry than layers")
-            table = SupergraphSpec.chain(widths).cost_table
+            table = SupergraphSpec(widths).cost_table
         else:
             table = _cost_table(args.unit_costs, alpha.num_layers)
         if args.oracle:
@@ -509,6 +504,12 @@ def main(argv=None) -> int:
         return 2
     except BmtasError as exc:
         _log("runtime_error", error=str(exc), kind=type(exc).__name__)
+        return 1
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array past its size limit with this ValueError
+        if not isinstance(exc, MemoryError) and "array is too big" not in str(exc):
+            raise
+        _log("runtime_error", error=str(exc) or "out of memory", kind="MemoryError")
         return 1
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
@@ -62,23 +62,24 @@ class CostTable:
 @dataclass(frozen=True)
 class SupergraphSpec:
     """A chain of layers, layer l mapping width widths[l-1] to widths[l], plus
-    the cost table used for resource terms, by default the analytic
-    per-sample MAdds of an affine op, 2 * in_width * out_width. Every layer
-    holds one candidate operation per task; the task count comes with the
-    data and the logits."""
+    the cost table used for resource terms: one unit cost per layer, by
+    default the analytic per-sample MAdds of an affine op, 2 * in_width *
+    out_width. Every layer holds one candidate operation per task; the task
+    count comes with the data and the logits."""
 
     widths: tuple[int, ...]
-    cost_table: CostTable | None = None
+    unit_costs: InitVar[Sequence[float] | None] = None
+    cost_table: CostTable = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, unit_costs):
         object.__setattr__(self, "widths", tuple(map(int, self.widths)))
         if self.num_layers < 1:
             raise ValueError("need at least one layer")
         if min(self.widths) < 1:
             raise ValueError("widths must be at least 1")
-        if self.cost_table is None:
-            table = CostTable([2.0 * i * o for i, o in self.layer_dims])
-            object.__setattr__(self, "cost_table", table)
+        if unit_costs is None:
+            unit_costs = [2.0 * i * o for i, o in self.layer_dims]
+        object.__setattr__(self, "cost_table", CostTable(unit_costs))
         if self.cost_table.num_layers != self.num_layers:
             raise DimensionMismatch("cost table length does not match layer count")
 
@@ -89,14 +90,6 @@ class SupergraphSpec:
     @property
     def layer_dims(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.widths, self.widths[1:]))
-
-    @classmethod
-    def chain(
-        cls, widths: Sequence[int], unit_costs: Sequence[float] | None = None
-    ) -> "SupergraphSpec":
-        """Build from a width chain [w0, w1, ..., wL] and, optionally, one unit
-        cost per layer."""
-        return cls(widths, None if unit_costs is None else CostTable(unit_costs))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,13 +109,6 @@ class GroupingDistribution:
         return float(self.layers[layer - 1, row])
 
 
-class _EdgeTables(NamedTuple):
-    partitions: tuple[Partition, ...]
-    num_blocks: np.ndarray
-    meet_idx: np.ndarray
-    induced: np.ndarray
-
-
 def _rgs_codes(labels: np.ndarray, place: np.ndarray) -> np.ndarray:
     """Base-T code of the canonical RGS of each label row.
 
@@ -128,10 +121,11 @@ def _rgs_codes(labels: np.ndarray, place: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _edge_tables(num_tasks: int) -> _EdgeTables:
-    """Partition-lattice lookup tables shared by the kernel and the oracle.
+def _edge_tables(num_tasks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partition-lattice lookup tables (meet_idx, induced) shared by the
+    kernel and the oracle, over the groupings of rgs_table(num_tasks) by index.
 
-    meet_idx[i, j] is the index of meet(partitions[i], partitions[j]).
+    meet_idx[i, j] is the index of the meet of groupings i and j.
     induced[a] is the index of the edge-equality partition of joint edge
     choice a, where task u picks edge (a // T^(T-1-u)) % T.
     """
@@ -151,12 +145,7 @@ def _edge_tables(num_tasks: int) -> _EdgeTables:
     # the meet groups tasks whose label pairs agree; pair (a, b) is a*T + b
     meet_idx = index_of(lambda r: rgs[r // n] * t + rgs[r % n], n * n).reshape(n, n)
     induced = index_of(lambda a: a[:, None] // place % t, t ** t)
-    return _EdgeTables(
-        partitions=enumerate_partitions(num_tasks),
-        num_blocks=rgs.max(axis=1) + 1.0,
-        meet_idx=meet_idx,
-        induced=induced,
-    )
+    return meet_idx, induced
 
 
 def _check_dims(alpha: ArchitectureParams, table: CostTable):
@@ -171,7 +160,7 @@ def _layer_probs(alpha: ArchitectureParams, layer: int) -> np.ndarray:
 
 def _assignment_weights(pi: np.ndarray) -> np.ndarray:
     """Probability of every joint edge assignment under per-task rows pi,
-    in the order of _EdgeTables.induced."""
+    in the order of the induced table of _edge_tables."""
     return reduce(np.multiply.outer, pi).ravel()
 
 
@@ -179,18 +168,18 @@ def _assignment_weights(pi: np.ndarray) -> np.ndarray:
 def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
     """P[m][k] = probability that meet(m, edge partition at `layer`) equals k.
 
-    Rows are distributions over the partition list; support stays inside
-    the refinements of m because a meet never coarsens.
+    Rows are distributions over the groupings of rgs_table(T); support stays
+    inside the refinements of m because a meet never coarsens.
     """
     if not 1 <= layer <= alpha.num_layers:
         raise BoundsError(f"layer {layer} out of range")
-    tables = _edge_tables(alpha.num_tasks)
+    meet_idx, induced = _edge_tables(alpha.num_tasks)
     w = _assignment_weights(_layer_probs(alpha, layer))
-    n = len(tables.partitions)
-    q = np.bincount(tables.induced, weights=w, minlength=n)
+    n = len(meet_idx)
+    q = np.bincount(induced, weights=w, minlength=n)
     kernel = np.zeros((n, n))
     for m in range(n):
-        kernel[m] = np.bincount(tables.meet_idx[m], weights=q, minlength=n)
+        kernel[m] = np.bincount(meet_idx[m], weights=q, minlength=n)
     return kernel
 
 
@@ -325,7 +314,8 @@ def brute_force_expected_cost(alpha: ArchitectureParams, table: CostTable) -> fl
     _check_dims(alpha, table)
     num_tasks, num_layers = alpha.num_tasks, alpha.num_layers
     total = check_enumerable(alpha)
-    tables = _edge_tables(num_tasks)
+    meet_idx, induced = _edge_tables(num_tasks)
+    num_blocks = rgs_table(num_tasks).max(axis=1) + 1.0
     per_layer = num_tasks ** num_tasks
     units = table.unit_cost
 
@@ -337,6 +327,6 @@ def brute_force_expected_cost(alpha: ArchitectureParams, table: CostTable) -> fl
         w = _assignment_weights(_layer_probs(alpha, l + 1))
         col = (routing // per_layer ** (num_layers - 1 - l)) % per_layer
         prob *= w[col]
-        kappa = tables.meet_idx[kappa, tables.induced[col]]
-        cost += tables.num_blocks[kappa] * units[l]
+        kappa = meet_idx[kappa, induced[col]]
+        cost += num_blocks[kappa] * units[l]
     return float(prob @ cost)

@@ -341,13 +341,12 @@ class RetrainedModel:
     """
 
     structure: BranchedStructure
-    task_names: tuple[str, ...]
     params: OperationParams
     test_mse: dict[str, float]
 
     def encoder_features(self, task: int, inputs: np.ndarray) -> np.ndarray:
         """Final shared-trunk output for one task."""
-        if not 0 <= task < len(self.task_names):
+        if not 0 <= task < self.structure.num_tasks:
             raise BoundsError(f"task {task} out of range")
         routing = [np.array([g.rgs[task]]) for g in self.structure.groupings]
         return _features(self.params, routing, inputs)[0][0]
@@ -405,7 +404,7 @@ def retrain_model(
     steps, lr = config.retrain_steps, config.theta_lr
     _fit("retrain", params, routing, data, omega, steps, batches, lr, scales + [1.0, 1.0])
 
-    model = RetrainedModel(structure, names, params, test_mse={})
+    model = RetrainedModel(structure, params, test_mse={})
     for t, name in enumerate(names):
         err = model.predict(t, data.inputs_test) - data.targets_test[t]
         model.test_mse[name] = float((err * err).mean())

@@ -1,6 +1,7 @@
-"""Shared helpers: finite differences, small random problem instances and
-a fresh interpreter."""
+"""Shared helpers: finite differences, small random problem instances, a
+fresh interpreter and the numeric kernels that the pinned outputs name."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -14,11 +15,48 @@ from bmtas.partition import Partition
 from bmtas.eval import SyntheticTaskSpec, generate_tasks
 from bmtas.seeding import rng_stream
 
+# the numeric kernels under which every pinned output was taken
+PINNED_KERNELS = {
+    "numpy": "2.4.6",
+    "openblas": "0.3.31.188.0",
+    "openblas_core": "SkylakeX",
+    "numpy_x86_v4": True,
+}
+
+
+def host_kernels() -> dict:
+    """The same facts read on this host: numpy's version, the version and the
+    kernel core of numpy's bundled OpenBLAS (the core depends on the CPU and
+    on OPENBLAS_CORETYPE), and whether numpy's X86_V4 (AVX-512) loops are on
+    (NPY_DISABLE_CPU_FEATURES can turn them off). "unknown" where a wheel
+    bundles no scipy-openblas."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    found = {"openblas": "unknown", "openblas_core": "unknown"}
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*scipy_openblas*"):
+        lib = ctypes.CDLL(str(path))  # the library numpy has loaded already
+        config, core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+        config.argtypes, core.argtypes = [], []
+        config.restype = core.restype = ctypes.c_char_p
+        found = {"openblas": config().decode().split()[1], "openblas_core": core().decode()}
+    x86_v4 = bool(__cpu_features__.get("X86_V4", False))
+    return {"numpy": np.__version__, **found, "numpy_x86_v4": x86_v4}
+
+
+def describe_kernels(k: dict) -> str:
+    loops = "on" if k["numpy_x86_v4"] else "off"
+    return (
+        f"numpy {k['numpy']} with its X86_V4 loops {loops}, "
+        f"OpenBLAS {k['openblas']} on its {k['openblas_core']} kernels"
+    )
+
+
 # the failure message of every test that pins output bytes
 PINNED_PLATFORM = (
-    "the pinned output was taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; "
-    "another numpy, BLAS or CPU may round floats differently, and a change that "
-    "alters the output on purpose must say why and update the pin"
+    f"the pinned output was taken on x86-64 with {describe_kernels(PINNED_KERNELS)}; "
+    f"this host has {describe_kernels(host_kernels())}; another numpy, BLAS or CPU "
+    "may round floats differently, and a change that alters the output on purpose "
+    "must say why and update the pin"
 )
 
 
@@ -82,7 +120,7 @@ def pair_benchmark():
             relatedness=Partition((0, 0, 1, 1)),
         )
         data = generate_tasks(spec, rng_stream(seed, "data"))
-        supergraph = SupergraphSpec.chain([16, 8, 8, 8])
+        supergraph = SupergraphSpec([16, 8, 8, 8])
         return spec, data, supergraph
 
     return make

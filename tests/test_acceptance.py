@@ -121,7 +121,7 @@ def _load_flat(tensors, vec):
 def test_criterion_03_end_to_end_gradients(capsys):
     """Full search-loss gradients for theta and alpha vs finite differences."""
     t0 = time.time()
-    supergraph = SupergraphSpec.chain([6, 5, 4, 4])
+    supergraph = SupergraphSpec([6, 5, 4, 4])
     rng = rng_stream(102, "e2e")
     params = OperationParams.init(supergraph, 3, 2, rng)
     # break candidate symmetry; the heads draw task by task, weight then bias,
@@ -313,7 +313,7 @@ def _grid_search(lam: float, seed: int):
             relatedness=Partition((0, 0, 1, 1)),
         )
         data = generate_tasks(spec, rng_stream(seed, "data"))
-        supergraph = SupergraphSpec.chain(BENCH_WIDTHS)
+        supergraph = SupergraphSpec(BENCH_WIDTHS)
         config = SearchConfig(resource_weight=lam, seed=seed)
         _SEARCH_CACHE[key] = (search(config, supergraph, data), data, supergraph)
     return _SEARCH_CACHE[key]

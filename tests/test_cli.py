@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -22,11 +23,13 @@ from bmtas.cli import load_config, main
 from bmtas.errors import ConfigError
 from bmtas.graph import (
     CostTable,
+    SupergraphSpec,
     derive_groupings,
     structure_cost,
     structure_from_json,
     structure_to_json,
 )
+from bmtas.nncore import OperationParams
 from bmtas.partition import MAX_TASKS, Partition, enumerate_partitions
 from bmtas.resloss import (
     ENUM_GUARD,
@@ -202,6 +205,42 @@ class TestExitCodes:
         assert [str(w.message) for w in caught] == []
         lines = capsys.readouterr().err.splitlines()
         assert [json.loads(line)["event"] for line in lines][-1] == "runtime_error"
+
+    def test_impossible_width_is_one_runtime_error(self, tmp_path, capsys):
+        # numpy refuses a (8, 10**18) float64 array before allocating anything
+        argv = bad_config(tmp_path, supergraph={"widths": [8, 10**18, 6]})
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "event": "runtime_error",
+            "error": "array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+            "the maximum possible size.",
+            "kind": "MemoryError",
+        }
+
+    def test_memory_error_is_one_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(OperationParams, "init", refuse)
+        assert main(bad_config(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "event": "runtime_error",
+            "error": "out of memory",
+            "kind": "MemoryError",
+        }
+
+    def test_other_value_errors_still_raise(self, tmp_path, monkeypatch):
+        # only numpy's size refusal is read as running out of memory
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not a refused allocation")
+
+        monkeypatch.setattr(OperationParams, "init", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(bad_config(tmp_path))
 
     def test_diverging_warm_up_names_its_stage_and_step(self, tmp_path, capsys):
         argv = bad_config(tmp_path, search={"theta_lr": 1e300})
@@ -668,7 +707,7 @@ def test_pinned_artifacts_agree_with_each_other(run, pinned_runs, capsys):
     with open(run_dir / "trace.csv", newline="") as f:
         assert list(csv.DictReader(f))[-1]["structure_hash"] == metrics["structure_hash"]
     structure = structure_from_json(json.loads((run_dir / "structure.json").read_text()))[0]
-    table = cli._build_supergraph(pinned_configs()[run][1]).cost_table
+    table = SupergraphSpec(**pinned_configs()[run][1]["supergraph"]).cost_table
     assert structure_cost(structure, table) == metrics["structure_cost"]
 
 
@@ -1009,6 +1048,44 @@ class TestSearchCommand:
             "error": "BMTAS_WORKERS must be a whole number, got 'abc'",
         }
         assert not exp_dir.exists()
+
+    @pytest.mark.parametrize(
+        "workers, seeds, pools",
+        [
+            ("1", [0, 1], []),
+            ("2", [0, 1], [2]),
+            ("3", [0, 1], [2]),
+            ("1000000", [0, 1], [2]),
+            ("1000000", [0], []),
+        ],
+    )
+    def test_pool_has_no_more_workers_than_seeds(
+        self, workers, seeds, pools, tmp_path, monkeypatch
+    ):
+        # a pool starts all of its workers at its first task, so this records
+        # the sizes asked for in place of a pool, and starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("BMTAS_WORKERS", workers)
+        cfg = base_config(seeds=seeds)
+        cfg["search"].update(warmup_steps=1, search_steps=1, retrain_steps=1)
+        code, exp_dir = self.run_search(tmp_path, cfg)
+        assert code == 0
+        assert sizes == pools
+        assert sorted(p.name for p in exp_dir.iterdir()) == [f"seed{s}" for s in seeds]
 
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         cfg = base_config(seeds=[0, 1])

@@ -2,13 +2,21 @@
 what they printed when their output was last checked by hand."""
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import PINNED_PLATFORM, fresh_python
+from conftest import (
+    PINNED_KERNELS,
+    PINNED_PLATFORM,
+    describe_kernels,
+    fresh_env,
+    fresh_python,
+    host_kernels,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,3 +119,23 @@ def test_readme_quick_start_prints_what_its_comments_say():
     readme = (ROOT / "README.md").read_text()
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
     assert fresh_python(code) == "['0011', '0011', '0011']\n1024.0\n"
+
+
+def test_pin_failures_name_the_pinned_and_the_host_kernels():
+    host = host_kernels()
+    assert describe_kernels(PINNED_KERNELS) in PINNED_PLATFORM
+    assert describe_kernels(host) in PINNED_PLATFORM
+    # the reader asks the loaded library: another core, asked for in a
+    # child process only, is the one it names
+    if host["openblas_core"] == "unknown" or platform.machine() != "x86_64":
+        pytest.skip("no scipy-openblas, or no Haswell kernels, on this host")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import conftest; print(conftest.host_kernels()['openblas_core'])"],
+        capture_output=True,
+        text=True,
+        env={**fresh_env(), "OPENBLAS_CORETYPE": "Haswell"},
+        cwd=ROOT / "tests",
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Haswell\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import bmtas.cli
 import bmtas.graph
+import bmtas.resloss
 from bmtas.errors import BoundsError, DimensionMismatch
 from bmtas.graph import (
     BranchedStructure,
@@ -36,8 +38,8 @@ class TestCostTable:
             CostTable((1.0, float("inf")))
 
     def test_analytic_madds(self):
-        # chain's default cost of a layer is 2 * in_width * out_width
-        table = SupergraphSpec.chain([16, 8, 4]).cost_table
+        # the default cost of a layer is 2 * in_width * out_width
+        table = SupergraphSpec([16, 8, 4]).cost_table
         assert table.unit_cost == (256.0, 64.0)
         assert table.num_layers == 2
         assert table.fully_shared_cost == 320.0
@@ -45,40 +47,49 @@ class TestCostTable:
 
 class TestSupergraphSpec:
     def test_chain_builds_matching_dims_and_costs(self):
-        sg = SupergraphSpec.chain([16, 8, 8])
+        sg = SupergraphSpec([16, 8, 8])
         assert sg.widths == (16, 8, 8)
         assert sg.num_layers == 2
         assert sg.layer_dims == ((16, 8), (8, 8))
         assert sg.cost_table.unit_cost == (256.0, 128.0)
 
     def test_chain_accepts_explicit_costs(self):
-        sg = SupergraphSpec.chain([4, 4], unit_costs=[7.0])
+        sg = SupergraphSpec([4, 4], unit_costs=[7.0])
         assert sg.cost_table.unit_cost == (7.0,)
 
     def test_depth_and_dims_derive_from_the_widths(self):
-        sg = SupergraphSpec(np.array([16, 8, 4]), CostTable((1.0, 1.0)))
+        sg = SupergraphSpec(np.array([16, 8, 4]), (1.0, 1.0))
         assert sg.widths == (16, 8, 4)
         assert {type(w) for w in sg.widths} == {int}
         assert sg.num_layers == 2
         assert sg.layer_dims == ((16, 8), (8, 4))
 
+    def test_is_built_from_widths_and_unit_costs_only(self):
+        sg = SupergraphSpec([4, 4], [7])
+        assert sg == SupergraphSpec((4, 4), unit_costs=(7.0,))
+        assert sg != SupergraphSpec((4, 4))
+        # worker processes get it pickled, which runs no __post_init__
+        assert pickle.loads(pickle.dumps(sg)) == sg
+        with pytest.raises(TypeError):
+            SupergraphSpec((4, 4), cost_table=sg.cost_table)
+
     def test_rejects_cost_table_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            SupergraphSpec((4, 4), CostTable((1.0, 1.0)))
+            SupergraphSpec((4, 4), (1.0, 1.0))
 
     @pytest.mark.parametrize("widths", [(4,)], ids=["no-layers"])
     def test_rejects_no_layers_or_no_tasks(self, widths):
         # a supergraph holds no task count: the logits and the data carry it
         with pytest.raises(ValueError):
-            SupergraphSpec(widths, CostTable((1.0,)))
+            SupergraphSpec(widths, (1.0,))
 
     @pytest.mark.parametrize("widths", [(0, 4), (4, 0), (-2, -2, -2), (-2, 2, 2)])
     def test_rejects_widths_below_one(self, widths):
         with pytest.raises(ValueError, match="widths must be at least 1"):
-            SupergraphSpec(widths, CostTable((1.0,) * (len(widths) - 1)))
+            SupergraphSpec(widths, (1.0,) * (len(widths) - 1))
         # checked before the default unit costs 2 * in * out are derived
         with pytest.raises(ValueError, match="widths must be at least 1"):
-            SupergraphSpec.chain(widths)
+            SupergraphSpec(widths)
 
 
 class TestDeriveGroupings:
@@ -175,6 +186,11 @@ def test_removed_names_are_gone():
     assert not hasattr(CostTable, "from_layer_dims")
     assert [f.name for f in fields(BranchedStructure) if f.init] == ["edge_choice"]
     assert [f.name for f in fields(SupergraphSpec)] == ["widths", "cost_table"]
+    # the constructor, given widths and unit costs, is the one way to build it
+    assert [f.name for f in fields(SupergraphSpec) if f.init] == ["widths"]
+    assert not hasattr(SupergraphSpec, "chain")
+    assert not hasattr(bmtas.cli, "_build_supergraph")
+    assert not hasattr(bmtas.resloss, "_EdgeTables")
     # the task count lives only with the logits and the data
     assert not hasattr(ArchitectureParams, "num_candidates")
     assert not hasattr(bmtas.cli, "_spec_from_args")

@@ -167,7 +167,7 @@ class TestLossWeights:
 
 @pytest.fixture
 def small_params():
-    spec = SupergraphSpec.chain([4, 3, 3])
+    spec = SupergraphSpec([4, 3, 3])
     return spec, OperationParams.init(spec, 2, head_dim=2, rng=rng_stream(7, "init"))
 
 

@@ -12,7 +12,14 @@ from scipy.special import factorial, softmax
 from bmtas import resloss
 from bmtas.errors import BoundsError, DimensionMismatch, NumericError
 from bmtas.graph import CostTable, SupergraphSpec, derive_groupings, structure_cost
-from bmtas.partition import MAX_TASKS, Partition, meet, refines
+from bmtas.partition import (
+    MAX_TASKS,
+    Partition,
+    enumerate_partitions,
+    meet,
+    refines,
+    rgs_table,
+)
 from bmtas.resloss import (
     CLAMP_EPS,
     ENUM_GUARD,
@@ -246,27 +253,29 @@ def test_clamped_chain_survives_extreme_logits():
 
 @pytest.mark.parametrize("num_tasks", range(1, 7))
 def test_edge_tables_match_python_loops(num_tasks):
-    tables = _edge_tables(num_tasks)
-    parts = tables.partitions
+    meet_idx, induced = _edge_tables(num_tasks)
+    parts = enumerate_partitions(num_tasks)
     index = {p: i for i, p in enumerate(parts)}
     rows = list(itertools.product(range(num_tasks), repeat=num_tasks))
-    assert np.array_equal(
-        tables.meet_idx, [[index[meet(a, b)] for b in parts] for a in parts]
-    )
-    assert np.array_equal(
-        tables.induced, [index[Partition.from_labels(row)] for row in rows]
-    )
-    assert np.array_equal(tables.num_blocks, [p.num_blocks for p in parts])
+    assert np.array_equal(meet_idx, [[index[meet(a, b)] for b in parts] for a in parts])
+    assert np.array_equal(induced, [index[Partition.from_labels(row)] for row in rows])
+    # the block counts that brute_force_expected_cost reads
+    assert np.array_equal(block_counts(num_tasks), [p.num_blocks for p in parts])
     logits = random_alpha(np.random.default_rng(num_tasks), num_tasks, 1)
     pi = softmax(logits[:, 0], axis=1)
     weights = [math.prod(pi[u, c] for u, c in enumerate(row)) for row in rows]
     assert np.array_equal(_assignment_weights(pi), weights)
 
 
+def block_counts(num_tasks):
+    """Block count of each grouping of rgs_table(num_tasks), as floats."""
+    return rgs_table(num_tasks).max(axis=1) + 1.0
+
+
 def chain_distribution(a, table):
     """Per-layer grouping distribution folded through the transition
     kernels of the grouping chain, clamped at CLAMP_EPS per layer."""
-    n = len(_edge_tables(a.num_tasks).partitions)
+    n = len(rgs_table(a.num_tasks))
     layers = np.empty((table.num_layers, n))
     p = np.zeros(n)
     p[0] = 1.0  # all tasks share: the all-zero RGS is listed first
@@ -282,7 +291,7 @@ def chain_cost(a, table):
     """Expected cost folded from the clamped grouping chain."""
     layers = chain_distribution(a, table)
     units = np.asarray(table.unit_cost)
-    return float(units @ layers @ _edge_tables(a.num_tasks).num_blocks)
+    return float(units @ layers @ block_counts(a.num_tasks))
 
 
 def chain_adjoint_grad(a, table):
@@ -293,10 +302,10 @@ def chain_adjoint_grad(a, table):
     assignment weights, so the adjoint of every per-task edge probability
     is a weight-partitioned bincount.
     """
-    tables = _edge_tables(a.num_tasks)
+    meet_idx, induced = _edge_tables(a.num_tasks)
     num_tasks, num_layers = a.num_tasks, a.num_layers
-    n = len(tables.partitions)
-    costs = np.asarray(table.unit_cost)[:, None] * tables.num_blocks
+    n = len(meet_idx)
+    costs = np.asarray(table.unit_cost)[:, None] * block_counts(num_tasks)
     assignments = np.array(list(itertools.product(range(num_tasks), repeat=num_tasks)))
     kernels = [transition_kernel(a, l) for l in range(1, num_layers + 1)]
     states = np.zeros((num_layers, n))
@@ -307,9 +316,9 @@ def chain_adjoint_grad(a, table):
     adjoint = np.zeros(n)
     for l in range(num_layers, 0, -1):
         adjoint_p = costs[l - 1] + adjoint
-        adjoint_q = states[l - 1] @ adjoint_p[tables.meet_idx]
+        adjoint_q = states[l - 1] @ adjoint_p[meet_idx]
         pi = softmax(a.logits[:, l - 1], axis=1)
-        coeff = adjoint_q[tables.induced] * _assignment_weights(pi)
+        coeff = adjoint_q[induced] * _assignment_weights(pi)
         dpi = np.stack(
             [
                 np.bincount(assignments[:, t], weights=coeff, minlength=num_tasks)
@@ -332,7 +341,7 @@ wide_alpha_st = st.tuples(st.integers(1, 7), st.integers(1, 4)).flatmap(
 
 
 def costed_table(num_layers):
-    return SupergraphSpec.chain([3, 5, 2, 4, 6][: num_layers + 1]).cost_table
+    return SupergraphSpec([3, 5, 2, 4, 6][: num_layers + 1]).cost_table
 
 
 @given(wide_alpha_st)
@@ -352,7 +361,7 @@ def test_moebius_distribution_matches_clamped_chain(logits):
     table = costed_table(a.num_layers)
     got = grouping_distribution(a, table)
     want = chain_distribution(a, table)
-    assert got.rgs.tolist() == [list(p.rgs) for p in _edge_tables(a.num_tasks).partitions]
+    assert got.rgs.tolist() == [list(p.rgs) for p in enumerate_partitions(a.num_tasks)]
     assert np.abs(got.layers - want).max() <= 1e-12
     assert np.all(got.layers >= 0)
     # the supports differ only where one side falls under the clamp

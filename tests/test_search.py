@@ -30,6 +30,7 @@ from bmtas.nncore import (
 from bmtas.partition import Partition
 from bmtas.relax import discretize, schedule_tau
 from bmtas.search import (
+    RetrainedModel,
     SearchConfig,
     SearchResult,
     _architecture_grad,
@@ -45,6 +46,7 @@ from bmtas.search import (
 )
 from bmtas.seeding import rng_stream
 import engine_reference
+from conftest import describe_kernels, host_kernels
 
 
 def small_benchmark(seed=0, num_tasks=3, train=128):
@@ -58,7 +60,7 @@ def small_benchmark(seed=0, num_tasks=3, train=128):
         test_samples=64,
     )
     data = generate_tasks(spec, rng_stream(seed, "data"))
-    supergraph = SupergraphSpec.chain([8, 6, 6])
+    supergraph = SupergraphSpec([8, 6, 6])
     return data, supergraph
 
 
@@ -123,6 +125,8 @@ class TestSearchConfig:
         assert not {"select_tasks", "input_dim"} & set(dir(Dataset))
         assert not {"coarsest", "finest"} & set(dir(Partition))
         assert not {"num_heads", "named_parameters"} & set(dir(OperationParams))
+        # the structure holds the task count, and the dataset the names
+        assert [f.name for f in fields(RetrainedModel)] == ["structure", "params", "test_mse"]
         assert list(inspect.signature(Adam.step).parameters) == ["self", "grad"]
         assert list(inspect.signature(SGD.step).parameters) == ["self"]
         # training settings that no run set, now constants of search and nncore
@@ -239,7 +243,7 @@ class TestSearch:
             test_samples=16,
         )
         data = generate_tasks(spec, rng_stream(0, "data"))
-        sg = SupergraphSpec.chain([4, 3, 3])
+        sg = SupergraphSpec([4, 3, 3])
         cfg = quick_config(alpha_lr=1.7e308, warmup_steps=0, search_steps=10)
         with pytest.raises(SearchError, match="at step 2") as err:
             with np.errstate(all="ignore"):
@@ -498,9 +502,15 @@ def test_gathered_routing_equals_one_hot_mixture(num_tasks, num_layers, batch, s
         features = _features(params, routing, data.inputs_train)[0]
         runs.append((losses, features, [p.grad for p in params.parameters()]))
     (losses, features, grads), (want_losses, want_features, want_grads) = runs
-    assert losses == want_losses
-    assert np.array_equal(features, want_features)
-    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+    # both paths reach BLAS through matmuls of other shapes; they agree only
+    # while the kernels for those shapes round alike, as OpenBLAS's SkylakeX
+    # and Haswell kernels do, and its Prescott kernels need not
+    why = "the BLAS kernels of the two paths' matmul shapes rounded apart, under "
+    assert (
+        losses == want_losses
+        and np.array_equal(features, want_features)
+        and all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+    ), why + describe_kernels(host_kernels())
 
 
 def same_bits(got, want):
@@ -604,7 +614,12 @@ class TestEngineGuards:
         # tanh(+-inf) = +-1 is finite, so the check must see the pre-activation
         data, sg = small_benchmark()
         params = warm_up(sg, data, quick_config(warmup_steps=0, seed=0))
-        params.weights[0].data[...] = 1e308
+        # one nonzero weight row, of the input that most often exceeds 1 in
+        # size: a pre-activation sums one product and zeros, so it overflows
+        # to +-inf, and no BLAS kernel can add +inf and -inf partial sums
+        col = (np.abs(data.inputs_train) > 1).sum(axis=0).argmax()
+        params.weights[0].data[...] = 0.0
+        params.weights[0].data[:, col] = np.finfo(np.float64).max
         with np.errstate(over="ignore"):
             pre = data.inputs_train @ params.weights[0].data[0]
         assert np.isinf(pre).any() and np.isfinite(np.tanh(pre)).all()
