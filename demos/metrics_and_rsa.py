@@ -42,8 +42,7 @@ supergraph = SupergraphSpec([16, 8, 8, 8])
 # train every task on its own branch so the features share nothing but data
 picks = [[t] * 3 for t in range(4)]
 model = retrain_model(derive_groupings(picks), supergraph, data, SearchConfig(seed=0))
-feats = [model.encoder_features(t, data.inputs_test) for t in range(4)]
-rsa = rsa_matrix(feats)
+rsa = rsa_matrix(model.features(data.inputs_test))
 
 print("task-by-task similarity of probe dissimilarity patterns:")
 with np.printoptions(precision=3, suppress=True):

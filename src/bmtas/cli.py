@@ -222,6 +222,7 @@ def _trace_csv(result, task_names) -> str:
     return buf.getvalue()
 
 
+@np.errstate(all="ignore")  # here pool workers run too; overflow ends in a NumericError
 def _run_seed(job) -> dict:
     """One full search + retrain; returns artifact payloads, writes nothing."""
     from .graph import structure_cost, structure_hash
@@ -356,6 +357,7 @@ def _report_text(report: dict, dist) -> str:
     return "".join(parts)
 
 
+@np.errstate(all="ignore")  # softmax's shift may overflow to an exp(-inf) of 0
 def cmd_expected_cost(args) -> int:
     with _reading_input():
         alpha = ArchitectureParams.from_json(_load_json(args.alpha))
@@ -431,11 +433,18 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a ConfigError, not usage text; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """Built on the first main() call and reused by the later ones; each
     parse_args call fills a new namespace, so no call sees another's options."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bmtas",
         description="Branched multi-task architecture search on a toy supergraph.",
     )
@@ -486,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.handler(args)
         sys.stdout.flush()
         return status

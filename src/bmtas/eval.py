@@ -39,12 +39,11 @@ class MetricRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MetricRecord":
-        rows = obj["tasks"]
-        return cls(
-            values=tuple(float(r["value"]) for r in rows),
-            lower_better=tuple(bool(r["lower_better"]) for r in rows),
-            names=tuple(str(r["name"]) for r in rows),
-        )
+        """Read by JSON type: nothing is coerced, so bool("no") is never a direction."""
+        rows = [(r["value"], r["lower_better"], r["name"]) for r in obj["tasks"]]
+        if not {tuple(map(type, row)) for row in rows} <= {(int, bool, str), (float, bool, str)}:
+            raise TypeError("a task needs a number value, boolean lower_better and string name")
+        return cls(*zip(*rows)) if rows else cls((), (), ())
 
 
 def delta_m(model: MetricRecord, baseline: MetricRecord) -> float:
@@ -181,9 +180,9 @@ class Dataset:
         return len(self.task_names)
 
 
-def _orthonormal_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.normal(size=(dim, max(rows, 1))))
-    return q.T[:rows]
+def _orthonormal_columns(rng: np.random.Generator, count: int, dim: int, cols: int) -> np.ndarray:
+    """count stacked (dim, cols) matrices, each with orthonormal columns."""
+    return np.linalg.qr(rng.normal(size=(count, dim, cols)))[0]
 
 
 def generate_tasks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> Dataset:
@@ -193,41 +192,26 @@ def generate_tasks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> Dataset
     they are drawn jointly orthonormal, making unrelated tasks genuinely
     independent; otherwise each group is orthonormalized on its own.
     """
-    blocks = spec.relatedness.blocks()
-    total_rows = len(blocks) * spec.hidden_dim
-    if total_rows <= spec.input_dim:
-        stacked = _orthonormal_rows(rng, total_rows, spec.input_dim)
-        shared = [
-            stacked[i * spec.hidden_dim : (i + 1) * spec.hidden_dim]
-            for i in range(len(blocks))
-        ]
+    groups, hidden = spec.relatedness.num_blocks, spec.hidden_dim
+    if groups * hidden <= spec.input_dim:
+        joint = _orthonormal_columns(rng, 1, spec.input_dim, groups * hidden)[0]
+        shared = joint.reshape(spec.input_dim, groups, hidden).swapaxes(0, 1)
     else:
-        shared = [
-            _orthonormal_rows(rng, spec.hidden_dim, spec.input_dim) for _ in blocks
-        ]
-    group_of = {}
-    for g, block in enumerate(blocks):
-        for t in block:
-            group_of[t] = g
+        shared = _orthonormal_columns(rng, groups, spec.input_dim, hidden)
+    proj = shared[list(spec.relatedness.rgs)]  # task t's group projection, transposed
 
     # signal_scale sets the target amplitude.  Task losses (and their
     # architecture gradients) shrink quadratically with it while the resource
     # term is amplitude-free, so this is what keeps resource weights on a
     # small grid (0.05, 0.5) able to tip grouping decisions.
-    private = [
-        spec.signal_scale * _orthonormal_rows(rng, spec.target_dim, spec.hidden_dim)
-        for _ in range(spec.num_tasks)
-    ]
+    priv = spec.signal_scale * _orthonormal_columns(rng, spec.num_tasks, hidden, spec.target_dim)
 
     x_train = rng.normal(size=(spec.train_samples, spec.input_dim))
     x_test = rng.normal(size=(spec.test_samples, spec.input_dim))
 
     def targets(x):
-        out = []
-        for t in range(spec.num_tasks):
-            clean = x @ shared[group_of[t]].T @ private[t].T
-            out.append(clean + spec.noise_std * rng.normal(size=clean.shape))
-        return np.stack(out)
+        clean = x @ proj @ priv
+        return clean + spec.noise_std * rng.normal(size=clean.shape)
 
     return Dataset(
         task_names=tuple(f"t{t}" for t in range(spec.num_tasks)),
@@ -236,4 +220,3 @@ def generate_tasks(spec: SyntheticTaskSpec, rng: np.random.Generator) -> Dataset
         targets_train=targets(x_train),
         targets_test=targets(x_test),
     )
-

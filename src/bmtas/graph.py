@@ -186,9 +186,13 @@ def structure_from_json(obj: dict) -> tuple[BranchedStructure, list[str]]:
     """Rebuild from the edge choices; the file's task names and layer groups
     must agree with them. Names go into DOT labels, so none may hold a quote,
     a backslash or a control character."""
-    names = [str(n) for n in obj["tasks"]]
+    names = obj["tasks"]
+    if type(names) is not list or any(type(n) is not str for n in names):
+        raise TypeError("task names must be a JSON array of strings")
     if any(re.search(r'["\\\x00-\x1f\x7f-\x9f]', n) for n in names):
         raise ValueError("task names may not hold a quote, a backslash or a control character")
+    if any(type(j) is not int for row in obj["edge_choice"] for j in row):
+        raise TypeError("edge choices must be JSON integers")  # operator.index takes true
     structure = BranchedStructure(obj["edge_choice"])
     if len(names) != structure.num_tasks:
         raise DimensionMismatch("need one name per task")

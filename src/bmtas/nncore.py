@@ -234,12 +234,9 @@ class OperationParams:
             weights.append(Tensor(np.repeat(w[None], num_tasks, axis=0)))
             biases.append(Tensor(np.zeros((num_tasks, out_dim))))
         enc_out = spec.layer_dims[-1][1]
-        head_w = [
-            rng.normal(0.0, 1.0 / np.sqrt(enc_out), size=(enc_out, head_dim))
-            for _ in range(num_tasks)
-        ]
+        head_w = rng.normal(0.0, 1.0 / np.sqrt(enc_out), size=(num_tasks, enc_out, head_dim))
         head_b = np.zeros((num_tasks, head_dim))
-        return cls(weights, biases, Tensor(np.stack(head_w)), Tensor(head_b))
+        return cls(weights, biases, Tensor(head_w), Tensor(head_b))
 
     @property
     def num_layers(self) -> int:

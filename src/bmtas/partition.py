@@ -80,7 +80,8 @@ class Partition:
         labels: dict[int, int] = {}
         for b, members in enumerate(blocks):
             for task in members:
-                task = int(task)
+                if type(task) is not int:  # a JSON integer: not 1.5, not true
+                    raise TypeError(f"task index {task!r} is not an integer")
                 if task in labels:
                     raise ValueError(f"task {task} appears in more than one block")
                 labels[task] = b

@@ -88,7 +88,11 @@ class ArchitectureParams:
 
     @classmethod
     def from_json(cls, obj: Sequence) -> "ArchitectureParams":
-        return cls(np.array(obj, dtype=np.float64))
+        """Logits read from JSON must be numbers: numpy would read "1" and true as 1."""
+        logits = np.array(obj, dtype=np.float64)  # the one conversion
+        if logits.ndim == 3 and any(type(v) not in (int, float) for t in obj for r in t for v in r):
+            raise TypeError("logits must be JSON numbers, not booleans or strings")
+        return cls(logits)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ encoders at once over the stacked operation arrays of `OperationParams`, and
 `_backward_tasks` is its hand-written reverse pass: it writes the gradients
 of the omega-weighted task losses into the parameters' `.grad`, or returns
 the gradient of each routing row. Each layer is routed either by one
-operation index per task (warm-up, retraining and prediction), which
+operation index per task (warm-up, retraining and `features`), which
 gathers the T weight slices used unless task t takes operation t, or by a
 (tasks, operations) array of Gumbel-Softmax mixture rows (the search). The
 task heads are one stacked affine map, so loss and head gradients are one
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, NumericError, SearchError
+from .errors import ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
 from .nncore import SGD, Adam, OperationParams, Tensor
@@ -344,17 +344,10 @@ class RetrainedModel:
     params: OperationParams
     test_mse: dict[str, float]
 
-    def encoder_features(self, task: int, inputs: np.ndarray) -> np.ndarray:
-        """Final shared-trunk output for one task."""
-        if not 0 <= task < self.structure.num_tasks:
-            raise BoundsError(f"task {task} out of range")
-        routing = [np.array([g.rgs[task]]) for g in self.structure.groupings]
-        return _features(self.params, routing, inputs)[0][0]
-
-    def predict(self, task: int, inputs: np.ndarray) -> np.ndarray:
-        features = self.encoder_features(task, inputs)
-        w, b = self.params.head_weights.data[task], self.params.head_biases.data[task]
-        return features @ w + b
+    def features(self, inputs: np.ndarray) -> np.ndarray:
+        """Every task's encoder output on inputs, shape (T, N, out)."""
+        routing = [np.array(g.rgs) for g in self.structure.groupings]
+        return _features(self.params, routing, inputs)[0]
 
 
 def retrain_model(
@@ -405,9 +398,10 @@ def retrain_model(
     _fit("retrain", params, routing, data, omega, steps, batches, lr, scales + [1.0, 1.0])
 
     model = RetrainedModel(structure, params, test_mse={})
-    for t, name in enumerate(names):
-        err = model.predict(t, data.inputs_test) - data.targets_test[t]
-        model.test_mse[name] = float((err * err).mean())
+    # the test error in _backward_tasks' order of operations, which fixes its bits
+    hw, hb = params.head_weights.data, params.head_biases.data
+    err = model.features(data.inputs_test) @ hw + hb[:, None] - data.targets_test
+    model.test_mse.update((name, float((e * e).mean())) for name, e in zip(names, err))
     return model
 
 

@@ -417,6 +417,34 @@ BAD_INPUTS = {
     "target_dim-above-hidden_dim": lambda p: bad_config(
         p, benchmark={"hidden_dim": 2, "target_dim": 6}
     ),
+    # a bad command line: argparse would print its usage text instead
+    "enumerate-non-integer-tasks": lambda p: ["enumerate", "--tasks", "x", "--layers", "2"],
+    "search-non-integer-seed": lambda p: bad_config(p) + ["--seed", "abc"],
+    "no-verb": lambda p: [],
+    "unknown-verb": lambda p: ["optimize"],
+    "expected-cost-without-alpha": lambda p: ["expected-cost", "--unit-costs", "1,1"],
+    # outside JSON is read by its type, never coerced
+    "eval-value-is-a-string": lambda p: eval_argv(p, record(("a", 2)), record(("a", "1"))),
+    "eval-direction-is-a-string": lambda p: eval_argv(
+        p, *(json.dumps({"tasks": [{"name": "a", "value": v, "lower_better": "no"}]})
+             for v in (2, 1))
+    ),
+    "export-dot-tasks-is-a-string": lambda p: export_dot_argv(p, "ab", [[[0, 1]]], [[0, 0]]),
+    "export-dot-fractional-task-index": lambda p: export_dot_argv(
+        p, ["a", "b"], [[[0], [1.5]]], [[0, 1]]
+    ),
+    "export-dot-boolean-pick": lambda p: export_dot_argv(
+        p, ["a", "b"], [[[0], [1]]], [[True, False]]
+    ),
+    "expected-cost-logit-true": lambda p: [
+        "expected-cost", "--alpha", input_file(p, "[[[true, 0]], [[0, 0]]]")
+    ],
+    "expected-cost-logit-false": lambda p: [
+        "expected-cost", "--alpha", input_file(p, "[[[0, 0]], [[false, 0]]]")
+    ],
+    "expected-cost-logit-string": lambda p: [
+        "expected-cost", "--alpha", input_file(p, '[[[0, "1"]], [[0, 0]]]')
+    ],
 }
 
 
@@ -428,6 +456,47 @@ def test_bad_input_exits_2_with_one_config_error(case, tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["event"] == "config_error"
     assert captured.out == ""
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["enumerate", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bmtas enumerate")
+
+
+# inputs whose arithmetic overflows: numpy would warn on stderr
+OVERFLOWING = {
+    "search-signal-scale-1e308": (
+        lambda p: bad_config(p, benchmark={"signal_scale": 1e308}), 1, ["runtime_error"]
+    ),
+    "expected-cost-logits-1e308-apart": (
+        lambda p: [
+            "expected-cost", "--alpha",
+            input_file(p, "[[[1e308, -1e308], [0, 0]], [[0, 0], [0, 0]]]"),
+        ],
+        0,
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_overflow_leaves_no_numpy_warning(case, workers, tmp_path, monkeypatch, capsys):
+    """pytest would hide a warning from capsys, so warnings are errors here; a
+    forked pool worker inherits that, and its error would reach main."""
+    make_argv, status, events = OVERFLOWING[case]
+    argv = make_argv(tmp_path)
+    if argv[0] == "search":  # two seeds, so that BMTAS_WORKERS=2 starts a pool
+        cfg = json.loads(Path(argv[2]).read_text())
+        argv[2] = write_config(tmp_path, {**cfg, "seeds": [0, 1]}, "two-seeds.json")
+    monkeypatch.setenv("BMTAS_WORKERS", workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == status
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["event"] for line in lines] == events
 
 
 @pytest.mark.parametrize("widths", ["-2,-2,-2", "-2,2,2"])
@@ -695,6 +764,26 @@ def test_search_artifacts_match_their_pinned_digests(pinned_runs):
         for run, pins in SEARCH_DIGESTS.items()
     }
     assert digests == SEARCH_DIGESTS, PINNED_PLATFORM
+
+
+def test_a_pinned_run_on_two_blas_threads_writes_the_pinned_bytes(tmp_path):
+    """OPENBLAS_NUM_THREADS is read when the library loads, so the run is a
+    new process."""
+    run = "eight/seed0"
+    seed, cfg = pinned_configs()[run]
+    path = input_file(tmp_path, json.dumps(cfg), "eight.json")
+    argv = ["search", "--config", path, "--seed", str(seed), "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bmtas.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**fresh_env(), "OPENBLAS_NUM_THREADS": "2"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pins = SEARCH_DIGESTS[run]
+    digests = {n: hashlib.sha256((tmp_path / run / n).read_bytes()).hexdigest() for n in pins}
+    assert digests == pins, PINNED_PLATFORM
 
 
 @pytest.mark.parametrize("run", list(SEARCH_DIGESTS))

@@ -118,7 +118,7 @@ def test_demo_runs(demo):
 def test_readme_quick_start_prints_what_its_comments_say():
     readme = (ROOT / "README.md").read_text()
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    assert fresh_python(code) == "['0011', '0011', '0011']\n1024.0\n"
+    assert fresh_python(code) == "['0011', '0011', '0011']\n1024.0\n", PINNED_PLATFORM
 
 
 def test_pin_failures_name_the_pinned_and_the_host_kernels():

@@ -208,7 +208,56 @@ class TestSyntheticTaskSpec:
         assert set(names) == keys and len(names) == 9
 
 
+def per_task_data(spec, rng):
+    """generate_tasks as it was written before its stacked pass: one group
+    projection and one private projection per QR call, one task's clean
+    targets and noise at a time. The bit-for-bit reference of the stacked
+    pass, which draws the same stream."""
+
+    def orthonormal_rows(rows, dim):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, rows)))
+        return q.T[:rows]
+
+    groups, hidden = spec.relatedness.num_blocks, spec.hidden_dim
+    if groups * hidden <= spec.input_dim:
+        joint = orthonormal_rows(groups * hidden, spec.input_dim)
+        shared = [joint[g * hidden : (g + 1) * hidden] for g in range(groups)]
+    else:
+        shared = [orthonormal_rows(hidden, spec.input_dim) for _ in range(groups)]
+    private = [
+        spec.signal_scale * orthonormal_rows(spec.target_dim, hidden)
+        for _ in range(spec.num_tasks)
+    ]
+    x_train = rng.normal(size=(spec.train_samples, spec.input_dim))
+    x_test = rng.normal(size=(spec.test_samples, spec.input_dim))
+
+    def targets(x):
+        out = []
+        for t, g in enumerate(spec.relatedness.rgs):
+            clean = x @ shared[g].T @ private[t].T
+            out.append(clean + spec.noise_std * rng.normal(size=clean.shape))
+        return np.stack(out)
+
+    return x_train, x_test, targets(x_train), targets(x_test)
+
+
 class TestGenerateTasks:
+    # group projections drawn jointly, jointly at the input width, and per group
+    @pytest.mark.parametrize(
+        "relatedness, hidden_dim", [((0, 0, 1, 1), 4), ((0, 1, 2, 3), 4), ((0, 1, 0, 2), 6)]
+    )
+    def test_stacked_pass_equals_the_per_task_loop(self, relatedness, hidden_dim):
+        spec = pair_spec(
+            relatedness=Partition(relatedness),
+            hidden_dim=hidden_dim,
+            train_samples=64,
+            test_samples=32,
+        )
+        data = generate_tasks(spec, rng_stream(28, "data"))
+        got = (data.inputs_train, data.inputs_test, data.targets_train, data.targets_test)
+        for a, b in zip(got, per_task_data(spec, rng_stream(28, "data"))):
+            np.testing.assert_array_equal(a, b)
+
     def test_shapes_and_names(self):
         data = generate_tasks(pair_spec(), rng_stream(23, "data"))
         assert data.task_names == ("t0", "t1", "t2", "t3")

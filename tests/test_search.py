@@ -12,7 +12,7 @@ import bmtas.nncore
 import bmtas.relax
 import bmtas.resloss
 from bmtas.cli import CONFIG_SCHEMA
-from bmtas.errors import BoundsError, ConfigError, DomainError, NumericError, SearchError
+from bmtas.errors import ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import Dataset, SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
 from bmtas.nncore import (
@@ -127,6 +127,8 @@ class TestSearchConfig:
         assert not {"num_heads", "named_parameters"} & set(dir(OperationParams))
         # the structure holds the task count, and the dataset the names
         assert [f.name for f in fields(RetrainedModel)] == ["structure", "params", "test_mse"]
+        # one stacked pass serves every task: RetrainedModel.features
+        assert not {"predict", "encoder_features"} & set(dir(RetrainedModel))
         assert list(inspect.signature(Adam.step).parameters) == ["self", "grad"]
         assert list(inspect.signature(SGD.step).parameters) == ["self"]
         # training settings that no run set, now constants of search and nncore
@@ -342,18 +344,19 @@ class TestRetrain:
             var = float(np.var(data.targets_test[t]))
             assert mse[name] < 0.5 * var
 
-    def test_predict_and_features_agree(self):
+    @pytest.mark.parametrize("picks", [[[0, 0], [0, 1], [2, 2]], [[0, 0], [1, 1], [2, 2]]])
+    def test_features_are_each_tasks_own_pass_and_give_the_test_mse(self, picks):
         data, sg = small_benchmark()
-        model = retrain_model(
-            branched_structure(3, 2), sg, data, quick_config(seed=1)
-        )
-        feats = model.encoder_features(1, data.inputs_test)
-        assert feats.shape == (64, 6)
-        w, b = model.params.head_weights.data[1], model.params.head_biases.data[1]
-        np.testing.assert_allclose(model.predict(1, data.inputs_test), feats @ w + b)
-        for task in (-1, 3):
-            with pytest.raises(BoundsError):
-                model.encoder_features(task, data.inputs_test)
+        model = retrain_model(derive_groupings(picks), sg, data, quick_config(seed=1))
+        feats = model.features(data.inputs_test)
+        assert feats.shape == (3, 64, 6)
+        hw, hb = model.params.head_weights.data, model.params.head_biases.data
+        for t, name in enumerate(data.task_names):
+            routing = [np.array([g.rgs[t]]) for g in model.structure.groupings]
+            solo = _features(model.params, routing, data.inputs_test)[0]
+            np.testing.assert_array_equal(feats[t], solo[0])
+            err = feats[t] @ hw[t] + hb[t] - data.targets_test[t]
+            assert model.test_mse[name] == float((err * err).mean())
 
     def test_structure_mismatches_rejected(self):
         data, sg = small_benchmark()
