@@ -12,7 +12,7 @@ from bmtas.eval import (
 )
 from bmtas.graph import SupergraphSpec, derive_groupings
 from bmtas.partition import Partition
-from bmtas.search import SearchConfig, retrain_model
+from bmtas.search import SearchConfig, retrain
 from bmtas.seeding import rng_stream
 
 print("== average per-task drop of a shared encoder vs single-task models ==")
@@ -41,7 +41,7 @@ supergraph = SupergraphSpec([16, 8, 8, 8])
 
 # train every task on its own branch so the features share nothing but data
 picks = [[t] * 3 for t in range(4)]
-model = retrain_model(derive_groupings(picks), supergraph, data, SearchConfig(seed=0))
+model = retrain(derive_groupings(picks), supergraph, data, SearchConfig(seed=0))
 rsa = rsa_matrix(model.features(data.inputs_test))
 
 print("task-by-task similarity of probe dissimilarity patterns:")

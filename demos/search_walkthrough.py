@@ -11,7 +11,7 @@ import numpy as np
 from bmtas.eval import SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, structure_cost
 from bmtas.partition import Partition
-from bmtas.search import SearchConfig, retrain_model, search
+from bmtas.search import SearchConfig, retrain, search
 from bmtas.seeding import rng_stream
 
 SEED = 0
@@ -42,7 +42,7 @@ print()
 print("== retraining the lambda = 0.05 structure from scratch ==")
 config = SearchConfig(resource_weight=0.05, seed=SEED)
 result = search(config, supergraph, data)
-model = retrain_model(result.structure, supergraph, data, config)
+model = retrain(result.structure, supergraph, data, config)
 for name in data.task_names:
     print(f"  test MSE {name}: {model.test_mse[name]:.5f}")
 # the search trace carries per-step tau, losses and the drifting structure

@@ -350,13 +350,13 @@ class RetrainedModel:
         return _features(self.params, routing, inputs)[0]
 
 
-def retrain_model(
+def retrain(
     structure: BranchedStructure,
     supergraph: SupergraphSpec,
     data: Dataset,
     config: SearchConfig,
 ) -> RetrainedModel:
-    """Train the branched network from fresh weights.
+    """Train the branched network from fresh weights and score it on the test split.
 
     One op instance per (layer, block); a shared op's learning rate, from
     config's theta_lr, is divided by the number of tasks in its block.
@@ -404,12 +404,3 @@ def retrain_model(
     model.test_mse.update((name, float((e * e).mean())) for name, e in zip(names, err))
     return model
 
-
-def retrain(
-    structure: BranchedStructure,
-    supergraph: SupergraphSpec,
-    data: Dataset,
-    config: SearchConfig,
-) -> dict[str, float]:
-    """Per-task test MSE of the retrained structure."""
-    return retrain_model(structure, supergraph, data, config).test_mse

@@ -40,7 +40,7 @@ from bmtas.resloss import (
     expected_cost_grad,
 )
 from bmtas.resloss import softmax as bmtas_softmax
-from bmtas.search import SearchConfig, retrain_model, search
+from bmtas.search import SearchConfig, retrain, search
 from bmtas.seeding import rng_stream
 from conftest import PINNED_PLATFORM, central_diff, random_alpha, relative_error
 
@@ -388,7 +388,7 @@ def test_criterion_08_grouping_recovery(capsys):
         if nontrivial and nontrivial[-1] == target:
             recovered += 1
         # RSA over per-task encoders, trained with nothing shared
-        model = retrain_model(
+        model = retrain(
             _fully_branched(4, supergraph.num_layers),
             supergraph,
             data,

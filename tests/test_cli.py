@@ -255,13 +255,17 @@ class TestExitCodes:
 
 
 def bad_config(tmp_path, **edits):
-    """search argv for base_config with edits {section: {key: value}}; the
-    strings "INF" and "BIG" are written as the JSON numbers 1e400 and 10**400.
-    Its output_dir is under tmp_path, so a config that is wrongly accepted
-    writes nothing into the working directory."""
+    """search argv for base_config with edits {section: {key: value}}, or
+    {key: value} for a top-level key that is not a section; the strings "INF"
+    and "BIG" are written as the JSON numbers 1e400 and 10**400. Its
+    output_dir is under tmp_path, so a config that is wrongly accepted writes
+    nothing into the working directory."""
     cfg = base_config(output_dir=str(tmp_path / "runs"))
     for section, values in edits.items():
-        cfg[section].update(values)
+        if isinstance(values, dict):
+            cfg[section].update(values)
+        else:
+            cfg[section] = values
     path = tmp_path / "run.json"
     text = json.dumps(cfg).replace('"INF"', "1e400").replace('"BIG"', str(10**400))
     path.write_text(text)
@@ -445,6 +449,14 @@ BAD_INPUTS = {
     "expected-cost-logit-string": lambda p: [
         "expected-cost", "--alpha", input_file(p, '[[[0, "1"]], [[0, 0]]]')
     ],
+    # a config integer is a JSON integer: 3.0 is a number, not an integer
+    "num_tasks-written-as-a-float": lambda p: bad_config(p, benchmark={"num_tasks": 3.0}),
+    "warmup_steps-written-as-a-float": lambda p: bad_config(p, search={"warmup_steps": 20.0}),
+    "train_samples-written-as-a-float": lambda p: bad_config(
+        p, benchmark={"train_samples": 96.0}
+    ),
+    "width-written-as-a-float": lambda p: bad_config(p, supergraph={"widths": [8.0, 6, 6]}),
+    "seed-written-as-a-float": lambda p: bad_config(p, seeds=[0.0]),
 }
 
 
@@ -456,6 +468,15 @@ def test_bad_input_exits_2_with_one_config_error(case, tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["event"] == "config_error"
     assert captured.out == ""
+
+
+def test_a_float_integer_names_its_path_and_type(tmp_path, capsys):
+    argv = BAD_INPUTS["num_tasks-written-as-a-float"](tmp_path)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "event": "config_error",
+        "error": f"{argv[2]}: $.benchmark.num_tasks: 3.0 is not of type 'integer'",
+    }
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):
@@ -786,6 +807,21 @@ def test_a_pinned_run_on_two_blas_threads_writes_the_pinned_bytes(tmp_path):
     assert digests == pins, PINNED_PLATFORM
 
 
+def test_a_pooled_pinned_run_writes_the_serial_bytes(tmp_path, monkeypatch):
+    """Pool workers build the artifacts' text: seed 0 of a two-worker run must
+    match its pins, and seed 1 a serial run of that seed."""
+    path = input_file(tmp_path, json.dumps({**EIGHT_TASK_CONFIG, "seeds": [0, 1]}), "eight.json")
+    serial, pooled = tmp_path / "serial" / "eight", tmp_path / "pooled" / "eight"
+    assert main(["search", "--config", path, "--seed", "1", "--out", str(serial.parent)]) == 0
+    monkeypatch.setenv("BMTAS_WORKERS", "2")
+    assert main(["search", "--config", path, "--out", str(pooled.parent)]) == 0
+    pins = SEARCH_DIGESTS["eight/seed0"]
+    digests = {n: hashlib.sha256((pooled / "seed0" / n).read_bytes()).hexdigest() for n in pins}
+    assert digests == pins, PINNED_PLATFORM
+    for name in pins:
+        assert (pooled / "seed1" / name).read_bytes() == (serial / "seed1" / name).read_bytes()
+
+
 @pytest.mark.parametrize("run", list(SEARCH_DIGESTS))
 def test_pinned_artifacts_agree_with_each_other(run, pinned_runs, capsys):
     run_dir = pinned_runs / run
@@ -966,6 +1002,22 @@ class TestTaskCountCaches:
         code = "import bmtas.cli as c; print(c._config_validator.cache_info().currsize)"
         assert fresh_python(code) == "0\n"
 
+    def test_a_dropped_cli_module_is_freed_with_its_config_validator(self, tmp_path):
+        # the benchmark re-imports bmtas every cycle; a cycle that the garbage
+        # collector cannot see would keep every earlier import alive
+        code = (
+            "import gc, sys, weakref\n"
+            "import bmtas.cli as c\n"
+            f"c.load_config({write_config(tmp_path, base_config())!r})\n"
+            "refs = [weakref.ref(c), weakref.ref(type(c._config_validator()))]\n"
+            "del c\n"
+            "for name in [m for m in sys.modules if m.startswith('bmtas')]:\n"
+            "    del sys.modules[name]\n"
+            "gc.collect()\n"
+            "print([ref() is None for ref in refs])"
+        )
+        assert fresh_python(code) == "[True, True]\n"
+
 
 def modules_loaded_by(argv) -> list:
     """Which of scipy and jsonschema a fresh interpreter has loaded after
@@ -1010,6 +1062,42 @@ class TestLazyImports:
     def test_search_loads_jsonschema_only(self, tmp_path):
         argv = ["search", "--config", write_config(tmp_path, base_config())]
         assert modules_loaded_by(argv + ["--out", str(tmp_path / "runs")]) == ["jsonschema"]
+
+
+TRACED_SPANS = {
+    "cli.load_config",
+    "eval.generate_tasks",
+    "search.warm_up",
+    "search.search",
+    "search.retrain",
+    "resloss.grouping_distribution",
+    "resloss.expected_cost",
+}
+
+
+def test_a_traced_search_and_expected_cost_record_their_spans(tmp_path):
+    """What `benchmarks/run.py --trace 1` does: install benchmarks/tracing.py's
+    Tracer on a fresh bmtas, then run both workloads' verbs through main()."""
+    cfg = base_config(output_dir=str(tmp_path / "runs"))
+    cfg["search"].update(warmup_steps=2, search_steps=2, retrain_steps=2)
+    argvs = [
+        ["search", "--config", write_config(tmp_path, cfg)],
+        ["expected-cost", "--alpha", input_file(tmp_path, ALPHA_2x2), "--unit-costs", "1,1"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(BENCHMARKS)!r})\n"
+        "import bmtas.cli, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        f"    codes = [bmtas.cli.main(argv) for argv in {argvs!r}]\n"
+        "print((codes, sorted({span[0] for span in tracer.spans})))"
+    )
+    codes, spans = ast.literal_eval(fresh_python(code))
+    assert codes == [0, 0]
+    assert TRACED_SPANS <= set(spans)
 
 
 class TestEval:

@@ -40,7 +40,6 @@ from bmtas.search import (
     _fit,
     _loss_scale,
     retrain,
-    retrain_model,
     search,
     warm_up,
 )
@@ -118,7 +117,7 @@ class TestSearchConfig:
         assert not {"schedule", "alpha_betas"} & {f.name for f in fields(SearchConfig)}
         assert not hasattr(bmtas.relax, "TemperatureSchedule")
         assert not hasattr(bmtas.nncore, "LossWeights")
-        for stage in (warm_up, retrain, retrain_model):
+        for stage in (warm_up, retrain):
             assert not {"steps", "rng", "seed"} & set(inspect.signature(stage).parameters)
         # names that only tests read, and optimizer options with one value in use
         assert not hasattr(bmtas.relax, "sample_soft")
@@ -129,6 +128,9 @@ class TestSearchConfig:
         assert [f.name for f in fields(RetrainedModel)] == ["structure", "params", "test_mse"]
         # one stacked pass serves every task: RetrainedModel.features
         assert not {"predict", "encoder_features"} & set(dir(RetrainedModel))
+        # one retraining function, which returns the RetrainedModel
+        assert not hasattr(bmtas.search, "retrain_model")
+        assert inspect.get_annotations(retrain, eval_str=True)["return"] is RetrainedModel
         assert list(inspect.signature(Adam.step).parameters) == ["self", "grad"]
         assert list(inspect.signature(SGD.step).parameters) == ["self"]
         # training settings that no run set, now constants of search and nncore
@@ -307,8 +309,8 @@ class TestRetrain:
         data, sg = small_benchmark()
         cfg = quick_config()
         s = shared_structure(3, 2)
-        a = retrain(s, sg, data, cfg)
-        b = retrain(s, sg, data, cfg)
+        a = retrain(s, sg, data, cfg).test_mse
+        b = retrain(s, sg, data, cfg).test_mse
         assert a == b
         assert set(a) == set(data.task_names)
 
@@ -316,7 +318,7 @@ class TestRetrain:
         # name-keyed init and batch streams make the branched run decompose
         data, sg = small_benchmark()
         cfg = quick_config(seed=3)
-        joint = retrain_model(branched_structure(3, 2), sg, data, cfg)
+        joint = retrain(branched_structure(3, 2), sg, data, cfg)
         for t, name in enumerate(data.task_names):
             solo_data = replace(
                 data,
@@ -324,7 +326,7 @@ class TestRetrain:
                 targets_train=data.targets_train[[t]],
                 targets_test=data.targets_test[[t]],
             )
-            solo = retrain_model(branched_structure(1, 2), sg, solo_data, cfg)
+            solo = retrain(branched_structure(1, 2), sg, solo_data, cfg)
             assert joint.test_mse[name] == solo.test_mse[name]
             np.testing.assert_array_equal(
                 joint.params.head_weights.data[t], solo.params.head_weights.data[0]
@@ -338,7 +340,7 @@ class TestRetrain:
     def test_learns_the_tasks(self):
         data, sg = small_benchmark()
         cfg = quick_config(retrain_steps=300)
-        mse = retrain(shared_structure(3, 2), sg, data, cfg)
+        mse = retrain(shared_structure(3, 2), sg, data, cfg).test_mse
         for name in data.task_names:
             t = data.task_names.index(name)
             var = float(np.var(data.targets_test[t]))
@@ -347,7 +349,7 @@ class TestRetrain:
     @pytest.mark.parametrize("picks", [[[0, 0], [0, 1], [2, 2]], [[0, 0], [1, 1], [2, 2]]])
     def test_features_are_each_tasks_own_pass_and_give_the_test_mse(self, picks):
         data, sg = small_benchmark()
-        model = retrain_model(derive_groupings(picks), sg, data, quick_config(seed=1))
+        model = retrain(derive_groupings(picks), sg, data, quick_config(seed=1))
         feats = model.features(data.inputs_test)
         assert feats.shape == (3, 64, 6)
         hw, hb = model.params.head_weights.data, model.params.head_biases.data
@@ -369,8 +371,8 @@ class TestRetrain:
     def test_omega_changes_training(self):
         data, sg = small_benchmark()
         s = shared_structure(3, 2)
-        plain = retrain(s, sg, data, quick_config(seed=0))
-        tilted = retrain(s, sg, data, quick_config(omega=(8.0, 1.0, 1.0), seed=0))
+        plain = retrain(s, sg, data, quick_config(seed=0)).test_mse
+        tilted = retrain(s, sg, data, quick_config(omega=(8.0, 1.0, 1.0), seed=0)).test_mse
         assert plain != tilted
 
 
@@ -644,7 +646,7 @@ class TestEngineGuards:
             warm_up(sg, data, quick_config(theta_lr=1e300))
         structure = derive_groupings(np.zeros((3, sg.num_layers), dtype=int))
         with pytest.raises(NumericError, match="^non-finite value at retrain step 2: tensor"):
-            retrain_model(structure, sg, data, quick_config(theta_lr=1e300))
+            retrain(structure, sg, data, quick_config(theta_lr=1e300))
         params = warm_up(sg, data, quick_config(warmup_steps=0))
         params.weights[0].data[...] = 1e308
         with pytest.raises(SearchError, match="^non-finite value at step 1: tensor"):
