@@ -162,27 +162,14 @@ def _reading_input():
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
-@lru_cache(maxsize=None)
-def _config_validator():
-    """Built on first use, so that only search loads jsonschema; CONFIG_SCHEMA
-    itself is checked by a unit test. Draft 4's types are 2020-12's, but its
-    integer is never 3.0. A checker defined here would keep this module alive
-    through jsonschema's checker table, which the garbage collector cannot see."""
-    import jsonschema
-
-    strict = jsonschema.Draft4Validator.TYPE_CHECKER
-    validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=strict)
-    return validator(CONFIG_SCHEMA)
-
-
 def load_config(path) -> dict:
     """Parse and schema-validate a run config; unknown keys are rejected."""
-    from jsonschema.exceptions import best_match
+    from .schema import first_error  # here, so that the other verbs do not compile it
 
     obj = _load_json(path)
-    error = best_match(_config_validator().iter_errors(obj))
+    error = first_error(CONFIG_SCHEMA, obj)
     if error is not None:
-        raise ConfigError(f"{path}: {error.json_path}: {error.message}") from error
+        raise ConfigError(f"{path}: {error}")
     widths = obj["supergraph"]["widths"]
     if obj["benchmark"]["input_dim"] != widths[0]:
         raise ConfigError("benchmark input_dim must equal the first supergraph width")
@@ -192,6 +179,9 @@ def load_config(path) -> dict:
     max_task = max(t for block in obj["benchmark"]["relatedness"] for t in block)
     if max_task >= obj["benchmark"]["num_tasks"]:
         raise ConfigError("relatedness names a task outside 0..num_tasks-1")
+    seeds = obj.get("seeds", [])
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
     return obj
 
 

@@ -150,6 +150,9 @@ class SyntheticTaskSpec:
     signal_scale: float = 0.2
 
     def __post_init__(self):
+        # an integer past the largest float raises OverflowError here
+        for name in ("noise_std", "signal_scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.relatedness.num_tasks != self.num_tasks:
             raise DimensionMismatch("relatedness partition covers wrong task count")
         if self.noise_std < 0:

@@ -74,6 +74,9 @@ class SearchConfig:
     omega: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # an integer past the largest float raises OverflowError here
+        for name in ("resource_weight", "tau_start", "tau_end", "theta_lr", "alpha_lr"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0 <= self.resource_weight < float("inf"):
             raise ConfigError("resource_weight must be non-negative and finite")
         if self.seed < 0:

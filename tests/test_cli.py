@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import contextlib
+import copy
 import csv
 import hashlib
 import importlib
@@ -91,6 +92,75 @@ def write_config(tmp_path, cfg, name="run.json"):
     return str(path)
 
 
+# load_config's oracle: 2020-12 with Draft 4's type checker, whose integer is never 3.0
+JSONSCHEMA_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft4Validator.TYPE_CHECKER
+)(cli.CONFIG_SCHEMA)
+
+
+def schema_paths(schema=cli.CONFIG_SCHEMA, path=()) -> dict:
+    """Each object or array path that the schema names -> its keys, or its
+    indices 0..2."""
+    children = schema.get("properties") or dict.fromkeys(range(3), schema.get("items"))
+    children = {k: v for k, v in children.items() if v is not None}
+    paths = {path: list(children)} if children else {}
+    for key, child in children.items():
+        paths.update(schema_paths(child, (*path, key)))
+    return paths
+
+
+SCHEMA_PATHS = schema_paths()
+# wrong types (a bool and 3.0 among them), values at and past the bounds, empties
+ODD_VALUES = [
+    True, False, None, "", "x", [], [1], [[0]], {}, {"a": 1},
+    -1, 0, 1, 2, 3.0, 8, 9, 16, 10**400, -0.5, 0.0, 1e-300,
+]
+DELETE = object()
+
+
+@st.composite
+def config_fault(draw):
+    """One fault as a list of (path, value) edits: a wrong value, a deleted
+    key or item, an unknown key, or wrong values at two siblings."""
+    parent = draw(st.sampled_from(sorted(SCHEMA_PATHS, key=str)))
+    keys = SCHEMA_PATHS[parent]
+    kind = draw(st.sampled_from(["set", "delete", "unknown", "siblings"]))
+    if kind == "unknown" and isinstance(keys[0], str):
+        return [((*parent, draw(st.sampled_from(["aaa", "extra", "zzz"]))), 1)]
+    if kind == "siblings":
+        pair = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+        return [((*parent, key), draw(st.sampled_from(ODD_VALUES))) for key in pair]
+    value = DELETE if kind == "delete" else draw(st.sampled_from(ODD_VALUES))
+    return [((*parent, draw(st.sampled_from(keys))), value)]
+
+
+def node_at(cfg, path):
+    """The value at path in cfg, or None where the path leaves cfg."""
+    for step in path:
+        if isinstance(cfg, dict) and step in cfg:
+            cfg = cfg[step]
+        elif isinstance(cfg, list) and isinstance(step, int) and step < len(cfg):
+            cfg = cfg[step]
+        else:
+            return None
+    return cfg
+
+
+def edited(cfg, edits):
+    """A copy of cfg with each edit made where its parent exists; an index
+    one past the end of an array appends."""
+    cfg = copy.deepcopy(cfg)
+    for path, value in edits:
+        node, key = node_at(cfg, path[:-1]), path[-1]
+        if isinstance(node, dict) and isinstance(key, str) and value is DELETE:
+            node.pop(key, None)
+        elif isinstance(node, dict) and isinstance(key, str):
+            node[key] = copy.deepcopy(value)  # no edit may change another's value
+        elif isinstance(node, list) and isinstance(key, int) and key <= len(node):
+            node[key : key + 1] = [] if value is DELETE else [copy.deepcopy(value)]
+    return cfg
+
+
 class TestLoadConfig:
     def test_accepts_minimal(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
@@ -162,6 +232,30 @@ class TestLoadConfig:
             "exclusiveMinimum",
         }
         assert types == {"object", "array", "string", "integer", "number"}
+
+    @given(st.lists(config_fault(), min_size=1, max_size=4).map(lambda faults: sum(faults, [])))
+    @example([(("search", "alpha_lr"), 0), (("search", "theta_lr"), 0)])  # the greater path
+    @example([(("supergraph", "widths", 0), 0), (("supergraph", "widths", 2), 0)])
+    @example([(("benchmark", "zzz"), 1), (("benchmark", "num_tasks"), DELETE)])  # schema order
+    @example([(("search", "zzz"), 1), (("search", "aaa"), 1)])  # the unknown keys sorted
+    @example([(("search", "lambda"), True), (("benchmark", "num_tasks"), 3.0)])
+    @example([(("seeds",), [])])
+    @example([(("experiment",), "")])
+    @example([(("supergraph", "widths"), [8])])
+    @settings(max_examples=300, deadline=None)
+    def test_messages_match_jsonschema_best_match(self, tmp_path_factory, edits):
+        cfg = edited(pinned_configs()["pairs/seed0"][1], edits)
+        path = write_config(tmp_path_factory.getbasetemp(), cfg, "mutated.json")
+        want = jsonschema.exceptions.best_match(JSONSCHEMA_VALIDATOR.iter_errors(cfg))
+        try:
+            load_config(path)
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        if want is None:  # the checks across keys come after the schema's
+            assert got is None or not got.startswith(f"{path}: $"), got
+        else:
+            assert got == f"{path}: {want.json_path}: {want.message}"
 
     @pytest.mark.parametrize(
         "section, edits",
@@ -457,6 +551,13 @@ BAD_INPUTS = {
     ),
     "width-written-as-a-float": lambda p: bad_config(p, supergraph={"widths": [8.0, 6, 6]}),
     "seed-written-as-a-float": lambda p: bad_config(p, seeds=[0.0]),
+    # a number key written as an integer past the largest float
+    "theta_lr-integer-too-large-for-a-float": lambda p: bad_config(p, search={"theta_lr": "BIG"}),
+    "lambda-integer-too-large-for-a-float": lambda p: bad_config(p, search={"lambda": "BIG"}),
+    "signal_scale-integer-too-large-for-a-float": lambda p: bad_config(
+        p, benchmark={"signal_scale": "BIG"}
+    ),
+    "seeds-repeat-a-seed": lambda p: bad_config(p, seeds=[0, 0, 0]),
 }
 
 
@@ -998,36 +1099,38 @@ class TestTaskCountCaches:
         code = "import bmtas.cli as c; print(c.build_parser.cache_info().currsize)"
         assert fresh_python(code) == "0\n"
 
-    def test_import_builds_no_config_validator(self):
-        code = "import bmtas.cli as c; print(c._config_validator.cache_info().currsize)"
-        assert fresh_python(code) == "0\n"
-
-    def test_a_dropped_cli_module_is_freed_with_its_config_validator(self, tmp_path):
-        # the benchmark re-imports bmtas every cycle; a cycle that the garbage
-        # collector cannot see would keep every earlier import alive
+    def test_a_dropped_cli_module_is_freed_after_load_config(self, tmp_path):
+        # the benchmark re-imports bmtas every cycle; a reference cycle that the
+        # garbage collector cannot see would keep every earlier import alive
         code = (
             "import gc, sys, weakref\n"
             "import bmtas.cli as c\n"
             f"c.load_config({write_config(tmp_path, base_config())!r})\n"
-            "refs = [weakref.ref(c), weakref.ref(type(c._config_validator()))]\n"
+            "ref = weakref.ref(c)\n"
             "del c\n"
             "for name in [m for m in sys.modules if m.startswith('bmtas')]:\n"
             "    del sys.modules[name]\n"
             "gc.collect()\n"
-            "print([ref() is None for ref in refs])"
+            "print(ref() is None)"
         )
-        assert fresh_python(code) == "[True, True]\n"
+        assert fresh_python(code) == "True\n"
 
 
 def modules_loaded_by(argv) -> list:
-    """Which of scipy and jsonschema a fresh interpreter has loaded after
-    running `bmtas argv` in process."""
+    """The top-level modules outside the standard library that a fresh
+    interpreter loads from files while it runs `bmtas argv` in process. What
+    site's .pth files load at start-up is not counted, nor the modules that
+    Cython's runtime makes without a file."""
     code = (
-        "import contextlib, io, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io\n"
         "from bmtas.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'}))"
+        "new = set(sys.modules) - before\n"
+        "loaded = {m.split('.')[0] for m in new if getattr(sys.modules[m], '__file__', None)}\n"
+        "print(sorted(loaded - sys.stdlib_module_names))"
     )
     return ast.literal_eval(fresh_python(code))
 
@@ -1050,18 +1153,36 @@ VERBS = {
 }
 
 
+@pytest.fixture(scope="module")
+def loaded_by_search(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("search")
+    argv = ["search", "--config", write_config(tmp, base_config()), "--out", str(tmp / "runs")]
+    return modules_loaded_by(argv)
+
+
 class TestLazyImports:
     def test_import_leaves_the_process_pool_unloaded(self):
         code = "import sys, bmtas.cli; print('concurrent.futures.process' in sys.modules)"
         assert fresh_python(code) == "False\n"
 
+    def test_import_leaves_the_schema_checker_unloaded(self):
+        # the benchmark compiles every module it imports, on every cycle
+        code = "import sys, bmtas.cli; print('bmtas.schema' in sys.modules)"
+        assert fresh_python(code) == "False\n"
+
     @pytest.mark.parametrize("verb", list(VERBS))
     def test_verbs_other_than_search_load_neither_scipy_nor_jsonschema(self, verb, tmp_path):
-        assert modules_loaded_by(VERBS[verb](tmp_path)) == []
+        assert modules_loaded_by(VERBS[verb](tmp_path)) == ["bmtas", "numpy"]
 
-    def test_search_loads_jsonschema_only(self, tmp_path):
-        argv = ["search", "--config", write_config(tmp_path, base_config())]
-        assert modules_loaded_by(argv + ["--out", str(tmp_path / "runs")]) == ["jsonschema"]
+    def test_search_loads_neither_scipy_nor_jsonschema(self, loaded_by_search):
+        assert loaded_by_search == ["bmtas", "numpy"]
+
+    def test_numpy_is_the_only_runtime_dependency(self, loaded_by_search):
+        tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+        project = tomllib.loads((BENCHMARKS.parent / "pyproject.toml").read_text())["project"]
+        assert project["dependencies"] == ["numpy>=1.24"]
+        assert any(d.startswith("jsonschema") for d in project["optional-dependencies"]["test"])
+        assert loaded_by_search == ["bmtas", "numpy"]
 
 
 TRACED_SPANS = {
