@@ -13,10 +13,6 @@ class DimensionMismatch(BmtasError, ValueError):
     """Shapes or task/layer counts of two arguments disagree."""
 
 
-class ModeError(BmtasError, ValueError):
-    """An argument is of the wrong kind, such as a value off the autodiff tape."""
-
-
 class DomainError(BmtasError, ValueError):
     """A numeric argument lies outside the valid domain."""
 

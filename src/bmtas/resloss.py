@@ -218,8 +218,7 @@ def grouping_distribution(alpha: ArchitectureParams, table: CostTable) -> Groupi
     sigma} h_l(union of S), mu(sigma) = prod_{S in sigma} (-1)^(|S|-1) (|S|-1)!.
     """
     rgs = rgs_table(alpha.num_tasks)
-    h = np.cumprod(_subsets(alpha, table)[4], axis=1)
-    h[0] = 1.0  # unused merge slots hold the empty mask
+    h = np.cumprod(_subsets(alpha, table)[4], axis=1)  # h[0] = 1 fills unused merge slots
     probs = np.empty((len(rgs), alpha.num_layers))
     for rows, mu, merged in _merge_tables(alpha.num_tasks):
         # h[merged].prod(axis=0) one block at a time, in block order: the same
@@ -244,7 +243,9 @@ def _subsets(alpha: ArchitectureParams, table: CostTable) -> tuple:
     """Edge probabilities pi (T, L, T), unit costs (L,), and over task
     subsets M, indexed by the bitmask with bit u set iff u is in M: the sign
     (-1)^(|M|-1), 0 for the empty subset; prod[M] = prod_{u in M} pi[u]; and
-    agree[M, l] = A_l(M), the chance that all of M pick one edge at layer l."""
+    agree[M, l] = A_l(M), the chance that all of M pick one edge at layer l,
+    and 1 for the empty subset: its T ones summed would grow to T^l over the
+    layers, past the largest float in a deep chain, and 0 * inf is NaN."""
     _check_dims(alpha, table)
     pi = softmax(alpha.logits, axis=2)
     prod = np.empty((1 << alpha.num_tasks,) + pi.shape[1:])
@@ -252,8 +253,10 @@ def _subsets(alpha: ArchitectureParams, table: CostTable) -> tuple:
     for u in range(alpha.num_tasks):
         # subsets holding u follow, in the same order, those without it
         np.multiply(prod[: 1 << u], pi[u], out=prod[1 << u : 2 << u])
+    agree = prod.sum(axis=2)
+    agree[0] = 1.0
     costs = np.asarray(table.unit_cost, dtype=np.float64)
-    return pi, costs, _subset_signs(alpha.num_tasks), prod, prod.sum(axis=2)
+    return pi, costs, _subset_signs(alpha.num_tasks), prod, agree
 
 
 def expected_cost(alpha: ArchitectureParams, table: CostTable) -> float:

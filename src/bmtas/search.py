@@ -3,22 +3,25 @@ an annealed Gumbel-Softmax, argmax discretization, and from-scratch
 retraining of the found structure.
 
 One batched engine carries every stage. `_features` runs all tasks'
-encoders at once over the stacked operation arrays of `OperationParams`, and
-`_backward_tasks` is its hand-written reverse pass: it writes the gradients
-of the omega-weighted task losses into the parameters' `.grad`, or returns
-the gradient of each routing row. Each layer is routed either by one
+encoders at once over the stacked operation arrays of `OperationParams`,
+layer by layer through `candidate_forward` and `mixed_layer_forward`;
+`head_forward` and `task_loss` finish the forward pass, and `backward` is
+its hand-written reverse pass: it writes the gradients of the
+omega-weighted task losses into the parameters' `.grad`, or returns the
+gradient of each routing row. Each layer is routed either by one
 operation index per task (warm-up, retraining and `features`), which
 gathers the T weight slices used unless task t takes operation t, or by a
 (tasks, operations) array of Gumbel-Softmax mixture rows (the search). The
 task heads are one stacked affine map, so loss and head gradients are one
 batched call each. The architecture gradient is the softmax's chain rule on
-the row gradients. Arrays are combined in the order of the `nncore` tape's
-ops, which stays as the engine's test oracle. Three reductions fix the bits:
-numpy's sum mixes the operations, a left fold, but an accumulate mixes eight
-or more one-element terms, which numpy adds pairwise; batch sums fold a
-batch-major copy in one loop, as numpy folds a batch of width 2 or more, and
-keep numpy's pairwise sum at width 1; numpy's reduction sums a shared
-operation's gradient over tasks, pairwise for eight or more such terms.
+the row gradients. Arrays are combined in the order of the ops of the
+reverse-mode tape in `tests/tape.py`, the engine's test oracle. Three
+reductions fix the bits: numpy's sum mixes the operations, a left fold, but
+an accumulate mixes eight or more one-element terms, which numpy adds
+pairwise; batch sums fold a batch-major copy in one loop, as numpy folds a
+batch of width 2 or more, and keep numpy's pairwise sum at width 1; numpy's
+reduction sums a shared operation's gradient over tasks, pairwise for eight
+or more such terms.
 
 Every iteration draws fresh routing noise, takes one weight step on the
 large data split, one architecture step (task loss plus the weighted,
@@ -37,11 +40,10 @@ from .errors import ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
 from .nncore import SGD, Adam, OperationParams, Tensor
-# benchmarks/tracing.py patches these names here
-from .nncore import backward, candidate_forward, head_forward, mixed_layer_forward, task_loss
 from .relax import discretize, gumbel_noise, schedule_tau
 from .resloss import ArchitectureParams, _cost_and_grad, softmax
-from .resloss import expected_cost, expected_cost_grad  # as above, for the tracer
+# benchmarks/tracing.py patches these names here; nothing in this module calls them
+from .resloss import expected_cost, expected_cost_grad
 from .seeding import rng_stream
 
 BATCH_SIZE = 32  # training rows per weight or architecture step
@@ -128,9 +130,43 @@ def _loss_scale(omega, data: Dataset, pool: np.ndarray) -> np.ndarray:
     return (np.asarray(omega, dtype=np.float64) / size)[:, None, None]
 
 
+def candidate_forward(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tanh(h @ w + b), one layer's routed operations w, b on their inputs h;
+    NumericError if h @ w + b holds a NaN or Inf, which tanh would hide."""
+    pre = h @ w
+    pre += b
+    if not np.isfinite(pre).all():
+        raise NumericError("tensor holds NaN or Inf")
+    return np.tanh(pre, out=pre)
+
+
+def mixed_layer_forward(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_c r[:, c] * y[:, c], task t's mixture by its routing row r[t] of the
+    outputs y (T or 1, C, B, out) of the layer's C operations, shape (T, B, out).
+    numpy's sum is a left fold but for 8 or more 1-element terms."""
+    m = r[:, :, None, None] * y
+    pairwise = m.shape[1] >= 8 and m[0, 0].size == 1
+    return np.add.accumulate(m, axis=1)[:, -1] if pairwise else m.sum(axis=1)
+
+
+def head_forward(params: OperationParams, h: np.ndarray) -> np.ndarray:
+    """Every task head on its task's encoder output h (T, B, enc_out)."""
+    return h @ params.head_weights.data + params.head_biases.data[:, None]
+
+
+def task_loss(prediction: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each task's mean squared error, shape (T,), and the residual
+    prediction - targets; NumericError if a loss is not finite."""
+    diff = prediction - targets
+    losses = (diff * diff).sum(axis=(1, 2)) / diff[0].size
+    if not np.isfinite(losses).all():
+        raise NumericError("tensor holds NaN or Inf")
+    return losses, diff
+
+
 def _features(params: OperationParams, routing, x: np.ndarray):
     """Every routed task's encoder output, shape (T, B, out), and per layer
-    the (input, outputs, weights) triple that `_backward_tasks` reuses.
+    the (input, outputs, weights) triple that `backward` reuses.
 
     routing[l] routes layer l+1, and its kind selects the computation. An
     integer array of shape (T,) holds task t's operation index: the layer
@@ -145,18 +181,9 @@ def _features(params: OperationParams, routing, x: np.ndarray):
     for w, b, r in zip(params.weights, params.biases, routing):
         soft = r is not None and r.ndim == 2
         w, b = (w.data, b.data[:, None]) if r is None or soft else (w.data[r], b.data[r, None])
-        pre = (h[:, None] if soft else h) @ w
-        pre += b
-        if not np.isfinite(pre).all():  # before tanh, which would hide it
-            raise NumericError("tensor holds NaN or Inf")
-        y = np.tanh(pre, out=pre)
+        y = candidate_forward(h[:, None] if soft else h, w, b)
         cache.append((h, y, w))
-        if soft:  # numpy's sum is a left fold but for 8 or more 1-element terms
-            m = r[:, :, None, None] * y
-            pairwise = m.shape[1] >= 8 and m[0, 0].size == 1
-            h = np.add.accumulate(m, axis=1)[:, -1] if pairwise else m.sum(axis=1)
-        else:
-            h = y
+        h = mixed_layer_forward(r, y) if soft else y
     return h, cache
 
 
@@ -168,24 +195,19 @@ def _batch_sum(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(2, 0, 1, 3)).sum(axis=0)
 
 
-def _backward_tasks(params: OperationParams, routing, data: Dataset, idx, scale, row_grads=False):
+def backward(params: OperationParams, routing, data: Dataset, idx, scale, row_grads=False):
     """Unweighted losses of the T tasks on the training rows idx, task t
     routed by routing[l][t] (see `_features`). By default a fresh .grad on
     every parameter for sum_t omega[t] * loss_t, scale being `_loss_scale`;
     with row_grads, instead, per layer the gradient of the soft routing[l]."""
     h, cache = _features(params, routing, data.inputs_train[idx])
-    hw, hb = params.head_weights.data, params.head_biases.data
-    diff = h @ hw + hb[:, None] - data.targets_train[:, idx]
-    size = diff[0].size
-    losses = (diff * diff).sum(axis=(1, 2)) / size  # each task's mean
-    if not np.isfinite(losses).all():
-        raise NumericError("tensor holds NaN or Inf")
+    losses, diff = task_loss(head_forward(params, h), data.targets_train[:, idx])
     g = scale * diff
     g += g  # d/d diff of diff * diff, one term per factor
     if not row_grads:
         params.head_weights.grad = h.swapaxes(1, 2) @ g
         params.head_biases.grad = g.sum(axis=1)
-    dh, dz = g @ hw.swapaxes(1, 2), []
+    dh, dz = g @ params.head_weights.data.swapaxes(1, 2), []
     for l in reversed(range(params.num_layers)):
         w, b, r, (h, y, wr) = params.weights[l], params.biases[l], routing[l], cache[l]
         if r is None or r.ndim == 1:
@@ -223,7 +245,7 @@ def _architecture_grad(params, logits, noise, tau, data, idx, scale) -> np.ndarr
     gradients."""
     inv_tau = 1.0 / tau
     z = softmax((logits + noise) * inv_tau, axis=2)
-    dz = _backward_tasks(params, list(z.swapaxes(0, 1)), data, idx, scale, row_grads=True)[1]
+    dz = backward(params, list(z.swapaxes(0, 1)), data, idx, scale, row_grads=True)[1]
     dz = np.stack(dz, axis=1)
     return z * (dz - (z[..., None, :] @ dz[..., None])[..., 0]) * inv_tau
 
@@ -238,7 +260,7 @@ def _fit(stage, params, routing, data, omega, steps, rng, lr, lr_scales=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             try:
-                _backward_tasks(params, routing, data, _batch(rng, all_rows), scale)
+                backward(params, routing, data, _batch(rng, all_rows), scale)
             except NumericError as exc:
                 raise NumericError(f"non-finite value at {stage} step {step}: {exc}") from exc
             opt.step()
@@ -309,7 +331,7 @@ def search(
                 # weight phase: routing is a constant sample
                 rows = list(softmax((alpha_opt.value + noise) / tau, axis=2).swapaxes(0, 1))
                 idx = _batch(theta_batches, theta_rows)
-                losses = _backward_tasks(params, rows, data, idx, theta_scale)[0]
+                losses = backward(params, rows, data, idx, theta_scale)[0]
                 theta_opt.step()
 
                 # architecture phase: same noise, routing differentiated
@@ -401,9 +423,8 @@ def retrain(
     _fit("retrain", params, routing, data, omega, steps, batches, lr, scales + [1.0, 1.0])
 
     model = RetrainedModel(structure, params, test_mse={})
-    # the test error in _backward_tasks' order of operations, which fixes its bits
-    hw, hb = params.head_weights.data, params.head_biases.data
-    err = model.features(data.inputs_test) @ hw + hb[:, None] - data.targets_test
+    # the test error in backward's order of operations, which fixes its bits
+    err = head_forward(params, model.features(data.inputs_test)) - data.targets_test
     model.test_mse.update((name, float((e * e).mean())) for name, e in zip(names, err))
     return model
 

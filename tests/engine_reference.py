@@ -33,8 +33,8 @@ def features(params, routing, x):
 
 
 def backward_tasks(params, routing, data, idx, omega, row_grads=False):
-    """Losses and row gradients as `search._backward_tasks` returns them;
-    without row_grads, a fresh .grad on every parameter."""
+    """Losses and row gradients as `search.backward` returns them; without
+    row_grads, a fresh .grad on every parameter."""
     h, cache = features(params, routing, data.inputs_train[idx])
     hw, hb = params.head_weights.data, params.head_biases.data
     diff = h @ hw + hb[:, None] - data.targets_train[:, idx]
@@ -72,7 +72,8 @@ def backward_tasks(params, routing, data, idx, omega, row_grads=False):
 
 
 def subsets(logits):
-    """(sign, prod, agree) over task subsets, grown by concatenation."""
+    """(sign, prod, agree) over task subsets, grown by concatenation; the
+    empty subset agrees with chance 1."""
     pi = softmax(logits, axis=2)
     prod = np.ones((1,) + pi.shape[1:])
     sign = np.array([-1.0])
@@ -80,4 +81,6 @@ def subsets(logits):
         prod = np.concatenate([prod, prod * pi[u]])
         sign = np.concatenate([sign, -sign])
     sign[0] = 0.0
-    return sign, prod, prod.sum(axis=2)
+    agree = prod.sum(axis=2)
+    agree[0] = 1.0
+    return sign, prod, agree

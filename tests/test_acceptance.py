@@ -21,15 +21,7 @@ from bmtas.eval import (
     rsa_matrix,
 )
 from bmtas.graph import CostTable, SupergraphSpec, derive_groupings, structure_cost
-from bmtas.nncore import (
-    OperationParams,
-    Tensor,
-    backward,
-    head_forward,
-    mixed_layer_forward,
-    reset_grads,
-    task_loss,
-)
+from bmtas.nncore import OperationParams
 from bmtas.partition import Partition, enumerate_partitions, refines
 from bmtas.relax import gumbel_noise
 from bmtas.resloss import (
@@ -43,6 +35,7 @@ from bmtas.resloss import softmax as bmtas_softmax
 from bmtas.search import SearchConfig, retrain, search
 from bmtas.seeding import rng_stream
 from conftest import PINNED_PLATFORM, central_diff, random_alpha, relative_error
+from tape import Tensor, backward, head_forward, mixed_layer_forward, reset_grads, task_loss
 
 
 # each criterion's verdict detail, the line without its state, name and

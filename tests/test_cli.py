@@ -728,6 +728,18 @@ class TestExpectedCost:
         )
         assert folded == pytest.approx(report["expected_cost"], rel=1e-12)
 
+    def test_a_deep_chain_reports_valid_json(self, tmp_path, capsys):
+        # 8^342 passes the largest float; the cost read NaN, which is not JSON
+        alpha = self.write_alpha(tmp_path, np.zeros((8, 342, 8)).tolist())
+        assert main(["expected-cost", "--alpha", alpha]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["expected_cost"] == pytest.approx(2732.76, abs=0.005)
+        assert report["normalized"] == pytest.approx(report["expected_cost"] / 342)
+
     def test_calls_in_one_process_share_the_parser_and_no_options(self, tmp_path, capsys):
         alpha = self.write_alpha(tmp_path, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
         argv = ["expected-cost", "--alpha", alpha]
@@ -1191,6 +1203,8 @@ TRACED_SPANS = {
     "search.warm_up",
     "search.search",
     "search.retrain",
+    "nncore.forward",
+    "nncore.backward",
     "resloss.grouping_distribution",
     "resloss.expected_cost",
 }

@@ -8,7 +8,6 @@ from bmtas.errors import (
     ConfigError,
     DimensionMismatch,
     DomainError,
-    ModeError,
     NumericError,
 )
 from bmtas.graph import SupergraphSpec
@@ -19,18 +18,21 @@ from bmtas.nncore import (
     Adam,
     OperationParams,
     SGD,
+    collect_grads,
+)
+from bmtas.search import SearchConfig
+from bmtas.seeding import rng_stream
+from conftest import central_diff, relative_error
+from tape import (
+    ModeError,
     Tensor,
     backward,
     candidate_forward,
-    collect_grads,
     head_forward,
     mixed_layer_forward,
     reset_grads,
     task_loss,
 )
-from bmtas.search import SearchConfig
-from bmtas.seeding import rng_stream
-from conftest import central_diff, relative_error
 
 
 def grad_of(build, x0):

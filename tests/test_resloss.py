@@ -501,6 +501,18 @@ def test_gradient_matches_chain_adjoint(logits):
     assert diff <= 1e-10 * table.fully_shared_cost
 
 
+def test_a_deep_chain_keeps_cost_and_gradient_finite():
+    # the empty subset agrees with chance 1; its T^L = 2^1025, the sum of
+    # its T ones multiplied over the layers, made the cost 0 * inf = NaN
+    a = ArchitectureParams(random_alpha(np.random.default_rng(2), 2, 1025))
+    table = unit_table(1025)
+    cost, grad = resloss._cost_and_grad(a, table)
+    assert np.isfinite(cost) and np.isfinite(grad).all()
+    layers = grouping_distribution(a, table).layers
+    folded = float(np.asarray(table.unit_cost) @ layers @ block_counts(2))
+    assert abs(cost - folded) <= 1e-9 * folded
+
+
 @pytest.mark.parametrize("kind", ["scale2", "agreeing"])
 def test_largest_accepted_cost_table_keeps_cost_and_gradient_finite(kind):
     # CostTable admits a fully shared cost up to float max / 2**MAX_TASKS

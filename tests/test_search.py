@@ -15,18 +15,7 @@ from bmtas.cli import CONFIG_SCHEMA
 from bmtas.errors import ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import Dataset, SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
-from bmtas.nncore import (
-    SGD,
-    Adam,
-    OperationParams,
-    Tensor,
-    backward,
-    candidate_forward,
-    collect_grads,
-    head_forward,
-    mixed_layer_forward,
-    task_loss,
-)
+from bmtas.nncore import SGD, Adam, OperationParams, collect_grads
 from bmtas.partition import Partition
 from bmtas.relax import discretize, schedule_tau
 from bmtas.search import (
@@ -34,11 +23,11 @@ from bmtas.search import (
     SearchConfig,
     SearchResult,
     _architecture_grad,
-    _backward_tasks,
     _batch_sum,
     _features,
     _fit,
     _loss_scale,
+    backward as engine_backward,
     retrain,
     search,
     warm_up,
@@ -46,6 +35,7 @@ from bmtas.search import (
 from bmtas.seeding import rng_stream
 import engine_reference
 from conftest import describe_kernels, host_kernels
+from tape import Tensor, backward, candidate_forward, head_forward, mixed_layer_forward, task_loss
 
 
 def small_benchmark(seed=0, num_tasks=3, train=128):
@@ -148,6 +138,11 @@ class TestSearchConfig:
         assert "share_private" not in CONFIG_SCHEMA["properties"]["benchmark"]["properties"]
         assert list(inspect.signature(SGD).parameters) == ["params", "lr", "lr_scales"]
         assert list(inspect.signature(Adam).parameters) == ["value", "lr"]
+        # the autodiff tape lives in the tests; nncore.Tensor holds a parameter
+        tape_names = {"backward", "reset_grads", "_topo_order", "_unbroadcast", "_wrap"}
+        ops = {"candidate_forward", "mixed_layer_forward", "head_forward", "task_loss"}
+        assert not (tape_names | ops) & set(dir(bmtas.nncore))
+        assert not {"__matmul__", "softmax1d"} & set(dir(bmtas.nncore.Tensor))
 
     def test_weights_for_checks_length(self):
         data, _ = small_benchmark()
@@ -397,7 +392,7 @@ def random_task_data(rng, params, num_tasks, batch):
 
 
 def tape_pass(params, rows_by_task, x, targets, omega):
-    """Losses from the nncore tape, gradients left in every .grad."""
+    """Losses from the tape, gradients left in every .grad."""
     losses = []
     for t, rows in enumerate(rows_by_task):
         h = Tensor(x)
@@ -451,7 +446,7 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
     want_losses = tape_pass(params, leaves, x, targets, omega)
     want_theta = collect_grads(params.parameters())
     want_rows = [np.stack([task[l].grad for task in leaves]) for l in range(num_layers)]
-    losses = _backward_tasks(params, routing, data, idx, scale)[0]
+    losses = engine_backward(params, routing, data, idx, scale)[0]
     assert max_diff(losses, want_losses) <= 1e-10
     assert max_diff([p.grad for p in params.parameters()], want_theta) <= 1e-10
 
@@ -460,7 +455,7 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
     # count. The architecture step writes no .grad.
     for p in params.parameters():
         p.grad = None
-    row_losses, dz = _backward_tasks(params, rows, data, idx, scale, row_grads=True)
+    row_losses, dz = engine_backward(params, rows, data, idx, scale, row_grads=True)
     assert row_losses == losses
     assert max_diff(dz, want_rows) <= 1e-10
     assert all(p.grad is None for p in params.parameters())
@@ -503,7 +498,7 @@ def test_gathered_routing_equals_one_hot_mixture(num_tasks, num_layers, batch, s
     scale = _loss_scale(rng.uniform(0.5, 2.0, num_tasks), data, np.arange(batch))
     runs = []
     for routing in (picks, [np.eye(c)[p] for c, p in zip(counts, picks)]):
-        losses = _backward_tasks(params, routing, data, np.arange(batch), scale)[0]
+        losses = engine_backward(params, routing, data, np.arange(batch), scale)[0]
         features = _features(params, routing, data.inputs_train)[0]
         runs.append((losses, features, [p.grad for p in params.parameters()]))
     (losses, features, grads), (want_losses, want_features, want_grads) = runs
@@ -575,10 +570,10 @@ def test_engine_matches_its_reference_bit_for_bit(num_tasks, ops, num_layers, ba
     for routing in (rows, picks):
         want_losses = engine_reference.backward_tasks(params, routing, data, idx, omega)[0]
         want = [p.grad for p in params.parameters()]
-        assert _backward_tasks(params, routing, data, idx, scale)[0] == want_losses
+        assert engine_backward(params, routing, data, idx, scale)[0] == want_losses
         assert all(same_bits(p.grad, w) for p, w in zip(params.parameters(), want))
     want = engine_reference.backward_tasks(params, rows, data, idx, omega, row_grads=True)
-    got = _backward_tasks(params, rows, data, idx, scale, row_grads=True)
+    got = engine_backward(params, rows, data, idx, scale, row_grads=True)
     assert got[0] == want[0] and all(same_bits(g, w) for g, w in zip(got[1], want[1]))
 
 
@@ -608,7 +603,7 @@ def test_identity_routing_equals_scatter_and_sum(num_tasks, num_layers, batch, o
     identity = [np.arange(num_tasks)] * num_layers
     want_losses = engine_reference.backward_tasks(params, identity, data, idx, omega)[0]
     want = [p.grad for p in params.parameters()]
-    assert _backward_tasks(params, [None] * num_layers, data, idx, scale)[0] == want_losses
+    assert engine_backward(params, [None] * num_layers, data, idx, scale)[0] == want_losses
     assert all(np.array_equal(p.grad, w) for p, w in zip(params.parameters(), want))
     features = _features(params, [None] * num_layers, data.inputs_train)[0]
     assert same_bits(features, engine_reference.features(params, identity, data.inputs_train)[0])
@@ -633,7 +628,7 @@ class TestEngineGuards:
         for routing in ([np.eye(3)] * sg.num_layers, [np.arange(3)] * sg.num_layers):
             with pytest.raises(NumericError):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _backward_tasks(params, routing, data, all_rows, scale)
+                    engine_backward(params, routing, data, all_rows, scale)
             with pytest.raises(NumericError):
                 _fit("warm-up", params, routing, data, (1.0,) * 3, 1, rng_stream(0), 0.3)
         with pytest.raises(SearchError, match="at step 1"):
