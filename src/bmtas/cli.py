@@ -192,7 +192,7 @@ def _build_task_spec(cfg: dict) -> SyntheticTaskSpec:
 
 def _build_search_config(cfg: dict, seed: int) -> SearchConfig:
     """Only the keys present are passed on, so SearchConfig's defaults apply.
-    Keys are its field names, except lambda for resource_weight."""
+    Keys are its parameter names, except lambda for resource_weight."""
     s = dict(cfg.get("search", {}))
     if "lambda" in s:
         s["resource_weight"] = s.pop("lambda")

@@ -5,8 +5,7 @@ truth grouping is known by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -14,27 +13,23 @@ from .errors import DimensionMismatch, DomainError
 from .partition import Partition
 
 
-@dataclass(frozen=True)
 class MetricRecord:
     """Per-task metric values plus the direction that counts as better."""
 
-    values: tuple[float, ...]
-    lower_better: tuple[bool, ...]
-    names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        flags = tuple(bool(b) for b in self.lower_better)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "lower_better", flags)
-        if len(values) != len(flags):
+    def __init__(
+        self,
+        values: Sequence[float],
+        lower_better: Sequence[bool],
+        names: Sequence[str] | None = None,
+    ):
+        self.values = tuple(float(v) for v in values)
+        self.lower_better = tuple(bool(b) for b in lower_better)
+        if len(self.values) != len(self.lower_better):
             raise DimensionMismatch("one direction flag per metric required")
-        if self.names is not None:
-            names = tuple(str(n) for n in self.names)
-            object.__setattr__(self, "names", names)
-            if len(names) != len(values):
-                raise DimensionMismatch("one name per metric required")
-        if not all(np.isfinite(v) for v in values):
+        self.names = None if names is None else tuple(str(n) for n in names)
+        if self.names is not None and len(self.names) != len(self.values):
+            raise DimensionMismatch("one name per metric required")
+        if not all(np.isfinite(v) for v in self.values):
             raise DomainError("metric values must be finite")
 
     @classmethod
@@ -129,7 +124,6 @@ def rsa_matrix(features: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class SyntheticTaskSpec:
     """Recipe for related regression tasks.
 
@@ -139,36 +133,38 @@ class SyntheticTaskSpec:
     tasks compete for capacity.
     """
 
-    num_tasks: int
-    input_dim: int
-    hidden_dim: int
-    target_dim: int
-    relatedness: Partition
-    noise_std: float = 0.01
-    train_samples: int = 512
-    test_samples: int = 256
-    signal_scale: float = 0.2
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        num_tasks: int,
+        input_dim: int,
+        hidden_dim: int,
+        target_dim: int,
+        relatedness: Partition,
+        noise_std: float = 0.01,
+        train_samples: int = 512,
+        test_samples: int = 256,
+        signal_scale: float = 0.2,
+    ):
+        self.num_tasks, self.relatedness = num_tasks, relatedness
+        self.input_dim, self.hidden_dim, self.target_dim = input_dim, hidden_dim, target_dim
+        self.train_samples, self.test_samples = train_samples, test_samples
         # an integer past the largest float raises OverflowError here
-        for name in ("noise_std", "signal_scale"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.relatedness.num_tasks != self.num_tasks:
+        self.noise_std, self.signal_scale = float(noise_std), float(signal_scale)
+        if relatedness.num_tasks != num_tasks:
             raise DimensionMismatch("relatedness partition covers wrong task count")
         if self.noise_std < 0:
             raise DomainError("noise_std must be non-negative")
         if self.signal_scale <= 0:
             raise DomainError("signal_scale must be positive")
-        if min(self.input_dim, self.hidden_dim, self.target_dim) < 1:
+        if min(input_dim, hidden_dim, target_dim) < 1:
             raise DomainError("dimensions must be positive")
-        if not self.target_dim <= self.hidden_dim <= self.input_dim:
+        if not target_dim <= hidden_dim <= input_dim:
             raise DomainError("dimensions need target_dim <= hidden_dim <= input_dim")
-        if min(self.train_samples, self.test_samples) < 1:
+        if min(train_samples, test_samples) < 1:
             raise DomainError("sample counts must be positive")
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     """Inputs are (N, input_dim); targets are one (T, N, target_dim) array,
     every task with the same target width."""
 

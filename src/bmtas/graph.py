@@ -9,10 +9,8 @@ refinement chain that never re-merges.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import re
-from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
@@ -23,7 +21,6 @@ from .partition import MAX_TASKS, Partition, meet, rgs_table
 from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 
 
-@dataclass(frozen=True)
 class CostTable:
     """Per-layer multiply-add cost of a single candidate operation.
 
@@ -32,11 +29,8 @@ class CostTable:
     grouping requires.
     """
 
-    unit_cost: tuple[float, ...]
-
-    def __post_init__(self):
-        costs = tuple(float(u) for u in self.unit_cost)
-        object.__setattr__(self, "unit_cost", costs)
+    def __init__(self, unit_cost: Sequence[float]):
+        self.unit_cost = costs = tuple(float(u) for u in unit_cost)
         if len(costs) == 0:
             raise ValueError("cost table must cover at least one layer")
         if any(u <= 0 or not np.isfinite(u) for u in costs):
@@ -49,6 +43,11 @@ class CostTable:
                 f"unit costs must sum to at most {np.finfo(float).max / 2**MAX_TASKS:.6g}"
             )
 
+    def __eq__(self, other):
+        if type(other) is not CostTable:
+            return NotImplemented
+        return self.unit_cost == other.unit_cost
+
     @property
     def num_layers(self) -> int:
         return len(self.unit_cost)
@@ -59,7 +58,6 @@ class CostTable:
         return float(sum(self.unit_cost))
 
 
-@dataclass(frozen=True)
 class SupergraphSpec:
     """A chain of layers, layer l mapping width widths[l-1] to widths[l], plus
     the cost table used for resource terms: one unit cost per layer, by
@@ -67,21 +65,22 @@ class SupergraphSpec:
     out_width. Every layer holds one candidate operation per task; the task
     count comes with the data and the logits."""
 
-    widths: tuple[int, ...]
-    unit_costs: InitVar[Sequence[float] | None] = None
-    cost_table: CostTable = field(init=False)
-
-    def __post_init__(self, unit_costs):
-        object.__setattr__(self, "widths", tuple(map(int, self.widths)))
+    def __init__(self, widths: Sequence[int], unit_costs: Sequence[float] | None = None):
+        self.widths = tuple(map(int, widths))
         if self.num_layers < 1:
             raise ValueError("need at least one layer")
         if min(self.widths) < 1:
             raise ValueError("widths must be at least 1")
         if unit_costs is None:
             unit_costs = [2.0 * i * o for i, o in self.layer_dims]
-        object.__setattr__(self, "cost_table", CostTable(unit_costs))
+        self.cost_table = CostTable(unit_costs)
         if self.cost_table.num_layers != self.num_layers:
             raise DimensionMismatch("cost table length does not match layer count")
+
+    def __eq__(self, other):
+        if type(other) is not SupergraphSpec:
+            return NotImplemented
+        return (self.widths, self.cost_table) == (other.widths, other.cost_table)
 
     @property
     def num_layers(self) -> int:
@@ -92,7 +91,6 @@ class SupergraphSpec:
         return tuple(zip(self.widths, self.widths[1:]))
 
 
-@dataclass(frozen=True)
 class BranchedStructure:
     """The operation each task picks at each layer, ``edge_choice[l-1][t]``
     for task t at layer l, and the grouping chain those picks induce.
@@ -102,18 +100,18 @@ class BranchedStructure:
     layer's edge-equality partition, and branches never re-merge.
     """
 
-    edge_choice: tuple[tuple[int, ...], ...]
-    groupings: tuple[Partition, ...] = field(init=False)
-
-    def __post_init__(self):
-        rows = tuple(tuple(map(operator.index, row)) for row in self.edge_choice)
-        object.__setattr__(self, "edge_choice", rows)
+    def __init__(self, edge_choice: Sequence[Sequence[int]]):
+        self.edge_choice = rows = tuple(tuple(map(operator.index, row)) for row in edge_choice)
         if not rows or len(set(map(len, rows))) != 1:
             raise DimensionMismatch("need one row of picks per layer, all of one length")
         if not all(0 <= j < len(rows[0]) for row in rows for j in row):
             raise BoundsError(f"picks must lie in 0..{len(rows[0]) - 1}, one per task")
-        groupings = accumulate(map(Partition.from_labels, rows), meet)
-        object.__setattr__(self, "groupings", tuple(groupings))
+        self.groupings = tuple(accumulate(map(Partition.from_labels, rows), meet))
+
+    def __eq__(self, other):
+        if type(other) is not BranchedStructure:
+            return NotImplemented
+        return self.edge_choice == other.edge_choice  # the groupings follow from it
 
     @property
     def num_tasks(self) -> int:
@@ -168,6 +166,8 @@ def count_structures(num_tasks: int, num_layers: int) -> int:
 
 def structure_hash(s: BranchedStructure) -> str:
     """Short stable digest of the grouping chain and edge choices."""
+    import hashlib  # here, so that the verbs that hash no structure do not load it
+
     payload = repr((s.num_tasks, [k.rgs for k in s.groupings], s.edge_choice))
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 

@@ -9,7 +9,6 @@ RGS gives the deterministic enumeration order used everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -25,15 +24,11 @@ from .errors import BoundsError, DimensionMismatch
 MAX_TASKS = 8
 
 
-@dataclass(frozen=True)
 class Partition:
     """A task grouping in canonical restricted-growth form."""
 
-    rgs: tuple[int, ...]
-
-    def __post_init__(self):
-        rgs = tuple(map(int, self.rgs))
-        object.__setattr__(self, "rgs", rgs)
+    def __init__(self, rgs: Sequence[int]):
+        self.rgs = rgs = tuple(map(int, rgs))
         if not 1 <= len(rgs) <= MAX_TASKS:
             raise BoundsError(
                 f"partition covers {len(rgs)} tasks; supported range is 1..{MAX_TASKS}"
@@ -47,6 +42,14 @@ class Partition:
                 )
             if v > top:
                 top = v
+
+    def __eq__(self, other):
+        if type(other) is not Partition:
+            return NotImplemented
+        return self.rgs == other.rgs
+
+    def __hash__(self):
+        return hash(self.rgs)
 
     @property
     def num_tasks(self) -> int:

@@ -23,9 +23,8 @@ enumeration of every joint routing, are kept as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +51,6 @@ def softmax(x, axis=None) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-@dataclass(frozen=True)
 class ArchitectureParams:
     """Unnormalized log probabilities over candidate edges, one per task.
 
@@ -61,10 +59,8 @@ class ArchitectureParams:
     The only check of the (T, L, T) shape and of 1 <= T <= MAX_TASKS.
     """
 
-    logits: np.ndarray
-
-    def __post_init__(self):
-        logits = np.array(self.logits, dtype=np.float64)
+    def __init__(self, logits):
+        logits = np.array(logits, dtype=np.float64)
         if logits.ndim != 3 or logits.shape[2] != logits.shape[0]:
             raise DimensionMismatch("logits must be a (task, layer, task) tensor")
         if not 1 <= logits.shape[0] <= MAX_TASKS:
@@ -72,7 +68,7 @@ class ArchitectureParams:
         if not np.isfinite(logits).all():
             raise NumericError("logits contain NaN or Inf")
         logits.setflags(write=False)
-        object.__setattr__(self, "logits", logits)
+        self.logits = logits
 
     @property
     def num_tasks(self) -> int:
@@ -95,8 +91,7 @@ class ArchitectureParams:
         return cls(logits)
 
 
-@dataclass(frozen=True)
-class GroupingDistribution:
+class GroupingDistribution(NamedTuple):
     """layers[l - 1, i] is the chance that the grouping at layer l has the
     RGS rgs[i]; rgs is rgs_table(T)."""
 

@@ -32,7 +32,7 @@ again only when some task's argmax pick changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,11 +50,10 @@ BATCH_SIZE = 32  # training rows per weight or architecture step
 ALPHA_DATA_FRACTION = 0.2  # share of the training rows kept for the architecture steps
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Hyperparameters of one run, and the only home of their defaults.
 
-    The fields are the `search` keys of a run config plus the seed; the
+    The parameters are the `search` keys of a run config plus the seed; the
     config's lambda is resource_weight, the multiplier on the normalized
     expected cost (1.0 = fully shared), so its useful range is independent
     of the cost table's units. The temperature anneals linearly from
@@ -64,34 +63,37 @@ class SearchConfig:
     constants: BATCH_SIZE and ALPHA_DATA_FRACTION here, the rest in `nncore`.
     """
 
-    resource_weight: float = 0.0
-    warmup_steps: int = 300
-    search_steps: int = 300
-    tau_start: float = 5.0
-    tau_end: float = 0.1
-    theta_lr: float = 0.3
-    alpha_lr: float = 0.01
-    retrain_steps: int = 400
-    seed: int = 0
-    omega: tuple[float, ...] | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        resource_weight: float = 0.0,
+        warmup_steps: int = 300,
+        search_steps: int = 300,
+        tau_start: float = 5.0,
+        tau_end: float = 0.1,
+        theta_lr: float = 0.3,
+        alpha_lr: float = 0.01,
+        retrain_steps: int = 400,
+        seed: int = 0,
+        omega: Sequence[float] | None = None,
+    ):
         # an integer past the largest float raises OverflowError here
-        for name in ("resource_weight", "tau_start", "tau_end", "theta_lr", "alpha_lr"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        self.resource_weight = float(resource_weight)
+        self.warmup_steps, self.search_steps = warmup_steps, search_steps
+        self.tau_start, self.tau_end = float(tau_start), float(tau_end)
+        self.theta_lr, self.alpha_lr = float(theta_lr), float(alpha_lr)
+        self.retrain_steps, self.seed, self.omega = retrain_steps, seed, omega
         if not 0 <= self.resource_weight < float("inf"):
             raise ConfigError("resource_weight must be non-negative and finite")
-        if self.seed < 0:
+        if seed < 0:
             raise ConfigError("seed must be non-negative")
-        if min(self.warmup_steps, self.retrain_steps) < 0 or self.search_steps < 1:
+        if min(warmup_steps, retrain_steps) < 0 or search_steps < 1:
             raise ConfigError("step counts out of range")
         if not self.tau_start >= self.tau_end > 0:
             raise ConfigError("need tau_start >= tau_end > 0")
-        if self.omega is not None:
-            omega = tuple(float(w) for w in self.omega)
-            if not all(w > 0 for w in omega):
+        if omega is not None:
+            self.omega = tuple(float(w) for w in omega)
+            if not all(w > 0 for w in self.omega):
                 raise ConfigError("omega weights must be positive")
-            object.__setattr__(self, "omega", omega)
 
     def weights_for(self, dataset: Dataset) -> tuple[float, ...]:
         if self.omega is None:
@@ -101,8 +103,7 @@ class SearchConfig:
         return self.omega
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """Post-update snapshot of one search iteration."""
 
     step: int
@@ -113,8 +114,7 @@ class TraceRow:
     structure_hash: str
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     structure: BranchedStructure
     alpha_final: ArchitectureParams
     trace: list[TraceRow]
@@ -356,8 +356,7 @@ def search(
     return SearchResult(structure=structure, alpha_final=alpha_now, trace=trace)
 
 
-@dataclass
-class RetrainedModel:
+class RetrainedModel(NamedTuple):
     """A branched network trained from scratch on a fixed structure.
 
     params holds one operation per (layer, block), in the order of

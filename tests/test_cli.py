@@ -75,14 +75,14 @@ def partitions_built(monkeypatch):
     """Every Partition constructed from here on; the enumerate_partitions
     cache starts empty, so a cached tuple cannot hide a rebuild."""
     built = []
-    post_init = Partition.__post_init__
+    init = Partition.__init__
 
-    def counted(self):
+    def counted(self, rgs):
         built.append(self)
-        post_init(self)
+        init(self, rgs)
 
     enumerate_partitions.cache_clear()
-    monkeypatch.setattr(Partition, "__post_init__", counted)
+    monkeypatch.setattr(Partition, "__init__", counted)
     return built
 
 
@@ -652,13 +652,13 @@ class TestEnumerate:
 
     def test_unit_layer_costs_build_no_cost_table(self, capsys, monkeypatch):
         built = []
-        post_init = CostTable.__post_init__
+        init = CostTable.__init__
 
-        def counted(self):
+        def counted(self, unit_cost):
             built.append(self)
-            post_init(self)
+            init(self, unit_cost)
 
-        monkeypatch.setattr(CostTable, "__post_init__", counted)
+        monkeypatch.setattr(CostTable, "__init__", counted)
         assert main(["enumerate", "--tasks", "8", "--layers", "1000000000"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["min_cost"], report["max_cost"]) == (1e9, 8e9)
@@ -1180,6 +1180,16 @@ class TestLazyImports:
     def test_import_leaves_the_schema_checker_unloaded(self):
         # the benchmark compiles every module it imports, on every cycle
         code = "import sys, bmtas.cli; print('bmtas.schema' in sys.modules)"
+        assert fresh_python(code) == "False\n"
+
+    def test_import_leaves_dataclasses_unloaded(self):
+        # the record classes are NamedTuples and plain classes: no generated code
+        code = "import sys, bmtas.cli; print('dataclasses' in sys.modules)"
+        assert fresh_python(code) == "False\n"
+
+    def test_import_leaves_hashlib_unloaded(self):
+        # only a search hashes structures, and OpenSSL's hashlib takes ms to load
+        code = "import sys, bmtas.cli; print('hashlib' in sys.modules)"
         assert fresh_python(code) == "False\n"
 
     @pytest.mark.parametrize("verb", list(VERBS))

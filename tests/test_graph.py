@@ -1,7 +1,7 @@
+import inspect
 import itertools
 import math
 import pickle
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ import bmtas.cli
 import bmtas.graph
 import bmtas.resloss
 from bmtas.errors import BoundsError, DimensionMismatch
+from bmtas.eval import SyntheticTaskSpec
 from bmtas.graph import (
     BranchedStructure,
     CostTable,
@@ -26,6 +27,7 @@ from bmtas.graph import (
 )
 from bmtas.partition import Partition, enumerate_partitions, refines
 from bmtas.resloss import ArchitectureParams
+from bmtas.search import SearchConfig
 
 
 class TestCostTable:
@@ -41,6 +43,8 @@ class TestCostTable:
         # the default cost of a layer is 2 * in_width * out_width
         table = SupergraphSpec([16, 8, 4]).cost_table
         assert table.unit_cost == (256.0, 64.0)
+        assert table == CostTable([256, 64]) and table != CostTable((256.0, 63.0))
+        assert table != (256.0, 64.0)  # equal by value, to cost tables only
         assert table.num_layers == 2
         assert table.fully_shared_cost == 320.0
 
@@ -68,8 +72,14 @@ class TestSupergraphSpec:
         sg = SupergraphSpec([4, 4], [7])
         assert sg == SupergraphSpec((4, 4), unit_costs=(7.0,))
         assert sg != SupergraphSpec((4, 4))
-        # worker processes get it pickled, which runs no __post_init__
+        # worker processes get it pickled, which runs no __init__
         assert pickle.loads(pickle.dumps(sg)) == sg
+        # so do the job's other members, which compare by their attributes
+        spec = SyntheticTaskSpec(4, 8, 4, 2, Partition((0, 0, 1, 1)), noise_std=0)
+        config = SearchConfig(seed=3, resource_weight=1, omega=[1, 2])
+        for obj in (spec, config):
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is type(obj) and vars(back) == vars(obj)
         with pytest.raises(TypeError):
             SupergraphSpec((4, 4), cost_table=sg.cost_table)
 
@@ -166,6 +176,8 @@ class TestBranchedStructure:
         picks = [(0, 0), (0, 1), (2, 2)]
         s = BranchedStructure(((0, 0, 2), (0, 1, 2)))
         assert s == derive_groupings(picks)
+        assert s != BranchedStructure(((0, 0, 2), (0, 1, 1)))
+        assert s != derive_groupings(picks[:2])
         assert (s.num_tasks, s.num_layers) == (3, 2)
         assert [str(k) for k in s.groupings] == ["001", "012"]
 
@@ -184,10 +196,11 @@ class TestBranchedStructure:
 def test_removed_names_are_gone():
     assert not hasattr(bmtas.graph, "grouping_cost")
     assert not hasattr(CostTable, "from_layer_dims")
-    assert [f.name for f in fields(BranchedStructure) if f.init] == ["edge_choice"]
-    assert [f.name for f in fields(SupergraphSpec)] == ["widths", "cost_table"]
+    assert list(inspect.signature(BranchedStructure).parameters) == ["edge_choice"]
+    assert list(vars(derive_groupings([[0]]))) == ["edge_choice", "groupings"]
+    assert list(vars(SupergraphSpec((4, 4)))) == ["widths", "cost_table"]
     # the constructor, given widths and unit costs, is the one way to build it
-    assert [f.name for f in fields(SupergraphSpec) if f.init] == ["widths"]
+    assert list(inspect.signature(SupergraphSpec).parameters) == ["widths", "unit_costs"]
     assert not hasattr(SupergraphSpec, "chain")
     assert not hasattr(bmtas.cli, "_build_supergraph")
     assert not hasattr(bmtas.resloss, "_EdgeTables")

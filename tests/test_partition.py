@@ -101,6 +101,7 @@ def test_enumeration_matches_brute_force(num_tasks):
     got = {p.rgs for p in enumerate_partitions(num_tasks)}
     assert got == brute_force_partitions(num_tasks)
     assert len(got) == BELL[num_tasks]
+    assert set(enumerate_partitions(num_tasks)) == set(map(Partition, got))
 
 
 def test_enumeration_is_lexicographic():
@@ -112,6 +113,11 @@ def test_enumeration_is_lexicographic():
 def test_from_labels_canonicalizes():
     assert Partition.from_labels([5, 5, 2, 5]).rgs == (0, 0, 1, 0)
     assert Partition.from_labels([3, 1, 2]).rgs == (0, 1, 2)
+    # equal by value and hashed by rgs: every labelling of one grouping is one set member
+    labellings = ([5, 5, 2, 5], [0, 0, 1, 0], [9, 9, -1, 9])
+    assert {Partition.from_labels(labels) for labels in labellings} == {Partition((0, 0, 1, 0))}
+    assert Partition((0, 0, 1, 0)) != Partition((0, 1, 1, 0))
+    assert Partition((0, 1)) != (0, 1)  # nor equal to its bare rgs
 
 
 @given(partitions_st)

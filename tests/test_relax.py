@@ -27,7 +27,7 @@ class TestTemperatureSchedule:
             schedule_tau(5.0, 0.1, -1, 10)
 
     def test_rejects_bad_ranges(self):
-        # the schedule's ends and length are SearchConfig fields
+        # the schedule's ends and length are SearchConfig parameters
         with pytest.raises(ConfigError):
             SearchConfig(tau_start=0.1, tau_end=5.0)
         with pytest.raises(ConfigError):

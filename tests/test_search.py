@@ -1,5 +1,4 @@
 import inspect
-from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,13 +97,15 @@ class TestSearchConfig:
         keys = set(CONFIG_SCHEMA["properties"]["search"]["properties"])
         assert "resource_weight" not in keys and "lambda" in keys
         want = keys - {"lambda"} | {"resource_weight", "seed"}
-        names = [f.name for f in fields(SearchConfig)]
+        names = list(inspect.signature(SearchConfig).parameters)
         assert set(names) == want and len(names) == 10
         defaults = SearchConfig()  # plain values, no nested config object
+        assert set(vars(defaults)) == want
         assert all(isinstance(getattr(defaults, n), (int, float, type(None))) for n in names)
 
     def test_removed_names_are_gone(self):
-        assert not {"schedule", "alpha_betas"} & {f.name for f in fields(SearchConfig)}
+        config_names = set(inspect.signature(SearchConfig).parameters)
+        assert not {"schedule", "alpha_betas"} & config_names
         assert not hasattr(bmtas.relax, "TemperatureSchedule")
         assert not hasattr(bmtas.nncore, "LossWeights")
         for stage in (warm_up, retrain):
@@ -115,7 +116,7 @@ class TestSearchConfig:
         assert not {"coarsest", "finest"} & set(dir(Partition))
         assert not {"num_heads", "named_parameters"} & set(dir(OperationParams))
         # the structure holds the task count, and the dataset the names
-        assert [f.name for f in fields(RetrainedModel)] == ["structure", "params", "test_mse"]
+        assert RetrainedModel._fields == ("structure", "params", "test_mse")
         # one stacked pass serves every task: RetrainedModel.features
         assert not {"predict", "encoder_features"} & set(dir(RetrainedModel))
         # one retraining function, which returns the RetrainedModel
@@ -132,9 +133,9 @@ class TestSearchConfig:
             "alpha_data_fraction",
             "retrain_lr",
         }
-        assert not settings & {f.name for f in fields(SearchConfig)}
+        assert not settings & config_names
         assert not settings & set(CONFIG_SCHEMA["properties"]["search"]["properties"])
-        assert "share_private" not in {f.name for f in fields(SyntheticTaskSpec)}
+        assert "share_private" not in inspect.signature(SyntheticTaskSpec).parameters
         assert "share_private" not in CONFIG_SCHEMA["properties"]["benchmark"]["properties"]
         assert list(inspect.signature(SGD).parameters) == ["params", "lr", "lr_scales"]
         assert list(inspect.signature(Adam).parameters) == ["value", "lr"]
@@ -195,13 +196,15 @@ class TestSearch:
         b = search(quick_config(), sg, data)
         assert a.structure == b.structure
         assert np.array_equal(a.alpha_final.logits, b.alpha_final.logits)
-        assert a.trace == b.trace
+        assert a.trace == b.trace  # rows compare by value: the two runs built their own
+        assert a.trace[0] is not b.trace[0]
 
     def test_seed_changes_trajectory(self):
         data, sg = small_benchmark()
         a = search(quick_config(seed=0), sg, data)
         b = search(quick_config(seed=1), sg, data)
         assert not np.array_equal(a.alpha_final.logits, b.alpha_final.logits)
+        assert a.trace != b.trace
 
     def test_accepts_pretrained_params(self):
         data, sg = small_benchmark()
@@ -315,8 +318,7 @@ class TestRetrain:
         cfg = quick_config(seed=3)
         joint = retrain(branched_structure(3, 2), sg, data, cfg)
         for t, name in enumerate(data.task_names):
-            solo_data = replace(
-                data,
+            solo_data = data._replace(
                 task_names=(name,),
                 targets_train=data.targets_train[[t]],
                 targets_test=data.targets_test[[t]],
