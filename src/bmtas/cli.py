@@ -269,10 +269,16 @@ def cmd_search(args) -> int:
         from concurrent.futures import ProcessPoolExecutor  # here: only a pool needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_seed, jobs))
+            _write_seeds(out_root, pool.map(_run_seed, jobs))
     else:
-        results = [_run_seed(job) for job in jobs]
+        _write_seeds(out_root, map(_run_seed, jobs))
+    _log("search_done", experiment=cfg["experiment"], seeds=seeds)
+    return 0
 
+
+def _write_seeds(out_root: Path, results):
+    """Write each seed's artifacts as its result arrives, in seed order, so
+    that a failing seed leaves the seeds before it written."""
     for metrics, artifacts in results:
         seed_dir = out_root / f"seed{metrics['seed']}"
         for name, text in artifacts.items():
@@ -284,8 +290,6 @@ def cmd_search(args) -> int:
             structure_cost=metrics["structure_cost"],
             out=str(seed_dir),
         )
-    _log("search_done", experiment=cfg["experiment"], seeds=seeds)
-    return 0
 
 
 def _cost_table(unit_costs: str | None, num_layers: int) -> CostTable:

@@ -1,14 +1,14 @@
 """Branched-network parameters and optimizers.
 
-`Tensor` holds one parameter array and its gradient. `search`'s engine
-computes the branched network's forward and backward by hand over the
-stacked arrays of `OperationParams` (each layer's operations, and the task
-heads, stacked along a leading axis), reading each parameter's `.data` and
-writing its `.grad`. `SGD` keeps every parameter in one flat buffer, of
-which each `.data` is a view, and steps it from their `.grad` with
-whole-buffer ufuncs; `Adam` steps one array, the architecture logits. Both
-take a learning rate and read the rest from the constants below.
-Everything is double precision.
+`Tensor` holds one parameter array. `search`'s engine computes the
+branched network's forward and backward by hand over the stacked arrays of
+`OperationParams` (each layer's operations, and the task heads, stacked
+along a leading axis), reading each parameter's `.data` and returning the
+gradients as fresh arrays. `SGD` keeps every parameter in one flat buffer,
+of which each `.data` is a view, and steps it from a list of gradients in
+parameter order with whole-buffer ufuncs; `Adam` steps one array, the
+architecture logits, from its gradient. Both take a learning rate and read
+the rest from the constants below. Everything is double precision.
 """
 
 from __future__ import annotations
@@ -26,31 +26,23 @@ ADAM_WEIGHT_DECAY = 5e-5
 
 
 class Tensor:
-    """A parameter: its array, data, and its gradient, grad, None until set.
+    """A parameter's array, data.
 
     Construction validates finiteness, so a NaN or Inf in a parameter
     raises at once instead of corrupting training.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError("tensor holds NaN or Inf")
         self.data = arr
-        self.grad = None
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-
-def collect_grads(params) -> list:
-    """Gradients in parameter order; a parameter whose grad is None counts as zero."""
-    return [
-        p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
 
 
 class OperationParams:
@@ -114,21 +106,22 @@ class SGD:
     rate by the number of tasks using an operation: one factor per
     parameter, a float or an array that broadcasts against it, expanded
     once into the per-element step size lr * s. reset_momentum implements
-    the restart that follows an architecture change.
+    the restart that follows an architecture change. step takes the
+    gradients in the order of params and leaves them unchanged.
     """
 
     def __init__(self, params, lr, lr_scales=None):
-        self.params = list(params)
+        params = list(params)
         self.lr = float(lr)
-        scales = lr_scales if lr_scales is not None else [1.0] * len(self.params)
-        if len(scales) != len(self.params):
+        scales = lr_scales if lr_scales is not None else [1.0] * len(params)
+        if len(scales) != len(params):
             raise DimensionMismatch("one lr scale per parameter required")
-        size = sum(p.data.size for p in self.params)
+        size = sum(p.data.size for p in params)
         buffer = np.zeros(2 * size)
         self.flat, self.velocity = buffer[:size], buffer[size:]
         self.step_size = np.empty(size)
         start = 0
-        for p, s in zip(self.params, scales):
+        for p, s in zip(params, scales):
             stop = start + p.data.size
             view = self.flat[start:stop].reshape(p.data.shape)
             view[...] = p.data
@@ -137,8 +130,8 @@ class SGD:
             )
             p.data, start = view, stop
 
-    def step(self):
-        g = np.concatenate(collect_grads(self.params), axis=None)
+    def step(self, grads):
+        g = np.concatenate(grads, axis=None)
         g += SGD_WEIGHT_DECAY * self.flat
         self.velocity *= SGD_MOMENTUM
         self.velocity += g

@@ -6,8 +6,8 @@ One batched engine carries every stage. `_features` runs all tasks'
 encoders at once over the stacked operation arrays of `OperationParams`,
 layer by layer through `candidate_forward` and `mixed_layer_forward`;
 `head_forward` and `task_loss` finish the forward pass, and `backward` is
-its hand-written reverse pass: it writes the gradients of the
-omega-weighted task losses into the parameters' `.grad`, or returns the
+its hand-written reverse pass: it returns the gradients of the
+omega-weighted task losses as fresh arrays in parameter order, or the
 gradient of each routing row. Each layer is routed either by one
 operation index per task (warm-up, retraining and `features`), which
 gathers the T weight slices used unless task t takes operation t, or by a
@@ -197,46 +197,46 @@ def _batch_sum(a: np.ndarray) -> np.ndarray:
 
 def backward(params: OperationParams, routing, data: Dataset, idx, scale, row_grads=False):
     """Unweighted losses of the T tasks on the training rows idx, task t
-    routed by routing[l][t] (see `_features`). By default a fresh .grad on
-    every parameter for sum_t omega[t] * loss_t, scale being `_loss_scale`;
-    with row_grads, instead, per layer the gradient of the soft routing[l]."""
+    routed by routing[l][t] (see `_features`), and gradients as fresh
+    arrays. By default these are the gradients of sum_t omega[t] * loss_t,
+    scale being `_loss_scale`, in the order of `params.parameters()`; with
+    row_grads, instead, per layer the gradient of the soft routing[l]."""
     h, cache = _features(params, routing, data.inputs_train[idx])
     losses, diff = task_loss(head_forward(params, h), data.targets_train[:, idx])
     g = scale * diff
     g += g  # d/d diff of diff * diff, one term per factor
     if not row_grads:
-        params.head_weights.grad = h.swapaxes(1, 2) @ g
-        params.head_biases.grad = g.sum(axis=1)
-    dh, dz = g @ params.head_weights.data.swapaxes(1, 2), []
+        head_grads = [h.swapaxes(1, 2) @ g, g.sum(axis=1)]
+    dh, grads = g @ params.head_weights.data.swapaxes(1, 2), []
     for l in reversed(range(params.num_layers)):
         w, b, r, (h, y, wr) = params.weights[l], params.biases[l], routing[l], cache[l]
         if r is None or r.ndim == 1:
             dpre = np.subtract(1.0, np.multiply(y, y, out=y), out=y)  # y is spent here
             dpre *= dh
             if not row_grads and r is None:  # one term per operation: no scatter, no sum
-                w.grad, b.grad = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
+                grads[:0] = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
             elif not row_grads:
                 # each task's term in its operation's slot and zeros elsewhere,
                 # summed over tasks by the mixture path's reduction and order
                 tasks = np.arange(len(r))
                 dw, db = np.zeros((len(r),) + w.shape), np.zeros((len(r),) + b.shape)
                 dw[tasks, r], db[tasks, r] = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
-                w.grad, b.grad = dw.sum(axis=0), db.sum(axis=0)
+                grads[:0] = dw.sum(axis=0), db.sum(axis=0)
             if l:
                 dh = dpre @ wr.swapaxes(1, 2)
         else:
             if row_grads:
-                dz.insert(0, _batch_sum(dh[:, None] * y).sum(axis=2))
+                grads.insert(0, _batch_sum(dh[:, None] * y).sum(axis=2))
                 if not l:
                     break  # nothing reads layer 1's dpre
             dpre = dh[:, None] * r[:, :, None, None]
             dpre *= np.subtract(1.0, np.multiply(y, y, out=y), out=y)
             if not row_grads:
-                w.grad = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
-                b.grad = _batch_sum(dpre).sum(axis=0)
+                dw = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
+                grads[:0] = dw, _batch_sum(dpre).sum(axis=0)
             if l:
                 dh = (dpre @ wr.swapaxes(1, 2)).sum(axis=1)
-    return losses.tolist(), dz
+    return losses.tolist(), grads if row_grads else grads + head_grads
 
 
 def _architecture_grad(params, logits, noise, tau, data, idx, scale) -> np.ndarray:
@@ -260,10 +260,10 @@ def _fit(stage, params, routing, data, omega, steps, rng, lr, lr_scales=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             try:
-                backward(params, routing, data, _batch(rng, all_rows), scale)
+                grads = backward(params, routing, data, _batch(rng, all_rows), scale)[1]
             except NumericError as exc:
                 raise NumericError(f"non-finite value at {stage} step {step}: {exc}") from exc
-            opt.step()
+            opt.step(grads)
 
 
 def warm_up(supergraph: SupergraphSpec, data: Dataset, config: SearchConfig) -> OperationParams:
@@ -331,8 +331,8 @@ def search(
                 # weight phase: routing is a constant sample
                 rows = list(softmax((alpha_opt.value + noise) / tau, axis=2).swapaxes(0, 1))
                 idx = _batch(theta_batches, theta_rows)
-                losses = backward(params, rows, data, idx, theta_scale)[0]
-                theta_opt.step()
+                losses, grads = backward(params, rows, data, idx, theta_scale)
+                theta_opt.step(grads)
 
                 # architecture phase: same noise, routing differentiated
                 idx = _batch(alpha_batches, alpha_rows)

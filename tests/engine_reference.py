@@ -33,8 +33,8 @@ def features(params, routing, x):
 
 
 def backward_tasks(params, routing, data, idx, omega, row_grads=False):
-    """Losses and row gradients as `search.backward` returns them; without
-    row_grads, a fresh .grad on every parameter."""
+    """Losses and gradients as `search.backward` returns them: without
+    row_grads, one fresh array per parameter in parameter order."""
     h, cache = features(params, routing, data.inputs_train[idx])
     hw, hb = params.head_weights.data, params.head_biases.data
     diff = h @ hw + hb[:, None] - data.targets_train[:, idx]
@@ -45,9 +45,8 @@ def backward_tasks(params, routing, data, idx, omega, row_grads=False):
     g = (np.asarray(omega, dtype=np.float64) / size)[:, None, None] * diff
     g = g + g
     if not row_grads:
-        params.head_weights.grad = h.swapaxes(1, 2) @ g
-        params.head_biases.grad = g.sum(axis=1)
-    dh, dz = g @ hw.swapaxes(1, 2), []
+        head_grads = [h.swapaxes(1, 2) @ g, g.sum(axis=1)]
+    dh, grads = g @ hw.swapaxes(1, 2), []
     for l in reversed(range(params.num_layers)):
         w, b, r, (h, y, wr) = params.weights[l], params.biases[l], routing[l], cache[l]
         if r.ndim == 1:
@@ -56,19 +55,19 @@ def backward_tasks(params, routing, data, idx, omega, row_grads=False):
                 tasks = np.arange(len(r))
                 dw, db = np.zeros((len(r),) + w.shape), np.zeros((len(r),) + b.shape)
                 dw[tasks, r], db[tasks, r] = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
-                w.grad, b.grad = dw.sum(axis=0), db.sum(axis=0)
+                grads[:0] = dw.sum(axis=0), db.sum(axis=0)
             if l:
                 dh = dpre @ wr.swapaxes(1, 2)
         else:
             if row_grads:
-                dz.insert(0, (dh[:, None] * y).sum(axis=2).sum(axis=2))
+                grads.insert(0, (dh[:, None] * y).sum(axis=2).sum(axis=2))
             dpre = dh[:, None] * r[:, :, None, None] * (1.0 - y * y)
             if not row_grads:
-                w.grad = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
-                b.grad = dpre.sum(axis=2).sum(axis=0)
+                dw = (h[:, None].swapaxes(2, 3) @ dpre).sum(axis=0)
+                grads[:0] = dw, dpre.sum(axis=2).sum(axis=0)
             if l:
                 dh = (dpre @ wr.swapaxes(1, 2)).sum(axis=1)
-    return losses.tolist(), dz
+    return losses.tolist(), grads if row_grads else grads + head_grads
 
 
 def subsets(logits):

@@ -1,14 +1,16 @@
 """A reverse-mode autodiff tape of the branched network, the slow,
-define-by-run reference that checks the batched engine in `bmtas.search`
-and the end-to-end gradients of criterion 03.
+define-by-run reference that checks the gradients of the batched engine in
+`bmtas.search`.
 
 Ops record their parents and a closure that maps the output gradient to
 parent gradients, and `backward` replays the tape in reverse topological
-order. `Tensor` extends the engine's parameter holder `bmtas.nncore.Tensor`,
-so tape-built `OperationParams` feed `SGD`; a plain holder, such as one
-from `OperationParams.init`, enters the tape as a leaf and collects its
-gradient in `.grad`. Everything is double precision; the vocabulary is
-affine + tanh operations, affine task heads of one width and MSE.
+order. `Tensor` extends the engine's parameter holder `bmtas.nncore.Tensor`
+with a `.grad` slot, so tape-built `OperationParams` feed `SGD`. A plain
+holder, such as one from `OperationParams.init`, has no `.grad`: it may
+enter a forward pass as a constant, and `leaves` wraps its arrays as tape
+leaves whose `.grad` `backward` fills. Everything is double precision; the
+vocabulary is affine + tanh operations, affine task heads of one width and
+MSE.
 """
 
 from __future__ import annotations
@@ -47,16 +49,18 @@ def _index(x: nncore.Tensor, idx) -> Tensor:
 
 
 class Tensor(nncore.Tensor):
-    """A parameter holder plus the bookkeeping needed for reverse mode.
+    """A parameter holder plus the bookkeeping needed for reverse mode: its
+    gradient, grad, None until `backward` reaches it, and its parents.
 
     Construction validates finiteness, so a NaN or Inf produced anywhere
     in a forward pass raises immediately instead of corrupting training.
     """
 
-    __slots__ = ("_parents", "_grad_fn")
+    __slots__ = ("grad", "_parents", "_grad_fn")
 
     def __init__(self, data, _parents=(), _grad_fn=None):
         super().__init__(data)
+        self.grad = None
         self._parents = _parents
         self._grad_fn = _grad_fn
 
@@ -166,6 +170,8 @@ def backward(root: Tensor, seed: float = 1.0):
         g = pending.pop(id(node), None)
         if g is None:
             continue
+        if not isinstance(node, Tensor):
+            raise ModeError("a plain parameter holder takes no gradient; wrap it with leaves")
         node.grad = g if node.grad is None else node.grad + g
         grad_fn = getattr(node, "_grad_fn", None)
         if grad_fn is None:
@@ -178,6 +184,16 @@ def backward(root: Tensor, seed: float = 1.0):
 def reset_grads(params):
     for p in params:
         p.grad = None
+
+
+def leaves(params: OperationParams) -> OperationParams:
+    """params with each parameter a tape leaf over the same array."""
+    return OperationParams(
+        [Tensor(w.data) for w in params.weights],
+        [Tensor(b.data) for b in params.biases],
+        Tensor(params.head_weights.data),
+        Tensor(params.head_biases.data),
+    )
 
 
 def candidate_forward(params: OperationParams, layer: int, candidate: int, x) -> Tensor:

@@ -7,6 +7,7 @@ fixed here on purpose, so loosening one is a visible diff.
 import itertools
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +33,9 @@ from bmtas.resloss import (
     expected_cost_grad,
 )
 from bmtas.resloss import softmax as bmtas_softmax
-from bmtas.search import SearchConfig, retrain, search
+from bmtas.search import SearchConfig, _architecture_grad, _loss_scale, backward, retrain, search
 from bmtas.seeding import rng_stream
 from conftest import PINNED_PLATFORM, central_diff, random_alpha, relative_error
-from tape import Tensor, backward, head_forward, mixed_layer_forward, reset_grads, task_loss
 
 
 # each criterion's verdict detail, the line without its state, name and
@@ -142,7 +142,7 @@ def _load_flat(tensors, vec):
 
 
 def test_criterion_03_end_to_end_gradients(capsys):
-    """Full search-loss gradients for theta and alpha vs finite differences."""
+    """The engine's search-loss gradients for theta and alpha vs finite differences."""
     t0 = time.time()
     supergraph = SupergraphSpec([6, 5, 4, 4])
     rng = rng_stream(102, "e2e")
@@ -160,59 +160,41 @@ def test_criterion_03_end_to_end_gradients(capsys):
     alpha0 = 0.5 * rng.standard_normal((3, 3, 3))
     tau, lam = 1.0, 0.3
     shared = supergraph.cost_table.fully_shared_cost
+    # the task part of the loss is the sum of the tasks' mean squared errors
+    # on all 8 rows, one batch: omega = 1
+    data = SimpleNamespace(inputs_train=x_np, targets_train=np.stack(targets))
+    idx = np.arange(8)
+    scale = _loss_scale((1.0,) * 3, data, idx)
 
-    def task_term(z_rows_by_task):
-        total = 0.0
-        x = Tensor(x_np)
-        for t in range(3):
-            h = x
-            for layer in range(1, 4):
-                h = mixed_layer_forward(params, layer, z_rows_by_task[t][layer - 1], h)
-            loss = task_loss(head_forward(params, t, h), targets[t])
-            total = total + loss if isinstance(total, Tensor) else loss
-        return total
+    def routing_of(alpha):
+        return list(softmax((alpha + noise) / tau, axis=2).swapaxes(0, 1))
+
+    def task_term(routing):
+        return sum(backward(params, routing, data, idx, scale)[0])
 
     def loss_of_alpha(alpha):
-        rows = softmax((alpha + noise) / tau, axis=2)
-        scalar = float(task_term([list(rows[t]) for t in range(3)]).data)
-        return scalar + lam / shared * expected_cost(
+        return task_term(routing_of(alpha)) + lam / shared * expected_cost(
             ArchitectureParams(alpha.copy()), supergraph.cost_table
         )
 
-    # analytic alpha gradient: tape for the task part, exact resource part
-    alpha_param = Tensor(alpha0.copy())
-    rows_on_tape = [
-        [
-            ((alpha_param[(t, l)] + Tensor(noise[t, l])) * (1.0 / tau)).softmax1d()
-            for l in range(3)
-        ]
-        for t in range(3)
-    ]
-    backward(task_term(rows_on_tape))
-    grad_alpha = alpha_param.grad + lam / shared * expected_cost_grad(
+    # analytic alpha gradient: the search's architecture pass, exact resource part
+    grad_alpha = _architecture_grad(params, alpha0, noise, tau, data, idx, scale)
+    grad_alpha = grad_alpha + lam / shared * expected_cost_grad(
         ArchitectureParams(alpha0.copy()), supergraph.cost_table
     )
     fd_alpha = central_diff(loss_of_alpha, alpha0.copy(), h=1e-5)
     err_alpha = relative_error(grad_alpha, fd_alpha)
 
-    # analytic theta gradient at fixed routing
-    z_const = softmax((alpha0 + noise) / tau, axis=2)
-    rows_const = [list(z_const[t]) for t in range(3)]
+    # analytic theta gradient at fixed routing: the search's weight pass
+    rows_const = routing_of(alpha0)
+    grads = backward(params, rows_const, data, idx, scale)[1]
+    grad_theta = np.concatenate([g.ravel() for g in grads])
     tensors = params.parameters()
-    reset_grads(tensors)
-    backward(task_term(rows_const))
-    grad_theta = np.concatenate(
-        [
-            (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-            for p in tensors
-        ]
-    )
     theta0 = _flat(tensors)
 
     def loss_of_theta(vec):
         _load_flat(tensors, vec)
-        out = float(task_term(rows_const).data)
-        return out
+        return task_term(rows_const)
 
     fd_theta = central_diff(loss_of_theta, theta0.copy(), h=1e-5)
     _load_flat(tensors, theta0)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from bmtas import cli, resloss
 from bmtas.cli import load_config, main
-from bmtas.errors import ConfigError
+from bmtas.errors import ConfigError, SearchError
 from bmtas.graph import (
     CostTable,
     SupergraphSpec,
@@ -1429,6 +1429,34 @@ class TestSearchCommand:
                 a = (serial_dir / f"seed{seed}" / name).read_bytes()
                 b = (out2 / cfg["experiment"] / f"seed{seed}" / name).read_bytes()
                 assert a == b
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_failing_seed_keeps_the_seeds_before_it(
+        self, workers, tmp_path, monkeypatch, capsys
+    ):
+        # seeds before the failing seed are written, later seeds are not; a
+        # pool's forked workers inherit the patched search
+        (tmp_path / "clean").mkdir()
+        _, clean_dir = self.run_search(tmp_path / "clean")
+        search = cli.search
+
+        def failing(config, *args):
+            if config.seed == 1:
+                raise SearchError("non-finite value at step 1: injected")
+            return search(config, *args)
+
+        monkeypatch.setattr(cli, "search", failing)
+        monkeypatch.setenv("BMTAS_WORKERS", workers)
+        capsys.readouterr()
+        code, exp_dir = self.run_search(tmp_path, base_config(seeds=[0, 1, 2]))
+        assert code == 1
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["event"] for e in events] == ["seed_done", "runtime_error"]
+        assert events[0]["seed"] == 0 and events[1]["kind"] == "SearchError"
+        assert [p.name for p in exp_dir.iterdir()] == ["seed0"]
+        for name in ("structure.json", "structure.dot", "trace.csv", "metrics.json"):
+            got = (exp_dir / "seed0" / name).read_bytes()
+            assert got == (clean_dir / "seed0" / name).read_bytes()
 
 
 class TestExportDot:

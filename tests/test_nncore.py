@@ -18,7 +18,6 @@ from bmtas.nncore import (
     Adam,
     OperationParams,
     SGD,
-    collect_grads,
 )
 from bmtas.search import SearchConfig
 from bmtas.seeding import rng_stream
@@ -29,6 +28,7 @@ from tape import (
     backward,
     candidate_forward,
     head_forward,
+    leaves,
     mixed_layer_forward,
     reset_grads,
     task_loss,
@@ -145,12 +145,17 @@ class TestBackwardContract:
         reset_grads([x])
         assert x.grad is None
 
-    def test_collect_grads_fills_missing(self):
-        x, unused = Tensor([1.0]), Tensor([5.0, 5.0])
-        backward(x.mean())
-        got = collect_grads([x, unused])
-        assert np.allclose(got[0], [1.0])
-        assert np.allclose(got[1], [0.0, 0.0])
+    def test_plain_holders_enter_as_leaves(self, small_params):
+        # a holder from OperationParams.init has no .grad; leaves wraps its arrays
+        _, plain = small_params
+        x = np.ones((1, 4))
+        with pytest.raises(ModeError):
+            backward(candidate_forward(plain, 1, 0, x).mean())
+        params = leaves(plain)
+        assert all(p.data is q.data for p, q in zip(params.parameters(), plain.parameters()))
+        backward(candidate_forward(params, 1, 0, x).mean())
+        assert params.weights[0].grad.shape == (2, 4, 3)
+        assert np.all(params.weights[0].grad[1] == 0.0)
 
     def test_seed_scales(self):
         x = Tensor([3.0])
@@ -255,7 +260,7 @@ class TestForwardOps:
             mixed_layer_forward(params, 1, np.array([1.0]), x)
 
     def test_mixed_layer_differentiates_tensor_routing(self, small_params):
-        _, params = small_params
+        params = leaves(small_params[1])
         params.weights[0].data[1] *= -1.0
         x = rng_stream(11).normal(size=(3, 4))
 
@@ -323,16 +328,14 @@ class TestSGD:
         opt = SGD([p], lr=0.1)
         want = reference_sgd(x0, grads, 0.1, SGD_MOMENTUM, SGD_WEIGHT_DECAY, 4)
         for i in range(4):
-            p.grad = grads[i]
-            opt.step()
+            opt.step([grads[i]])
             assert np.allclose(p.data, want[i])
 
     def test_lr_scales(self):
         # from zero, so that the first step is the scaled gradient alone
         p, q = Tensor(np.zeros(1)), Tensor(np.zeros(1))
         opt = SGD([p, q], lr=1.0, lr_scales=[1.0, 0.25])
-        p.grad = q.grad = np.ones(1)
-        opt.step()
+        opt.step([np.ones(1), np.ones(1)])
         assert p.data[0] == -1.0 and q.data[0] == -0.25
         with pytest.raises(DimensionMismatch):
             SGD([p], lr=1.0, lr_scales=[1.0, 2.0])
@@ -341,15 +344,13 @@ class TestSGD:
         # one factor per stacked operation, as retraining's 1/|block|
         w = Tensor(np.zeros((2, 1, 3)))
         opt = SGD([w], lr=1.0, lr_scales=[np.array([[[1.0]], [[0.5]]])])
-        w.grad = np.ones((2, 1, 3))
-        opt.step()
+        opt.step([np.ones((2, 1, 3))])
         np.testing.assert_array_equal(w.data[:, 0], [[-1.0] * 3, [-0.5] * 3])
 
     def test_reset_momentum(self):
         p = Tensor(np.zeros(2))
         opt = SGD([p], lr=0.1)
-        p.grad = np.ones(2)
-        opt.step()
+        opt.step([np.ones(2)])
         assert np.any(opt.velocity != 0)
         opt.reset_momentum()
         assert np.all(opt.velocity == 0)
@@ -369,9 +370,7 @@ class TestSGD:
                 for v in velocity:
                     v[...] = 0.0
             grads = [rng.normal(size=s) for s in shapes]
-            for p, g in zip(params, grads):
-                p.grad = g
-            opt.step()
+            opt.step(grads)
             for i, (g, s) in enumerate(zip(grads, scales)):
                 g = g + SGD_WEIGHT_DECAY * want[i]
                 velocity[i] *= SGD_MOMENTUM

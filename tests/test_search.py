@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +16,7 @@ from bmtas.cli import CONFIG_SCHEMA
 from bmtas.errors import ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import Dataset, SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
-from bmtas.nncore import SGD, Adam, OperationParams, collect_grads
+from bmtas.nncore import SGD, Adam, OperationParams
 from bmtas.partition import Partition
 from bmtas.relax import discretize, schedule_tau
 from bmtas.search import (
@@ -123,7 +125,7 @@ class TestSearchConfig:
         assert not hasattr(bmtas.search, "retrain_model")
         assert inspect.get_annotations(retrain, eval_str=True)["return"] is RetrainedModel
         assert list(inspect.signature(Adam.step).parameters) == ["self", "grad"]
-        assert list(inspect.signature(SGD.step).parameters) == ["self"]
+        assert list(inspect.signature(SGD.step).parameters) == ["self", "grads"]
         # training settings that no run set, now constants of search and nncore
         settings = {
             "theta_momentum",
@@ -144,6 +146,13 @@ class TestSearchConfig:
         ops = {"candidate_forward", "mixed_layer_forward", "head_forward", "task_loss"}
         assert not (tape_names | ops) & set(dir(bmtas.nncore))
         assert not {"__matmul__", "softmax1d"} & set(dir(bmtas.nncore.Tensor))
+        # gradients are return values: no holder keeps one, and nothing in
+        # the package reads or writes one on a parameter
+        assert not hasattr(bmtas.nncore, "collect_grads")
+        assert not hasattr(bmtas.nncore.Tensor, "grad")
+        package = Path(bmtas.nncore.__file__).parent
+        uses = [f.name for f in package.glob("*.py") if re.search(r"\.grad\b", f.read_text())]
+        assert uses == []
 
     def test_weights_for_checks_length(self):
         data, _ = small_benchmark()
@@ -407,6 +416,7 @@ def tape_pass(params, rows_by_task, x, targets, omega):
 
 
 def max_diff(got, want):
+    assert len(got) == len(want)
     return max(np.max(np.abs(np.asarray(g) - w), initial=0.0) for g, w in zip(got, want))
 
 
@@ -446,21 +456,17 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
 
     leaves = [[Tensor(r[t]) for r in rows] for t in range(num_tasks)]
     want_losses = tape_pass(params, leaves, x, targets, omega)
-    want_theta = collect_grads(params.parameters())
+    want_theta = [p.grad for p in params.parameters()]
     want_rows = [np.stack([task[l].grad for task in leaves]) for l in range(num_layers)]
-    losses = engine_backward(params, routing, data, idx, scale)[0]
+    losses, theta = engine_backward(params, routing, data, idx, scale)
     assert max_diff(losses, want_losses) <= 1e-10
-    assert max_diff([p.grad for p in params.parameters()], want_theta) <= 1e-10
+    assert max_diff(theta, want_theta) <= 1e-10
 
     # the routing rows' gradients, which only the mixture path returns: for
-    # the discrete examples its rows are the one-hot ones, C_l ops of any
-    # count. The architecture step writes no .grad.
-    for p in params.parameters():
-        p.grad = None
+    # the discrete examples its rows are the one-hot ones, C_l ops of any count
     row_losses, dz = engine_backward(params, rows, data, idx, scale, row_grads=True)
     assert row_losses == losses
     assert max_diff(dz, want_rows) <= 1e-10
-    assert all(p.grad is None for p in params.parameters())
 
     if soft:
         # the search's routing rows, with the logits on the tape
@@ -500,9 +506,9 @@ def test_gathered_routing_equals_one_hot_mixture(num_tasks, num_layers, batch, s
     scale = _loss_scale(rng.uniform(0.5, 2.0, num_tasks), data, np.arange(batch))
     runs = []
     for routing in (picks, [np.eye(c)[p] for c, p in zip(counts, picks)]):
-        losses = engine_backward(params, routing, data, np.arange(batch), scale)[0]
+        losses, grads = engine_backward(params, routing, data, np.arange(batch), scale)
         features = _features(params, routing, data.inputs_train)[0]
-        runs.append((losses, features, [p.grad for p in params.parameters()]))
+        runs.append((losses, features, grads))
     (losses, features, grads), (want_losses, want_features, want_grads) = runs
     # both paths reach BLAS through matmuls of other shapes; they agree only
     # while the kernels for those shapes round alike, as OpenBLAS's SkylakeX
@@ -570,13 +576,14 @@ def test_engine_matches_its_reference_bit_for_bit(num_tasks, ops, num_layers, ba
     picks = [rng.integers(0, ops, num_tasks) for _ in range(num_layers)]
     idx = np.arange(batch)
     for routing in (rows, picks):
-        want_losses = engine_reference.backward_tasks(params, routing, data, idx, omega)[0]
-        want = [p.grad for p in params.parameters()]
-        assert engine_backward(params, routing, data, idx, scale)[0] == want_losses
-        assert all(same_bits(p.grad, w) for p, w in zip(params.parameters(), want))
+        want_losses, want = engine_reference.backward_tasks(params, routing, data, idx, omega)
+        losses, got = engine_backward(params, routing, data, idx, scale)
+        assert losses == want_losses and len(got) == len(want) == 2 * num_layers + 2
+        assert all(same_bits(g, w) for g, w in zip(got, want))
     want = engine_reference.backward_tasks(params, rows, data, idx, omega, row_grads=True)
     got = engine_backward(params, rows, data, idx, scale, row_grads=True)
-    assert got[0] == want[0] and all(same_bits(g, w) for g, w in zip(got[1], want[1]))
+    assert got[0] == want[0] and len(got[1]) == len(want[1]) == num_layers
+    assert all(same_bits(g, w) for g, w in zip(got[1], want[1]))
 
 
 @given(
@@ -603,12 +610,40 @@ def test_identity_routing_equals_scatter_and_sum(num_tasks, num_layers, batch, o
     )
     idx = np.arange(batch)
     identity = [np.arange(num_tasks)] * num_layers
-    want_losses = engine_reference.backward_tasks(params, identity, data, idx, omega)[0]
-    want = [p.grad for p in params.parameters()]
-    assert engine_backward(params, [None] * num_layers, data, idx, scale)[0] == want_losses
-    assert all(np.array_equal(p.grad, w) for p, w in zip(params.parameters(), want))
+    want_losses, want = engine_reference.backward_tasks(params, identity, data, idx, omega)
+    losses, got = engine_backward(params, [None] * num_layers, data, idx, scale)
+    assert losses == want_losses and len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
     features = _features(params, [None] * num_layers, data.inputs_train)[0]
     assert same_bits(features, engine_reference.features(params, identity, data.inputs_train)[0])
+
+
+def test_gradients_are_fresh_arrays():
+    # a gradient written into a buffer that outlives the call, such as
+    # SGD's, let three oracle tests compare a wrong gradient with itself
+    data, sg = small_benchmark()
+    params = warm_up(sg, data, quick_config(warmup_steps=0))
+    opt = SGD(params.parameters(), 0.3)
+    held = [p.data for p in params.parameters()] + [opt.flat]
+    rng = np.random.default_rng(0)
+    rows = list(softmax(rng.normal(size=(3, sg.num_layers, 3)), axis=2).swapaxes(0, 1))
+    picks = [np.array([0, 1, 1])] * sg.num_layers
+    first, second = np.arange(32), np.arange(32, 64)
+    scale = _loss_scale((1.0,) * 3, data, first)
+    cases = [([None] * sg.num_layers, False), (picks, False), (rows, False), (rows, True)]
+    for routing, row_grads in cases:
+        grads = engine_backward(params, routing, data, first, scale, row_grads)[1]
+        kept = [g.copy() for g in grads]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, a) for a in grads[i + 1 :] + held)
+        again = engine_backward(params, routing, data, second, scale, row_grads)[1]
+        assert not all(np.array_equal(a, g) for a, g in zip(again, grads))
+        assert all(same_bits(g, k) for g, k in zip(grads, kept))
+        if not row_grads:
+            before = opt.flat.copy()
+            opt.step(grads)
+            assert not np.array_equal(opt.flat, before)
+            assert all(same_bits(g, k) for g, k in zip(grads, kept))
 
 
 class TestEngineGuards:

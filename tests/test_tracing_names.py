@@ -5,6 +5,8 @@ import importlib
 import sys
 from pathlib import Path
 
+from conftest import fresh_python
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
@@ -25,3 +27,17 @@ def test_every_traced_name_resolves(monkeypatch):
     ]
     assert names and tracing.METHOD_SPANS
     assert missing == []
+
+
+def test_the_whole_tracer_installs_and_a_verb_runs():
+    # install() also patches nncore.Tensor.__init__ by hand, outside the lists
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(BENCHMARKS)!r})\n"
+        "import bmtas.cli, tracing\n"
+        "tracing.Tracer().install()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = bmtas.cli.main(['enumerate', '--tasks', '3', '--layers', '2'])\n"
+        "sys.exit(code)"
+    )
+    assert fresh_python(code) == ""
