@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BmtasError, ConfigError
+from .errors import BmtasError, ConfigError, SearchError
 from .eval import MetricRecord, SyntheticTaskSpec, delta_m, generate_tasks
 from .graph import (
     CostTable,
@@ -199,7 +199,7 @@ def _build_search_config(cfg: dict, seed: int) -> SearchConfig:
     return SearchConfig(seed=seed, **s)
 
 
-def _trace_csv(result, task_names) -> str:
+def _trace_csv(trace, task_names) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -207,7 +207,7 @@ def _trace_csv(result, task_names) -> str:
         + [f"loss_{n}" for n in task_names]
         + ["resource_loss", "expected_cost", "structure_hash"]
     )
-    for row in result.trace:
+    for row in trace:
         writer.writerow(
             [row.step, row.tau]
             + list(row.task_losses)
@@ -219,12 +219,24 @@ def _trace_csv(result, task_names) -> str:
 @np.errstate(all="ignore")  # here pool workers run too; overflow ends in a NumericError
 def _run_seed(job) -> tuple[dict, dict[str, str]]:
     """One full search + retrain; returns the seed's metrics and the text of
-    each of its artifacts by file name, and writes nothing."""
+    each of its artifacts by file name, and writes nothing. A failed search
+    returns its failure and the files that keep it: the partial trace.csv
+    and failure.json."""
     from .graph import structure_cost, structure_hash
 
     experiment, supergraph, task_spec, config = job
     data = generate_tasks(task_spec, rng_stream(config.seed, "data"))
-    result = search(config, supergraph, data)
+    dumps = partial(json.dumps, sort_keys=True, indent=2)
+    names = data.task_names
+    try:
+        result = search(config, supergraph, data)
+    except SearchError as exc:  # returned, not raised: a pool would drop exc.trace
+        # the trace holds the steps before the failing one
+        failure = {"stage": "search", "step": len(exc.trace) + 1, "message": str(exc)}
+        return {"seed": config.seed, **failure}, {
+            "trace.csv": _trace_csv(exc.trace, names),
+            "failure.json": dumps(failure) + "\n",
+        }
     metrics = {
         "experiment": experiment,
         "seed": config.seed,
@@ -233,12 +245,10 @@ def _run_seed(job) -> tuple[dict, dict[str, str]]:
         "structure_cost": structure_cost(result.structure, supergraph.cost_table),
         "test_mse": retrain(result.structure, supergraph, data, config).test_mse,
     }
-    dumps = partial(json.dumps, sort_keys=True, indent=2)
-    names = data.task_names
     return metrics, {
         "structure.json": dumps(structure_to_json(result.structure, names)) + "\n",
         "structure.dot": export_dot(result.structure, names),
-        "trace.csv": _trace_csv(result, names),
+        "trace.csv": _trace_csv(result.trace, names),
         "metrics.json": dumps(metrics) + "\n",
     }
 
@@ -278,11 +288,14 @@ def cmd_search(args) -> int:
 
 def _write_seeds(out_root: Path, results):
     """Write each seed's artifacts as its result arrives, in seed order, so
-    that a failing seed leaves the seeds before it written."""
+    that a failing seed leaves the seeds before it written; the failing seed
+    writes its partial trace and failure.json, then raises its SearchError."""
     for metrics, artifacts in results:
         seed_dir = out_root / f"seed{metrics['seed']}"
         for name, text in artifacts.items():
             _write_atomic(seed_dir / name, text)
+        if "failure.json" in artifacts:
+            raise SearchError(metrics["message"])
         _log(
             "seed_done",
             seed=metrics["seed"],
@@ -314,18 +327,19 @@ def _probs_entries(num_tasks: int) -> np.ndarray:
     """Each grouping's probs entry in the report text up to its prob, after the
     separator that ends the entry before it, as json.dumps(sort_keys=True,
     indent=2) writes them; a read-only object array, for a mask to index."""
-    blocks = [
-        f"[{_TASK_BREAK}"
+    blocks = np.array([
+        f"{_BLOCK_BREAK}[{_TASK_BREAK}"
         + f",{_TASK_BREAK}".join(str(t) for t in range(num_tasks) if mask >> t & 1)
         + f"{_BLOCK_BREAK}]"
         for mask in range(1 << num_tasks)
-    ]
-    entries = np.array([
-        f'{_ENTRY_TAIL},{_ENTRY_BREAK}{{{_KEY_BREAK}"partition": [{_BLOCK_BREAK}'
-        + f",{_BLOCK_BREAK}".join(blocks[mask] for mask in row if mask)
-        + f'{_KEY_BREAK}],{_KEY_BREAK}"prob": '
-        for row in block_masks(rgs_table(num_tasks)).tolist()
     ], dtype=object)
+    later = "," + blocks  # a block after the first; no text for an empty one
+    later[0] = ""
+    masks = block_masks(rgs_table(num_tasks))
+    entries = f'{_ENTRY_TAIL},{_ENTRY_BREAK}{{{_KEY_BREAK}"partition": [' + blocks[masks[:, 0]]
+    for column in masks.T[1:]:
+        entries += later[column]
+    entries += f'{_KEY_BREAK}],{_KEY_BREAK}"prob": '
     entries.setflags(write=False)
     return entries
 

@@ -155,11 +155,11 @@ def count_structures(num_tasks: int, num_layers: int) -> int:
     # a chain ending in a grouping of m blocks continues upward as a chain on
     # those m blocks: f_L(n) = sum_m S(n, m) f_(L-1)(m) and f_1(n) = B_n, so
     # f_L = S^(L-1) B with stirling[n-1, m-1] = S(n, m), in Python ints, as
-    # the count outgrows int64
-    rgs_table(num_tasks)  # checks 1 <= num_tasks <= MAX_TASKS
+    # the count outgrows int64; rgs_table(n) is the rows of rgs that are 0 past n
+    rgs = rgs_table(num_tasks)  # checks 1 <= num_tasks <= MAX_TASKS
     stirling = np.zeros((num_tasks, num_tasks), dtype=object)
     for n in range(1, num_tasks + 1):
-        stirling[n - 1, :n] = np.bincount(rgs_table(n).max(axis=1)).tolist()
+        stirling[n - 1, :n] = np.bincount(rgs[~rgs[:, n:].any(axis=1)].max(axis=1)).tolist()
     steps = np.linalg.matrix_power(stirling, max(num_layers - 1, 0))
     return int((steps @ stirling.sum(axis=1))[-1])
 

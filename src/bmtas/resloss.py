@@ -189,17 +189,22 @@ def _merge_tables(num_tasks: int) -> tuple:
     of the union of k's blocks that s puts in block j, or 0. merged is
     block-major, so each block's gather index is one contiguous array."""
     rgs = rgs_table(num_tasks)
-    masks = block_masks(rgs).astype(np.float64)
+    masks = block_masks(rgs)
     sizes = rgs.max(axis=1) + 1
     factorials = np.array([math.factorial(k) for k in range(num_tasks)], dtype=np.float64)
     tables = []
     for m in range(1, num_tasks + 1):
-        onehot = rgs_table(m)[:, :, None] == np.arange(m)
-        less = np.maximum(onehot.sum(axis=1) - 1, 0)  # merged block sizes less one
+        rows = sizes == m
+        merges = rgs[~rgs[:, m:].any(axis=1), :m]  # rgs_table(m): the rows with a zero tail
+        s = np.arange(len(merges))
+        counts = np.zeros(merges.shape, dtype=np.int64)  # block sizes of each merge
+        merged = np.zeros((m, len(s), rows.sum()), dtype=np.int64)
+        for i, block in enumerate(merges.T):
+            counts[s, block] += 1
+            merged[block, s] += masks[rows, i]  # k's blocks are disjoint: the sum is the union
+        less = np.maximum(counts - 1, 0)  # merged block sizes less one
         mu = (-1.0) ** less.sum(axis=1) * factorials[less].prod(axis=1)
-        # a float64 product of masks below 2^MAX_TASKS is exact, and BLAS-fast
-        merged = (onehot.transpose(2, 0, 1) @ masks[sizes == m, :m].T).astype(np.int64)
-        tables.append((sizes == m, mu, merged))
+        tables.append((rows, mu, merged))
     return tuple(tables)
 
 

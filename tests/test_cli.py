@@ -300,6 +300,18 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert [json.loads(line)["event"] for line in lines][-1] == "runtime_error"
 
+    def test_a_diverging_search_keeps_its_partial_trace(self, tmp_path, capsys):
+        argv = bad_config(tmp_path, search={"theta_lr": 1e8, "warmup_steps": 0})
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        seed_dir = tmp_path / "runs" / "toy" / "seed0"
+        failure = json.loads((seed_dir / "failure.json").read_text())
+        assert failure["stage"] == "search" and failure["message"] == error
+        assert error.startswith(f"non-finite value at step {failure['step']}: ")
+        rows = list(csv.reader(io.StringIO((seed_dir / "trace.csv").read_text())))
+        assert rows[0][:2] == ["step", "tau"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(1, failure["step"]))
+
     def test_impossible_width_is_one_runtime_error(self, tmp_path, capsys):
         # numpy refuses a (8, 10**18) float64 array before allocating anything
         argv = bad_config(tmp_path, supergraph={"widths": [8, 10**18, 6]})
@@ -1094,6 +1106,34 @@ class TestTaskCountCaches:
         )
         assert fresh_python(code) == "0 0 0 0\n"
 
+    def test_a_cold_expected_cost_builds_one_rgs_table(self):
+        # the per-T tables read rgs_table(T) alone, not one table per block count
+        code = (
+            "import contextlib, io, json, numpy as np, bmtas.cli as c, bmtas.partition as p\n"
+            "from pathlib import Path\n"
+            "import tempfile\n"
+            "path = Path(tempfile.mkdtemp()) / 'alpha.json'\n"
+            "path.write_text(json.dumps(np.random.default_rng(7).normal(size=(7, 4, 7)).tolist()))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = c.main(['expected-cost', '--alpha', str(path)])\n"
+            "print(code, p.rgs_table.cache_info().currsize)"
+        )
+        assert fresh_python(code) == "0 1\n"
+
+    def test_enumerate_builds_one_rgs_table(self):
+        code = (
+            "import bmtas.graph as g, bmtas.partition as p; "
+            "print(g.count_structures(8, 3), p.rgs_table.cache_info().currsize)"
+        )
+        assert fresh_python(code) == "1855570 1\n"
+
+    @pytest.mark.parametrize("tasks", [1, 4, 8])
+    def test_probs_entries_are_a_read_only_object_array(self, tasks):
+        entries = cli._probs_entries(tasks)
+        assert entries.dtype == object and entries.shape == (len(enumerate_partitions(tasks)),)
+        assert entries.flags.c_contiguous and not entries.flags.writeable
+        assert all(type(e) is str for e in entries)
+
     @pytest.mark.parametrize("tasks", range(1, MAX_TASKS + 1))
     def test_probs_entries_match_json_dumps_for_every_grouping(self, tasks):
         entries = cli._probs_entries(tasks)
@@ -1434,16 +1474,19 @@ class TestSearchCommand:
     def test_a_failing_seed_keeps_the_seeds_before_it(
         self, workers, tmp_path, monkeypatch, capsys
     ):
-        # seeds before the failing seed are written, later seeds are not; a
-        # pool's forked workers inherit the patched search
+        # seeds before the failing seed are written, later seeds are not; the
+        # failing seed writes its partial trace and failure.json. A pool's
+        # forked workers inherit the patched search, and its pickled
+        # SearchError would carry no trace
         (tmp_path / "clean").mkdir()
-        _, clean_dir = self.run_search(tmp_path / "clean")
+        _, clean_dir = self.run_search(tmp_path / "clean", base_config(seeds=[0, 1]))
         search = cli.search
 
         def failing(config, *args):
+            result = search(config, *args)
             if config.seed == 1:
-                raise SearchError("non-finite value at step 1: injected")
-            return search(config, *args)
+                raise SearchError("non-finite value at step 4: injected", result.trace[:3])
+            return result
 
         monkeypatch.setattr(cli, "search", failing)
         monkeypatch.setenv("BMTAS_WORKERS", workers)
@@ -1453,10 +1496,25 @@ class TestSearchCommand:
         events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [e["event"] for e in events] == ["seed_done", "runtime_error"]
         assert events[0]["seed"] == 0 and events[1]["kind"] == "SearchError"
-        assert [p.name for p in exp_dir.iterdir()] == ["seed0"]
+        assert events[1]["error"] == "non-finite value at step 4: injected"
+        assert sorted(p.name for p in exp_dir.iterdir()) == ["seed0", "seed1"]
         for name in ("structure.json", "structure.dot", "trace.csv", "metrics.json"):
             got = (exp_dir / "seed0" / name).read_bytes()
             assert got == (clean_dir / "seed0" / name).read_bytes()
+        assert sorted(p.name for p in (exp_dir / "seed1").iterdir()) == [
+            "failure.json",
+            "trace.csv",
+        ]
+        # the header and the three steps before the failing one, as a clean run wrote them
+        clean_trace = (clean_dir / "seed1" / "trace.csv").read_text().splitlines(keepends=True)
+        assert (exp_dir / "seed1" / "trace.csv").read_text() == "".join(clean_trace[:4])
+        failure = (exp_dir / "seed1" / "failure.json").read_text()
+        assert failure.endswith("}\n")
+        assert json.loads(failure) == {
+            "stage": "search",
+            "step": 4,
+            "message": "non-finite value at step 4: injected",
+        }
 
 
 class TestExportDot:

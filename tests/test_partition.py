@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +95,18 @@ def test_block_masks_match_blocks(num_tasks):
     for row, p in zip(masks.tolist(), enumerate_partitions(num_tasks)):
         want = [sum(1 << t for t in block) for block in p.blocks()]
         assert row == want + [0] * (num_tasks - len(want))
+
+
+@pytest.mark.parametrize("num_tasks", range(1, MAX_TASKS + 1))
+def test_block_masks_match_the_one_hot_product(num_tasks):
+    # the scatter build against the (B_T, T, T) one-hot cube times the task bits
+    rgs = rgs_table(num_tasks)
+    tasks = np.arange(num_tasks)
+    want = (rgs[:, None, :] == tasks[:, None]) @ (1 << tasks)
+    got = block_masks(rgs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("num_tasks", range(1, 6))
