@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BmtasError, ConfigError, SearchError
+from .errors import BmtasError, ConfigError, NumericError, SearchError
 from .eval import MetricRecord, SyntheticTaskSpec, delta_m, generate_tasks
 from .graph import (
     CostTable,
@@ -29,7 +29,7 @@ from .graph import (
     structure_from_json,
     structure_to_json,
 )
-from .partition import MAX_TASKS, Partition, block_masks, rgs_table
+from .partition import Partition, block_masks, rgs_table
 from .partition import enumerate_partitions  # benchmarks/tracing.py patches this name
 from .resloss import (
     ENUM_GUARD,
@@ -41,81 +41,6 @@ from .resloss import (
 )
 from .search import SearchConfig, retrain, search
 from .seeding import rng_stream
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["experiment", "supergraph", "benchmark"],
-    "properties": {
-        "experiment": {"type": "string", "minLength": 1},
-        "output_dir": {"type": "string", "minLength": 1},
-        "seeds": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
-        "supergraph": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["widths"],
-            "properties": {
-                "widths": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 2,
-                },
-                "unit_costs": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-            },
-        },
-        "benchmark": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["num_tasks", "input_dim", "hidden_dim", "target_dim", "relatedness"],
-            "properties": {
-                "num_tasks": {"type": "integer", "minimum": 1, "maximum": MAX_TASKS},
-                "input_dim": {"type": "integer", "minimum": 1},
-                "hidden_dim": {"type": "integer", "minimum": 1},
-                "target_dim": {"type": "integer", "minimum": 1},
-                "relatedness": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                        "minItems": 1,
-                    },
-                    "minItems": 1,
-                },
-                "noise_std": {"type": "number", "minimum": 0},
-                "train_samples": {"type": "integer", "minimum": 2},
-                "test_samples": {"type": "integer", "minimum": 1},
-                "signal_scale": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "search": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lambda": {"type": "number", "minimum": 0},
-                "warmup_steps": {"type": "integer", "minimum": 0},
-                "search_steps": {"type": "integer", "minimum": 1},
-                "tau_start": {"type": "number", "exclusiveMinimum": 0},
-                "tau_end": {"type": "number", "exclusiveMinimum": 0},
-                "theta_lr": {"type": "number", "exclusiveMinimum": 0},
-                "alpha_lr": {"type": "number", "exclusiveMinimum": 0},
-                "retrain_steps": {"type": "integer", "minimum": 0},
-                "omega": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-            },
-        },
-    },
-}
 
 
 def _log(event: str, **fields):
@@ -164,7 +89,7 @@ def _reading_input():
 
 def load_config(path) -> dict:
     """Parse and schema-validate a run config; unknown keys are rejected."""
-    from .schema import first_error  # here, so that the other verbs do not compile it
+    from .schema import CONFIG_SCHEMA, first_error  # here: the other verbs do not compile it
 
     obj = _load_json(path)
     error = first_error(CONFIG_SCHEMA, obj)
@@ -219,36 +144,40 @@ def _trace_csv(trace, task_names) -> str:
 @np.errstate(all="ignore")  # here pool workers run too; overflow ends in a NumericError
 def _run_seed(job) -> tuple[dict, dict[str, str]]:
     """One full search + retrain; returns the seed's metrics and the text of
-    each of its artifacts by file name, and writes nothing. A failed search
-    returns its failure and the files that keep it: the partial trace.csv
-    and failure.json."""
+    each of its artifacts by file name, and writes nothing. A failed seed
+    returns its failure and the files that keep it: the trace.csv of its
+    finished search steps, unless its warm-up failed, and failure.json."""
     from .graph import structure_cost, structure_hash
 
     experiment, supergraph, task_spec, config = job
     data = generate_tasks(task_spec, rng_stream(config.seed, "data"))
     dumps = partial(json.dumps, sort_keys=True, indent=2)
     names = data.task_names
+    files = {}
     try:
         result = search(config, supergraph, data)
-    except SearchError as exc:  # returned, not raised: a pool would drop exc.trace
-        # the trace holds the steps before the failing one
-        failure = {"stage": "search", "step": len(exc.trace) + 1, "message": str(exc)}
-        return {"seed": config.seed, **failure}, {
-            "trace.csv": _trace_csv(exc.trace, names),
-            "failure.json": dumps(failure) + "\n",
-        }
+        files["trace.csv"] = _trace_csv(result.trace, names)
+        test_mse = retrain(result.structure, supergraph, data, config).test_mse
+    except (NumericError, SearchError) as exc:  # returned, not raised: a pool would drop exc.trace
+        if exc.stage is None:  # not a training step's failure
+            raise
+        if isinstance(exc, SearchError):
+            files["trace.csv"] = _trace_csv(exc.trace, names)
+        failure = {"stage": exc.stage, "step": exc.step, "message": str(exc)}
+        files["failure.json"] = dumps(failure) + "\n"
+        return {"seed": config.seed, "error": type(exc), **failure}, files
     metrics = {
         "experiment": experiment,
         "seed": config.seed,
         "lambda": config.resource_weight,
         "structure_hash": structure_hash(result.structure),
         "structure_cost": structure_cost(result.structure, supergraph.cost_table),
-        "test_mse": retrain(result.structure, supergraph, data, config).test_mse,
+        "test_mse": test_mse,
     }
     return metrics, {
         "structure.json": dumps(structure_to_json(result.structure, names)) + "\n",
         "structure.dot": export_dot(result.structure, names),
-        "trace.csv": _trace_csv(result.trace, names),
+        "trace.csv": files["trace.csv"],
         "metrics.json": dumps(metrics) + "\n",
     }
 
@@ -289,13 +218,13 @@ def cmd_search(args) -> int:
 def _write_seeds(out_root: Path, results):
     """Write each seed's artifacts as its result arrives, in seed order, so
     that a failing seed leaves the seeds before it written; the failing seed
-    writes its partial trace and failure.json, then raises its SearchError."""
+    writes its files, then raises an error of the same kind and message."""
     for metrics, artifacts in results:
         seed_dir = out_root / f"seed{metrics['seed']}"
         for name, text in artifacts.items():
             _write_atomic(seed_dir / name, text)
         if "failure.json" in artifacts:
-            raise SearchError(metrics["message"])
+            raise metrics["error"](metrics["message"])
         _log(
             "seed_done",
             seed=metrics["seed"],
@@ -335,7 +264,7 @@ def _probs_entries(num_tasks: int) -> np.ndarray:
     ], dtype=object)
     later = "," + blocks  # a block after the first; no text for an empty one
     later[0] = ""
-    masks = block_masks(rgs_table(num_tasks))
+    masks = block_masks(num_tasks)
     entries = f'{_ENTRY_TAIL},{_ENTRY_BREAK}{{{_KEY_BREAK}"partition": [' + blocks[masks[:, 0]]
     for column in masks.T[1:]:
         entries += later[column]
@@ -445,63 +374,75 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_VERBS = ("search", "expected-cost", "enumerate", "eval", "export-dot")
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """Built on the first main() call and reused by the later ones; each
-    parse_args call fills a new namespace, so no call sees another's options."""
+def build_parser(verb: str | None) -> argparse.ArgumentParser:
+    """The parser of verb alone, or of every verb when verb is None; a verb's
+    command lines read, fail and print help alike in both. Built on a verb's
+    first main() call and reused by its later ones; each parse_args call
+    fills a new namespace, so no call sees another's options."""
     parser = _Parser(
         prog="bmtas",
         description="Branched multi-task architecture search on a toy supergraph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("search", help="run warm-up, search and retraining per seed")
-    p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the seed list")
-    p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument(
-        "--lambda",
-        dest="lambda_override",
-        type=float,
-        default=None,
-        help="override the resource weight",
-    )
-    p.set_defaults(handler=cmd_search)
+    if verb in (None, "search"):
+        p = sub.add_parser("search", help="run warm-up, search and retraining per seed")
+        p.add_argument("--config", required=True, help="run config JSON")
+        p.add_argument("--seed", type=int, default=None, help="override the seed list")
+        p.add_argument("--out", default=None, help="override the output directory")
+        p.add_argument(
+            "--lambda",
+            dest="lambda_override",
+            type=float,
+            default=None,
+            help="override the resource weight",
+        )
+        p.set_defaults(handler=cmd_search)
 
-    p = sub.add_parser("expected-cost", help="expected cost of a logit tensor")
-    p.add_argument("--alpha", required=True, help="logits JSON: [task][layer][candidate]")
-    p.add_argument(
-        "--widths", default=None, help="comma-separated layer widths, not with --unit-costs"
-    )
-    p.add_argument("--unit-costs", default=None, help="comma-separated per-layer costs")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against full enumeration of the T^(T*L) joint routings, "
-        f"at most {ENUM_GUARD:,}; exit 1 on disagreement",
-    )
-    p.set_defaults(handler=cmd_expected_cost)
+    if verb in (None, "expected-cost"):
+        p = sub.add_parser("expected-cost", help="expected cost of a logit tensor")
+        p.add_argument("--alpha", required=True, help="logits JSON: [task][layer][candidate]")
+        p.add_argument(
+            "--widths", default=None, help="comma-separated layer widths, not with --unit-costs"
+        )
+        p.add_argument("--unit-costs", default=None, help="comma-separated per-layer costs")
+        p.add_argument(
+            "--oracle",
+            action="store_true",
+            help="cross-check against full enumeration of the T^(T*L) joint routings, "
+            f"at most {ENUM_GUARD:,}; exit 1 on disagreement",
+        )
+        p.set_defaults(handler=cmd_expected_cost)
 
-    p = sub.add_parser("enumerate", help="partition and structure counts")
-    p.add_argument("--tasks", type=int, required=True)
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--unit-costs", default=None, help="comma-separated per-layer costs")
-    p.set_defaults(handler=cmd_enumerate)
+    if verb in (None, "enumerate"):
+        p = sub.add_parser("enumerate", help="partition and structure counts")
+        p.add_argument("--tasks", type=int, required=True)
+        p.add_argument("--layers", type=int, required=True)
+        p.add_argument("--unit-costs", default=None, help="comma-separated per-layer costs")
+        p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("eval", help="average relative metric vs a baseline")
-    p.add_argument("--model", required=True, help="metric record JSON")
-    p.add_argument("--baseline", required=True, help="metric record JSON")
-    p.set_defaults(handler=cmd_eval)
+    if verb in (None, "eval"):
+        p = sub.add_parser("eval", help="average relative metric vs a baseline")
+        p.add_argument("--model", required=True, help="metric record JSON")
+        p.add_argument("--baseline", required=True, help="metric record JSON")
+        p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("export-dot", help="render a structure JSON as Graphviz")
-    p.add_argument("--structure", required=True, help="structure JSON path")
-    p.set_defaults(handler=cmd_export_dot)
+    if verb in (None, "export-dot"):
+        p = sub.add_parser("export-dot", help="render a structure JSON as Graphviz")
+        p.add_argument("--structure", required=True, help="structure JSON path")
+        p.set_defaults(handler=cmd_export_dot)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # a command line that starts with no verb gets every verb's usage text
+        args = build_parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
         status = args.handler(args)
         sys.stdout.flush()
         return status

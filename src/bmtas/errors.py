@@ -18,7 +18,11 @@ class DomainError(BmtasError, ValueError):
 
 
 class NumericError(BmtasError, ArithmeticError):
-    """A computation produced non-finite values."""
+    """A computation produced non-finite values; in training, at stage's step."""
+
+    def __init__(self, message, stage=None, step=None):
+        super().__init__(message)
+        self.stage, self.step = stage, step
 
 
 class ConfigError(BmtasError, ValueError):
@@ -26,8 +30,9 @@ class ConfigError(BmtasError, ValueError):
 
 
 class SearchError(BmtasError, RuntimeError):
-    """Architecture search aborted. Carries the trace up to the failure."""
+    """Architecture search aborted. Carries the trace of the steps before the failing one."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
+        self.stage, self.step = "search", len(self.trace) + 1

@@ -19,8 +19,8 @@ from .errors import BoundsError, DimensionMismatch
 # Largest task count a grouping may cover; the config schema's num_tasks
 # bound reads it. Neither the expected cost nor the grouping distribution needs
 # lattice tables: on a 2-core machine a default-length T=8 four-pair
-# `bmtas search` took 0.70-0.75 s and 43 MB; a T=8, L=4 `bmtas expected-cost` 0.037-0.056 s
-# cold (building its per-T tables), 0.016-0.019 s warm, 0.17-0.20 s and 47 MB as a process.
+# `bmtas search` took 0.70-0.75 s and 43 MB; a T=8, L=4 `bmtas expected-cost` 0.035-0.038 s
+# cold (building its parser and tables), 0.019-0.020 s warm, 0.15-0.16 s and 48 MB as a process.
 MAX_TASKS = 8
 
 
@@ -122,12 +122,15 @@ def rgs_table(num_tasks: int) -> np.ndarray:
     return rows
 
 
-def block_masks(rgs: np.ndarray) -> np.ndarray:
-    """masks[k, b]: bitmask of block b of RGS row k (bit u set iff task u is
-    in it), 0 past the row's last block."""
+@lru_cache(maxsize=None)
+def block_masks(num_tasks: int) -> np.ndarray:
+    """masks[k, b]: bitmask of block b of row k of rgs_table(num_tasks) (bit u
+    set iff task u is in it), 0 past the row's last block; read-only."""
+    rgs = rgs_table(num_tasks)
     masks = np.zeros(rgs.shape, dtype=np.int64)
     for u, block in enumerate(rgs.T):
         masks[np.arange(len(rgs)), block] |= 1 << u
+    masks.setflags(write=False)
     return masks
 
 

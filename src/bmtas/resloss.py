@@ -189,7 +189,7 @@ def _merge_tables(num_tasks: int) -> tuple:
     of the union of k's blocks that s puts in block j, or 0. merged is
     block-major, so each block's gather index is one contiguous array."""
     rgs = rgs_table(num_tasks)
-    masks = block_masks(rgs)
+    masks = block_masks(num_tasks)
     sizes = rgs.max(axis=1) + 1
     factorials = np.array([math.factorial(k) for k in range(num_tasks)], dtype=np.float64)
     tables = []
@@ -199,9 +199,9 @@ def _merge_tables(num_tasks: int) -> tuple:
         s = np.arange(len(merges))
         counts = np.zeros(merges.shape, dtype=np.int64)  # block sizes of each merge
         merged = np.zeros((m, len(s), rows.sum()), dtype=np.int64)
-        for i, block in enumerate(merges.T):
+        for block, bits in zip(merges.T, masks[rows, :m].T.copy()):  # contiguous rows
             counts[s, block] += 1
-            merged[block, s] += masks[rows, i]  # k's blocks are disjoint: the sum is the union
+            merged[block, s] += bits  # k's blocks are disjoint: the sum is the union
         less = np.maximum(counts - 1, 0)  # merged block sizes less one
         mu = (-1.0) ** less.sum(axis=1) * factorials[less].prod(axis=1)
         tables.append((rows, mu, merged))

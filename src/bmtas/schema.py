@@ -1,8 +1,11 @@
-"""A JSON Schema checker for the keywords of `cli.CONFIG_SCHEMA`, in the words
-of jsonschema 4.26 and with its best_match's choice among several errors, on
-a 2020-12 validator with Draft 4's types."""
+"""The run config's schema, `CONFIG_SCHEMA`, and a checker for its keywords in
+the words of jsonschema 4.26, with its best_match's choice among several
+errors, on a 2020-12 validator with Draft 4's types. Only `cli.load_config`
+imports this module, so that the other verbs do not compile it."""
 
 import operator
+
+from .partition import MAX_TASKS
 
 # the schema's types; an integer is a JSON integer, never 3.0, and a bool is none of them
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
@@ -15,6 +18,62 @@ _BOUNDS = {
     "minimum": (operator.lt, "is less than the minimum of"),
     "maximum": (operator.gt, "is greater than the maximum of"),
     "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
+
+
+def _array(items: dict, min_items: int = 1) -> dict:
+    return {"type": "array", "items": items, "minItems": min_items}
+
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["experiment", "supergraph", "benchmark"],
+    "properties": {
+        "experiment": {"type": "string", "minLength": 1},
+        "output_dir": {"type": "string", "minLength": 1},
+        "seeds": _array({"type": "integer", "minimum": 0}),
+        "supergraph": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["widths"],
+            "properties": {
+                "widths": _array({"type": "integer", "minimum": 1}, min_items=2),
+                "unit_costs": _array({"type": "number", "exclusiveMinimum": 0}),
+            },
+        },
+        "benchmark": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["num_tasks", "input_dim", "hidden_dim", "target_dim", "relatedness"],
+            "properties": {
+                "num_tasks": {"type": "integer", "minimum": 1, "maximum": MAX_TASKS},
+                "input_dim": {"type": "integer", "minimum": 1},
+                "hidden_dim": {"type": "integer", "minimum": 1},
+                "target_dim": {"type": "integer", "minimum": 1},
+                "relatedness": _array(_array({"type": "integer", "minimum": 0})),
+                "noise_std": {"type": "number", "minimum": 0},
+                "train_samples": {"type": "integer", "minimum": 2},
+                "test_samples": {"type": "integer", "minimum": 1},
+                "signal_scale": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "search": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "lambda": {"type": "number", "minimum": 0},
+                "warmup_steps": {"type": "integer", "minimum": 0},
+                "search_steps": {"type": "integer", "minimum": 1},
+                "tau_start": {"type": "number", "exclusiveMinimum": 0},
+                "tau_end": {"type": "number", "exclusiveMinimum": 0},
+                "theta_lr": {"type": "number", "exclusiveMinimum": 0},
+                "alpha_lr": {"type": "number", "exclusiveMinimum": 0},
+                "retrain_steps": {"type": "integer", "minimum": 0},
+                "omega": _array({"type": "number", "exclusiveMinimum": 0}),
+            },
+        },
+    },
 }
 
 

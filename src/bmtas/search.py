@@ -262,7 +262,8 @@ def _fit(stage, params, routing, data, omega, steps, rng, lr, lr_scales=None):
             try:
                 grads = backward(params, routing, data, _batch(rng, all_rows), scale)[1]
             except NumericError as exc:
-                raise NumericError(f"non-finite value at {stage} step {step}: {exc}") from exc
+                message = f"non-finite value at {stage} step {step}: {exc}"
+                raise NumericError(message, stage, step) from exc
             opt.step(grads)
 
 

@@ -40,6 +40,7 @@ from bmtas.resloss import (
     expected_cost,
     grouping_distribution,
 )
+from bmtas.schema import CONFIG_SCHEMA
 from bmtas.seeding import rng_stream
 from conftest import PINNED_PLATFORM, fresh_env, fresh_python, random_alpha
 
@@ -95,10 +96,10 @@ def write_config(tmp_path, cfg, name="run.json"):
 # load_config's oracle: 2020-12 with Draft 4's type checker, whose integer is never 3.0
 JSONSCHEMA_VALIDATOR = jsonschema.validators.extend(
     jsonschema.Draft202012Validator, type_checker=jsonschema.Draft4Validator.TYPE_CHECKER
-)(cli.CONFIG_SCHEMA)
+)(CONFIG_SCHEMA)
 
 
-def schema_paths(schema=cli.CONFIG_SCHEMA, path=()) -> dict:
+def schema_paths(schema=CONFIG_SCHEMA, path=()) -> dict:
     """Each object or array path that the schema names -> its keys, or its
     indices 0..2."""
     children = schema.get("properties") or dict.fromkeys(range(3), schema.get("items"))
@@ -203,7 +204,7 @@ class TestLoadConfig:
             load_config(str(path))
 
     def test_schema_is_valid(self):
-        jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
     def test_schema_vocabulary(self):
         # every keyword and type the schema uses, so that a reader or
@@ -218,7 +219,7 @@ class TestLoadConfig:
             if "items" in node:
                 walk(node["items"])
 
-        walk(cli.CONFIG_SCHEMA)
+        walk(CONFIG_SCHEMA)
         assert keywords == {
             "type",
             "required",
@@ -271,7 +272,7 @@ class TestLoadConfig:
         bad[section].update(edits)
         path = write_config(tmp_path, bad)
         with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(bad, cli.CONFIG_SCHEMA)
+            jsonschema.validate(bad, CONFIG_SCHEMA)
         with pytest.raises(ConfigError) as got:
             load_config(path)
         assert str(got.value) == f"{path}: {want.value.json_path}: {want.value.message}"
@@ -311,6 +312,39 @@ class TestExitCodes:
         rows = list(csv.reader(io.StringIO((seed_dir / "trace.csv").read_text())))
         assert rows[0][:2] == ["step", "tau"]
         assert [int(r[0]) for r in rows[1:]] == list(range(1, failure["step"]))
+
+    @pytest.mark.parametrize(
+        "stage, settings, step",
+        [
+            ("warm-up", {"theta_lr": 1e8}, 19),
+            (
+                "retrain",
+                {"warmup_steps": 0, "search_steps": 1, "retrain_steps": 400, "theta_lr": 3},
+                162,
+            ),
+        ],
+        ids=["warm-up", "retrain"],
+    )
+    def test_a_diverging_warm_up_or_retraining_keeps_its_failure(
+        self, tmp_path, capsys, stage, settings, step
+    ):
+        assert main(bad_config(tmp_path, search=settings)) == 1
+        line = json.loads(capsys.readouterr().err.splitlines()[-1])
+        message = f"non-finite value at {stage} step {step}: tensor holds NaN or Inf"
+        assert line == {"event": "runtime_error", "error": message, "kind": "NumericError"}
+        seed_dir = tmp_path / "runs" / "toy" / "seed0"
+        failure = json.loads((seed_dir / "failure.json").read_text())
+        assert failure == {"stage": stage, "step": step, "message": message}
+        if stage == "warm-up":  # no search step finished
+            assert sorted(p.name for p in seed_dir.iterdir()) == ["failure.json"]
+            return
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["failure.json", "trace.csv"]
+        # the finished search's trace: that of the same run with no retraining
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        assert main(bad_config(clean, search={**settings, "retrain_steps": 0})) == 0
+        clean_trace = (clean / "runs" / "toy" / "seed0" / "trace.csv").read_text()
+        assert (seed_dir / "trace.csv").read_text() == clean_trace
 
     def test_impossible_width_is_one_runtime_error(self, tmp_path, capsys):
         # numpy refuses a (8, 10**18) float64 array before allocating anything
@@ -599,6 +633,111 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: bmtas enumerate")
 
 
+# command lines that parse, for each verb: every option, = forms and an abbreviation
+GOOD_COMMAND_LINES = [
+    ["search", "--config", "run.json"],
+    ["search", "--config", "run.json", "--seed", "3", "--out", "o", "--lambda", "0.5"],
+    ["search", "--conf=run.json", "--lambda=-1e3", "--seed=0"],
+    ["expected-cost", "--alpha", "a.json"],
+    ["expected-cost", "--alpha", "a.json", "--widths", "4,2", "--oracle"],
+    ["expected-cost", "--alpha=a.json", "--unit-costs=", "--widths=x"],
+    ["enumerate", "--tasks", "3", "--layers", "2"],
+    ["enumerate", "--layers", "-5", "--tasks", "9", "--unit-costs", "1,2"],
+    ["eval", "--model", "m.json", "--baseline", "b.json"],
+    ["export-dot", "--structure", "s.json"],
+]
+
+TOP_LEVEL_HELP = """\
+usage: bmtas [-h] {search,expected-cost,enumerate,eval,export-dot} ...
+
+Branched multi-task architecture search on a toy supergraph.
+
+positional arguments:
+  {search,expected-cost,enumerate,eval,export-dot}
+    search              run warm-up, search and retraining per seed
+    expected-cost       expected cost of a logit tensor
+    enumerate           partition and structure counts
+    eval                average relative metric vs a baseline
+    export-dot          render a structure JSON as Graphviz
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def parse_outcome(parser, argv) -> tuple[bool, str]:
+    """Whether parse_args accepts argv, and the repr of the namespace it fills
+    (a NaN equals itself there) or the text of its ConfigError."""
+    try:
+        return True, repr(parser.parse_args(argv))
+    except ConfigError as exc:
+        return False, str(exc)
+
+
+# the BAD_INPUTS that the parser rejects: a bad command line, not a bad input
+PARSER_CASES = {
+    "enumerate-non-integer-tasks",
+    "search-non-integer-seed",
+    "expected-cost-without-alpha",
+}
+# the BAD_INPUTS that name no verb, for which main builds every verb's parser
+NO_VERB_CASES = {"no-verb", "unknown-verb"}
+
+
+class TestOneVerbParser:
+    """A command line that names a verb first is parsed by that verb's parser
+    alone; the parser of every verb, build_parser(None), is its oracle."""
+
+    def test_every_verb_has_a_parser_of_its_own(self):
+        def verbs(parser):
+            return list(parser._subparsers._group_actions[0].choices)
+
+        assert verbs(cli.build_parser(None)) == list(cli._VERBS)
+        for verb in cli._VERBS:
+            assert verbs(cli.build_parser(verb)) == [verb]
+
+    @pytest.mark.parametrize("argv", GOOD_COMMAND_LINES, ids=" ".join)
+    def test_good_command_lines_fill_the_same_namespace(self, argv):
+        one = parse_outcome(cli.build_parser(argv[0]), argv)
+        assert one[0] and one == parse_outcome(cli.build_parser(None), argv)
+
+    @pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c not in NO_VERB_CASES])
+    def test_bad_inputs_parse_alike(self, case, tmp_path):
+        argv = BAD_INPUTS[case](tmp_path)
+        assert argv[0] in cli._VERBS
+        full = parse_outcome(cli.build_parser(None), argv)
+        assert parse_outcome(cli.build_parser(argv[0]), argv) == full
+        # the command-line cases fail in the parser, the others after it
+        assert full[0] == (case not in PARSER_CASES)
+
+    @pytest.mark.parametrize("verb", cli._VERBS)
+    def test_help_is_byte_identical(self, verb, capsys):
+        texts = []
+        for parser in (cli.build_parser(verb), cli.build_parser(None)):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args([verb, "-h"])
+            assert exit_.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        assert texts[0].out.startswith(f"usage: bmtas {verb} [-h]") and texts[0].err == ""
+
+    def test_no_verb_prints_every_verbs_text(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr() == (TOP_LEVEL_HELP, "")
+        errors = {
+            (): "the following arguments are required: command",
+            ("optimize",): "argument command: invalid choice: 'optimize' (choose from "
+            "'search', 'expected-cost', 'enumerate', 'eval', 'export-dot')",
+        }
+        for argv, error in errors.items():
+            assert main(list(argv)) == 2
+            line = json.dumps({"error": error, "event": "config_error"}) + "\n"
+            assert capsys.readouterr() == ("", line)
+
+
 # inputs whose arithmetic overflows: numpy would warn on stderr
 OVERFLOWING = {
     "search-signal-scale-1e308": (
@@ -765,7 +904,14 @@ class TestExpectedCost:
         # unit costs 16 and 8; E[blocks] is 1.5 at layer 1 and 1.75 at layer 2
         assert json.loads(capsys.readouterr().out)["expected_cost"] == pytest.approx(38.0)
         info = cli.build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        # a second verb builds its own parser once; the first verb's stays
+        for _ in range(2):
+            assert main(["enumerate", "--tasks", "2", "--layers", "1"]) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
     def test_a_reader_that_closes_early_gets_one_runtime_error(self, tmp_path):
         alpha = self.write_alpha(tmp_path, random_alpha(np.random.default_rng(7), 7, 4).tolist())
@@ -1102,9 +1248,10 @@ class TestTaskCountCaches:
             "print(c._probs_entries.cache_info().currsize, "
             "r._merge_tables.cache_info().currsize, "
             "p.rgs_table.cache_info().currsize, "
+            "p.block_masks.cache_info().currsize, "
             "p.enumerate_partitions.cache_info().currsize)"
         )
-        assert fresh_python(code) == "0 0 0 0\n"
+        assert fresh_python(code) == "0 0 0 0 0\n"
 
     def test_a_cold_expected_cost_builds_one_rgs_table(self):
         # the per-T tables read rgs_table(T) alone, not one table per block count
@@ -1116,9 +1263,12 @@ class TestTaskCountCaches:
             "path.write_text(json.dumps(np.random.default_rng(7).normal(size=(7, 4, 7)).tolist()))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = c.main(['expected-cost', '--alpha', str(path)])\n"
-            "print(code, p.rgs_table.cache_info().currsize)"
+            "import sys\n"
+            "print(code, p.rgs_table.cache_info().currsize, "
+            "p.block_masks.cache_info().currsize, 'bmtas.schema' in sys.modules)"
         )
-        assert fresh_python(code) == "0 1\n"
+        # one mask table serves _merge_tables and _probs_entries; no config schema
+        assert fresh_python(code) == "0 1 1 False\n"
 
     def test_enumerate_builds_one_rgs_table(self):
         code = (

@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import spearmanr
 
 from bmtas import eval as bmtas_eval
-from bmtas.cli import CONFIG_SCHEMA
 from bmtas.errors import DimensionMismatch, DomainError
 from bmtas.eval import (
     MetricRecord,
@@ -16,6 +15,7 @@ from bmtas.eval import (
     rsa_matrix,
 )
 from bmtas.partition import Partition
+from bmtas.schema import CONFIG_SCHEMA
 from bmtas.seeding import rng_stream
 from conftest import fresh_python
 

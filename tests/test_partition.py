@@ -91,7 +91,7 @@ def test_rgs_table_bounds(num_tasks):
 
 @pytest.mark.parametrize("num_tasks", range(1, 6))
 def test_block_masks_match_blocks(num_tasks):
-    masks = block_masks(rgs_table(num_tasks))
+    masks = block_masks(num_tasks)
     for row, p in zip(masks.tolist(), enumerate_partitions(num_tasks)):
         want = [sum(1 << t for t in block) for block in p.blocks()]
         assert row == want + [0] * (num_tasks - len(want))
@@ -103,10 +103,11 @@ def test_block_masks_match_the_one_hot_product(num_tasks):
     rgs = rgs_table(num_tasks)
     tasks = np.arange(num_tasks)
     want = (rgs[:, None, :] == tasks[:, None]) @ (1 << tasks)
-    got = block_masks(rgs)
+    got = block_masks(num_tasks)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.flags.c_contiguous and got.flags.writeable
+    assert got.flags.c_contiguous and not got.flags.writeable  # one table per T, shared
     assert np.array_equal(got, want)
+    assert block_masks(num_tasks) is got
 
 
 @pytest.mark.parametrize("num_tasks", range(1, 6))

@@ -12,13 +12,13 @@ from scipy.special import softmax
 import bmtas.nncore
 import bmtas.relax
 import bmtas.resloss
-from bmtas.cli import CONFIG_SCHEMA
 from bmtas.errors import ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import Dataset, SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
 from bmtas.nncore import SGD, Adam, OperationParams
 from bmtas.partition import Partition
 from bmtas.relax import discretize, schedule_tau
+from bmtas.schema import CONFIG_SCHEMA
 from bmtas.search import (
     RetrainedModel,
     SearchConfig,
