@@ -17,10 +17,8 @@ import numpy as np
 from .errors import BoundsError, DimensionMismatch
 
 # Largest task count a grouping may cover; the config schema's num_tasks
-# bound reads it. Neither the expected cost nor the grouping distribution needs
-# lattice tables: on a 2-core machine a default-length T=8 four-pair
-# `bmtas search` took 0.70-0.75 s and 43 MB; a T=8, L=4 `bmtas expected-cost` 0.035-0.038 s
-# cold (building its parser and tables), 0.019-0.020 s warm, 0.15-0.16 s and 48 MB as a process.
+# bound reads it. Neither the expected cost nor the grouping distribution
+# needs lattice tables.
 MAX_TASKS = 8
 
 

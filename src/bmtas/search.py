@@ -1,6 +1,7 @@
 """Branching search: warm-up, alternating architecture/weight updates with
 an annealed Gumbel-Softmax, argmax discretization, and from-scratch
-retraining of the found structure.
+retraining of the found structure. The soft sample multiplies candidate
+outputs directly (a mixture); there is no straight-through pass.
 
 One batched engine carries every stage. `_features` runs all tasks'
 encoders at once over the stacked operation arrays of `OperationParams`,
@@ -36,11 +37,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, SearchError
+from .errors import BoundsError, ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
 from .nncore import SGD, Adam, OperationParams, Tensor
-from .relax import discretize, gumbel_noise, schedule_tau
 from .resloss import ArchitectureParams, _cost_and_grad, softmax
 # benchmarks/tracing.py patches these names here; nothing in this module calls them
 from .resloss import expected_cost, expected_cost_grad
@@ -48,6 +48,8 @@ from .seeding import rng_stream
 
 BATCH_SIZE = 32  # training rows per weight or architecture step
 ALPHA_DATA_FRACTION = 0.2  # share of the training rows kept for the architecture steps
+# keeps -log(-log(u)) finite at both ends of the uniform draw
+NOISE_EPS = 1e-12
 
 
 class SearchConfig:
@@ -282,6 +284,25 @@ def warm_up(supergraph: SupergraphSpec, data: Dataset, config: SearchConfig) -> 
     return params
 
 
+def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Standard Gumbel draws via -log(-log(u)), u kept away from {0, 1}."""
+    u = rng.uniform(NOISE_EPS, 1.0 - NOISE_EPS, size=shape)
+    return -np.log(-np.log(u))
+
+
+def schedule_tau(start: float, end: float, step: int, total: int) -> float:
+    """The temperature at step 0..total of a linear anneal from start to end."""
+    if not 0 <= step <= total:
+        raise BoundsError(f"step {step} outside 0..{total}")
+    return start + (end - start) * (step / total)
+
+
+def discretize(alpha: ArchitectureParams) -> np.ndarray:
+    """The (tasks, layers) array of argmax picks: picks[t, l] is the operation
+    task t takes at layer l + 1. Ties resolve to the lowest candidate index."""
+    return alpha.logits.argmax(axis=2)
+
+
 def search(
     config: SearchConfig,
     supergraph: SupergraphSpec,
@@ -422,9 +443,8 @@ def retrain(
     steps, lr = config.retrain_steps, config.theta_lr
     _fit("retrain", params, routing, data, omega, steps, batches, lr, scales + [1.0, 1.0])
 
-    model = RetrainedModel(structure, params, test_mse={})
     # the test error in backward's order of operations, which fixes its bits
-    err = head_forward(params, model.features(data.inputs_test)) - data.targets_test
-    model.test_mse.update((name, float((e * e).mean())) for name, e in zip(names, err))
-    return model
+    err = head_forward(params, _features(params, routing, data.inputs_test)[0]) - data.targets_test
+    test_mse = {name: float((e * e).mean()) for name, e in zip(names, err)}
+    return RetrainedModel(structure, params, test_mse)
 

@@ -24,7 +24,6 @@ from bmtas.eval import (
 from bmtas.graph import CostTable, SupergraphSpec, derive_groupings, structure_cost
 from bmtas.nncore import OperationParams
 from bmtas.partition import Partition, enumerate_partitions, refines
-from bmtas.relax import gumbel_noise
 from bmtas.resloss import (
     ENUM_GUARD,
     ArchitectureParams,
@@ -33,7 +32,15 @@ from bmtas.resloss import (
     expected_cost_grad,
 )
 from bmtas.resloss import softmax as bmtas_softmax
-from bmtas.search import SearchConfig, _architecture_grad, _loss_scale, backward, retrain, search
+from bmtas.search import (
+    SearchConfig,
+    _architecture_grad,
+    _loss_scale,
+    backward,
+    gumbel_noise,
+    retrain,
+    search,
+)
 from bmtas.seeding import rng_stream
 from conftest import PINNED_PLATFORM, central_diff, random_alpha, relative_error
 

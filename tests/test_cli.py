@@ -1382,6 +1382,16 @@ class TestLazyImports:
         code = "import sys, bmtas.cli; print('hashlib' in sys.modules)"
         assert fresh_python(code) == "False\n"
 
+    def test_import_loads_exactly_these_bmtas_modules(self):
+        # a guard against import creep: every verb and benchmark cycle compiles
+        # each of these, and `schema` loads only when `load_config` first runs
+        code = (
+            "import sys, bmtas.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'bmtas')))"
+        )
+        names = "cli errors eval graph nncore partition resloss search seeding".split()
+        assert fresh_python(code) == " ".join(["bmtas"] + [f"bmtas.{n}" for n in names]) + "\n"
+
     @pytest.mark.parametrize("verb", list(VERBS))
     def test_verbs_other_than_search_load_neither_scipy_nor_jsonschema(self, verb, tmp_path):
         assert modules_loaded_by(VERBS[verb](tmp_path)) == ["bmtas", "numpy"]

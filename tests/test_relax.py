@@ -3,10 +3,9 @@ import pytest
 from scipy.special import softmax
 
 from bmtas.errors import BoundsError, ConfigError
-from bmtas.relax import discretize, gumbel_noise, schedule_tau
 from bmtas.resloss import ArchitectureParams
 from bmtas.resloss import softmax as bmtas_softmax
-from bmtas.search import SearchConfig
+from bmtas.search import SearchConfig, discretize, gumbel_noise, schedule_tau
 from bmtas.seeding import rng_stream
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -10,14 +11,12 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 import bmtas.nncore
-import bmtas.relax
 import bmtas.resloss
 from bmtas.errors import ConfigError, DomainError, NumericError, SearchError
 from bmtas.eval import Dataset, SyntheticTaskSpec, generate_tasks
 from bmtas.graph import SupergraphSpec, derive_groupings, structure_hash
 from bmtas.nncore import SGD, Adam, OperationParams
 from bmtas.partition import Partition
-from bmtas.relax import discretize, schedule_tau
 from bmtas.schema import CONFIG_SCHEMA
 from bmtas.search import (
     RetrainedModel,
@@ -29,7 +28,9 @@ from bmtas.search import (
     _fit,
     _loss_scale,
     backward as engine_backward,
+    discretize,
     retrain,
+    schedule_tau,
     search,
     warm_up,
 )
@@ -108,12 +109,13 @@ class TestSearchConfig:
     def test_removed_names_are_gone(self):
         config_names = set(inspect.signature(SearchConfig).parameters)
         assert not {"schedule", "alpha_betas"} & config_names
-        assert not hasattr(bmtas.relax, "TemperatureSchedule")
+        assert importlib.util.find_spec("bmtas.relax") is None
+        assert not hasattr(bmtas.search, "TemperatureSchedule")
         assert not hasattr(bmtas.nncore, "LossWeights")
         for stage in (warm_up, retrain):
             assert not {"steps", "rng", "seed"} & set(inspect.signature(stage).parameters)
         # names that only tests read, and optimizer options with one value in use
-        assert not hasattr(bmtas.relax, "sample_soft")
+        assert not hasattr(bmtas.search, "sample_soft")
         assert not {"select_tasks", "input_dim"} & set(dir(Dataset))
         assert not {"coarsest", "finest"} & set(dir(Partition))
         assert not {"num_heads", "named_parameters"} & set(dir(OperationParams))
