@@ -16,12 +16,12 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache, partial
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BmtasError, ConfigError, NumericError, SearchError
-from .eval import MetricRecord, SyntheticTaskSpec, delta_m, generate_tasks
 from .graph import (
     CostTable,
     SupergraphSpec,
@@ -39,8 +39,33 @@ from .resloss import (
     expected_cost,
     grouping_distribution,
 )
-from .search import SearchConfig, retrain, search
-from .seeding import rng_stream
+
+# the training stack's names that a search uses, by module; bound on first use
+# by _load_training, so that the other verbs never compile these modules
+_TRAINING = {
+    "eval": ("SyntheticTaskSpec", "generate_tasks"),
+    "search": ("SearchConfig", "retrain", "search"),
+    "seeding": ("rng_stream",),
+}
+
+
+def _load_training():
+    """Bind the training stack's names into this module; a name already bound,
+    as one patched from outside is, is kept."""
+    for module, names in _TRAINING.items():
+        loaded = import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    # for benchmarks/tracing.py and the tests that read or patch the training
+    # stack's names here; it goes when the tracer no longer patches them
+    # (ROADMAP item 1, one span timer in src/)
+    if any(name in names for names in _TRAINING.values()):
+        _load_training()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _log(event: str, **fields):
@@ -48,10 +73,15 @@ def _log(event: str, **fields):
 
 
 def _write_atomic(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write text to path through a sibling .tmp file, which a failed write
+    removes; the error then names path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _finite(text: str) -> float:
@@ -89,6 +119,7 @@ def _reading_input():
 
 def load_config(path) -> dict:
     """Parse and schema-validate a run config; unknown keys are rejected."""
+    _load_training()  # a config is read only to run a search
     from .schema import CONFIG_SCHEMA, first_error  # here: the other verbs do not compile it
 
     obj = _load_json(path)
@@ -149,6 +180,7 @@ def _run_seed(job) -> tuple[dict, dict[str, str]]:
     finished search steps, unless its warm-up failed, and failure.json."""
     from .graph import structure_cost, structure_hash
 
+    _load_training()  # a spawned or forkserver worker imports this module afresh
     experiment, supergraph, task_spec, config = job
     data = generate_tasks(task_spec, rng_stream(config.seed, "data"))
     dumps = partial(json.dumps, sort_keys=True, indent=2)
@@ -221,6 +253,10 @@ def _write_seeds(out_root: Path, results):
     writes its files, then raises an error of the same kind and message."""
     for metrics, artifacts in results:
         seed_dir = out_root / f"seed{metrics['seed']}"
+        try:
+            seed_dir.mkdir(exist_ok=True)
+        except OSError as exc:  # as for the output root
+            raise ConfigError(f"cannot write {seed_dir}: {exc.strerror or exc}") from exc
         for name, text in artifacts.items():
             _write_atomic(seed_dir / name, text)
         if "failure.json" in artifacts:
@@ -352,6 +388,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .eval import MetricRecord, delta_m
+
     with _reading_input():
         model = MetricRecord.from_json(_load_json(args.model))
         baseline = MetricRecord.from_json(_load_json(args.baseline))
@@ -457,7 +495,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _log("config_error", error=str(exc))
         return 2
-    except BmtasError as exc:
+    except (BmtasError, OSError) as exc:  # as from _write_atomic, which names its file
         _log("runtime_error", error=str(exc), kind=type(exc).__name__)
         return 1
     except (MemoryError, ValueError) as exc:

@@ -1318,40 +1318,51 @@ class TestTaskCountCaches:
         assert fresh_python(code) == "True\n"
 
 
-def modules_loaded_by(argv) -> list:
+def modules_loaded_by(argv) -> tuple[list, list]:
     """The top-level modules outside the standard library that a fresh
-    interpreter loads from files while it runs `bmtas argv` in process. What
-    site's .pth files load at start-up is not counted, nor the modules that
-    Cython's runtime makes without a file."""
+    interpreter loads from files while it runs `bmtas argv` in process, and
+    the bmtas modules that running it adds to those `import bmtas.cli` loads.
+    What site's .pth files load at start-up is not counted, nor the modules
+    that Cython's runtime makes without a file."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import contextlib, io\n"
         "from bmtas.cli import main\n"
+        "imported = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
         "new = set(sys.modules) - before\n"
         "loaded = {m.split('.')[0] for m in new if getattr(sys.modules[m], '__file__', None)}\n"
-        "print(sorted(loaded - sys.stdlib_module_names))"
+        "added = [m[len('bmtas.'):] for m in set(sys.modules) - imported if m.startswith('bmtas.')]\n"
+        "print((sorted(loaded - sys.stdlib_module_names), sorted(added)))"
     )
     return ast.literal_eval(fresh_python(code))
 
 
+# each verb's command line, and the bmtas modules that the verb loads beyond
+# those `import bmtas.cli` loads
 VERBS = {
-    "expected-cost": lambda p: [
-        "expected-cost",
-        "--alpha",
-        input_file(p, json.dumps(rng_stream(5, "alpha").normal(size=(7, 4, 7)).tolist())),
-    ],
-    "enumerate": lambda p: ["enumerate", "--tasks", "4", "--layers", "3"],
-    "eval": lambda p: eval_argv(p, record(("a", 1.0)), record(("a", 2.0))),
-    "export-dot": lambda p: [
-        "export-dot",
-        "--structure",
-        input_file(
-            p, json.dumps(structure_to_json(derive_groupings([[0, 0], [0, 1]]), ["a", "b"]))
-        ),
-    ],
+    "expected-cost": (
+        lambda p: [
+            "expected-cost",
+            "--alpha",
+            input_file(p, json.dumps(rng_stream(5, "alpha").normal(size=(7, 4, 7)).tolist())),
+        ],
+        [],
+    ),
+    "enumerate": (lambda p: ["enumerate", "--tasks", "4", "--layers", "3"], []),
+    "eval": (lambda p: eval_argv(p, record(("a", 1.0)), record(("a", 2.0))), ["eval"]),
+    "export-dot": (
+        lambda p: [
+            "export-dot",
+            "--structure",
+            input_file(
+                p, json.dumps(structure_to_json(derive_groupings([[0, 0], [0, 1]]), ["a", "b"]))
+            ),
+        ],
+        [],
+    ),
 }
 
 
@@ -1384,27 +1395,31 @@ class TestLazyImports:
 
     def test_import_loads_exactly_these_bmtas_modules(self):
         # a guard against import creep: every verb and benchmark cycle compiles
-        # each of these, and `schema` loads only when `load_config` first runs
+        # each of these; the training stack and `schema` load only when
+        # `load_config` first runs
         code = (
             "import sys, bmtas.cli; "
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'bmtas')))"
         )
-        names = "cli errors eval graph nncore partition resloss search seeding".split()
+        names = "cli errors graph partition resloss".split()
         assert fresh_python(code) == " ".join(["bmtas"] + [f"bmtas.{n}" for n in names]) + "\n"
 
     @pytest.mark.parametrize("verb", list(VERBS))
     def test_verbs_other_than_search_load_neither_scipy_nor_jsonschema(self, verb, tmp_path):
-        assert modules_loaded_by(VERBS[verb](tmp_path)) == ["bmtas", "numpy"]
+        # nor any bmtas module that they do not run
+        argv, loads = VERBS[verb]
+        assert modules_loaded_by(argv(tmp_path)) == (["bmtas", "numpy"], loads)
 
     def test_search_loads_neither_scipy_nor_jsonschema(self, loaded_by_search):
-        assert loaded_by_search == ["bmtas", "numpy"]
+        loads = ["eval", "nncore", "schema", "search", "seeding"]
+        assert loaded_by_search == (["bmtas", "numpy"], loads)
 
     def test_numpy_is_the_only_runtime_dependency(self, loaded_by_search):
         tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
         project = tomllib.loads((BENCHMARKS.parent / "pyproject.toml").read_text())["project"]
         assert project["dependencies"] == ["numpy>=1.24"]
         assert any(d.startswith("jsonschema") for d in project["optional-dependencies"]["test"])
-        assert loaded_by_search == ["bmtas", "numpy"]
+        assert loaded_by_search[0] == ["bmtas", "numpy"]
 
 
 TRACED_SPANS = {
@@ -1675,6 +1690,60 @@ class TestSearchCommand:
             "step": 4,
             "message": "non-finite value at step 4: injected",
         }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "block, event, code, named",
+        [
+            # seed1's directory cannot be made: a config problem, as for the output root
+            (lambda seed1: seed1.touch(), "config_error", 2, "seed1"),
+            # seed1's trace.csv cannot be replaced
+            (
+                lambda seed1: (seed1 / "trace.csv").mkdir(parents=True),
+                "runtime_error",
+                1,
+                "seed1/trace.csv",
+            ),
+        ],
+        ids=["seed-dir-is-a-file", "trace-is-a-directory"],
+    )
+    def test_a_failed_artifact_write_is_one_line(
+        self, block, event, code, named, workers, tmp_path, monkeypatch, capsys
+    ):
+        cfg = base_config(seeds=[0, 1])
+        cfg["search"].update(warmup_steps=1, search_steps=1, retrain_steps=1)
+        exp_dir = tmp_path / "runs" / cfg["experiment"]
+        exp_dir.mkdir(parents=True)
+        block(exp_dir / "seed1")
+        monkeypatch.setenv("BMTAS_WORKERS", workers)
+        assert self.run_search(tmp_path, cfg)[0] == code
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["event"] for e in events] == ["seed_done", event]
+        assert str(exp_dir / named) in events[1]["error"]
+        if event == "runtime_error":
+            assert events[1]["kind"] == "IsADirectoryError"
+        assert len(list((exp_dir / "seed0").iterdir())) == 4
+        assert list(exp_dir.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_a_pool_of_fresh_workers_matches_serial(self, method, tmp_path):
+        # such a worker imports bmtas.cli afresh, so that no name of the
+        # training stack is bound in it until its first seed
+        cfg = base_config(seeds=[0, 1])
+        _, serial_dir = self.run_search(tmp_path, cfg)
+        out = tmp_path / method
+        argv = ["search", "--config", write_config(tmp_path, cfg, "pool.json"), "--out", str(out)]
+        fresh_python(
+            "import multiprocessing, os, sys\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "os.environ['BMTAS_WORKERS'] = '2'\n"
+            "from bmtas.cli import main\n"
+            f"sys.exit(main({argv!r}))"
+        )
+        for seed in (0, 1):
+            for name in ("structure.json", "structure.dot", "trace.csv", "metrics.json"):
+                got = (out / cfg["experiment"] / f"seed{seed}" / name).read_bytes()
+                assert got == (serial_dir / f"seed{seed}" / name).read_bytes()
 
 
 class TestExportDot:
