@@ -2,7 +2,7 @@
 
 Commands: search, expected-cost, enumerate, eval, export-dot. Artifacts go
 to the output directory only; diagnostics are line-oriented JSON on stderr.
-Exit codes: 0 success, 1 runtime failure, 2 configuration problem.
+Exit codes: 0 success, 1 runtime failure, 2 configuration problem, 130 SIGINT.
 """
 
 from __future__ import annotations
@@ -504,6 +504,9 @@ def main(argv=None) -> int:
             raise
         _log("runtime_error", error=str(exc) or "out of memory", kind="MemoryError")
         return 1
+    except KeyboardInterrupt:  # SIGINT, whose shell code is 128 + 2
+        _log("runtime_error", error="interrupted", kind="KeyboardInterrupt")
+        return 130
 
 
 if __name__ == "__main__":

@@ -28,7 +28,9 @@ Every iteration draws fresh routing noise, takes one weight step on the
 large data split, one architecture step (task loss plus the weighted,
 normalized expected cost) on the small split, and resets weight momentum
 whenever the discretized architecture changes; the structure is derived
-again only when some task's argmax pick changes.
+again only when some task's argmax pick changes. Each stage draws its
+batches a block at a time, bit for bit as successive `Generator.choice`
+calls draw them, and gathers rows and routed weights with `take`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .resloss import expected_cost, expected_cost_grad
 from .seeding import rng_stream
 
 BATCH_SIZE = 32  # training rows per weight or architecture step
+BATCH_BLOCK = 256  # batches drawn at once; bounds a stage's draws whatever its steps
 ALPHA_DATA_FRACTION = 0.2  # share of the training rows kept for the architecture steps
 # keeps -log(-log(u)) finite at both ends of the uniform draw
 NOISE_EPS = 1e-12
@@ -122,8 +125,23 @@ class SearchResult(NamedTuple):
     trace: list[TraceRow]
 
 
-def _batch(rng: np.random.Generator, pool: np.ndarray) -> np.ndarray:
-    return pool[rng.choice(len(pool), size=min(BATCH_SIZE, len(pool)), replace=False)]
+def _batches(rng: np.random.Generator, pool: np.ndarray, steps: int):
+    """steps batches of k = min(BATCH_SIZE, len(pool)) rows of pool, each as
+    pool[rng.choice(len(pool), k, replace=False)] draws it: per block, one
+    integers call makes choice's Floyd draws, in 0..j for j = n-k .. n-1, then
+    its Fisher-Yates draws, in 0..i for i = k-1 .. 1, for every batch. choice
+    leaves Floyd only for n > 10000 and k > n // 50, which k <= 32 never meets."""
+    n, k = len(pool), min(BATCH_SIZE, len(pool))
+    bounds = np.r_[n - k + 1 : n + 1, k : 1 : -1]  # exclusive upper bounds
+    for start in range(0, steps, BATCH_BLOCK):
+        draws = rng.integers(bounds, size=(min(BATCH_BLOCK, steps - start), len(bounds)))
+        idx = draws[:, :k].copy()
+        for c in range(1, k):  # Floyd: a draw already taken takes j instead
+            idx[(idx[:, :c] == idx[:, c, None]).any(axis=1), c] = n - k + c
+        flat, first = idx.reshape(-1), np.arange(0, idx.size, k)
+        for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
+            flat[first + i], flat[first + j] = flat[first + j], flat[first + i]
+        yield from pool.take(idx)
 
 
 def _loss_scale(omega, data: Dataset, pool: np.ndarray) -> np.ndarray:
@@ -182,7 +200,9 @@ def _features(params: OperationParams, routing, x: np.ndarray):
     h, cache = x[None], []
     for w, b, r in zip(params.weights, params.biases, routing):
         soft = r is not None and r.ndim == 2
-        w, b = (w.data, b.data[:, None]) if r is None or soft else (w.data[r], b.data[r, None])
+        w, b = w.data, b.data[:, None]
+        if r is not None and not soft:
+            w, b = w.take(r, axis=0), b.take(r, axis=0)
         y = candidate_forward(h[:, None] if soft else h, w, b)
         cache.append((h, y, w))
         h = mixed_layer_forward(r, y) if soft else y
@@ -203,8 +223,8 @@ def backward(params: OperationParams, routing, data: Dataset, idx, scale, row_gr
     arrays. By default these are the gradients of sum_t omega[t] * loss_t,
     scale being `_loss_scale`, in the order of `params.parameters()`; with
     row_grads, instead, per layer the gradient of the soft routing[l]."""
-    h, cache = _features(params, routing, data.inputs_train[idx])
-    losses, diff = task_loss(head_forward(params, h), data.targets_train[:, idx])
+    h, cache = _features(params, routing, data.inputs_train.take(idx, axis=0))
+    losses, diff = task_loss(head_forward(params, h), data.targets_train.take(idx, axis=1))
     g = scale * diff
     g += g  # d/d diff of diff * diff, one term per factor
     if not row_grads:
@@ -260,9 +280,9 @@ def _fit(stage, params, routing, data, omega, steps, rng, lr, lr_scales=None):
     # a diverging step overflows; the finiteness checks of the engine and
     # ArchitectureParams raise NumericError for it, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
+        for step, idx in enumerate(_batches(rng, all_rows, steps), start=1):
             try:
-                grads = backward(params, routing, data, _batch(rng, all_rows), scale)[1]
+                grads = backward(params, routing, data, idx, scale)[1]
             except NumericError as exc:
                 message = f"non-finite value at {stage} step {step}: {exc}"
                 raise NumericError(message, stage, step) from exc
@@ -327,9 +347,10 @@ def search(
     if params is None:
         params = warm_up(supergraph, data, config)
 
-    gumbel_rng = rng_stream(config.seed, "search", "gumbel")
-    theta_batches = rng_stream(config.seed, "search", "theta-batches")
-    alpha_batches = rng_stream(config.seed, "search", "alpha-batches")
+    steps, seed = config.search_steps, config.seed
+    gumbel_rng = rng_stream(seed, "search", "gumbel")
+    theta_batches = _batches(rng_stream(seed, "search", "theta-batches"), theta_rows, steps)
+    alpha_batches = _batches(rng_stream(seed, "search", "alpha-batches"), alpha_rows, steps)
 
     theta_opt = SGD(params.parameters(), config.theta_lr)
     alpha_opt = Adam(np.zeros(logits_shape), config.alpha_lr)
@@ -343,21 +364,21 @@ def search(
     cost_grad = _cost_and_grad(alpha_now, supergraph.cost_table, penalized)[1]
 
     theta_scale, alpha_scale = (_loss_scale(omega, data, pool) for pool in (theta_rows, alpha_rows))
-    horizon = max(config.search_steps - 1, 1)
+    horizon = max(steps - 1, 1)
     trace: list[TraceRow] = []
     with np.errstate(over="ignore", invalid="ignore"):  # as in _fit
-        for step in range(1, config.search_steps + 1):
+        for step in range(1, steps + 1):
             tau = schedule_tau(config.tau_start, config.tau_end, step - 1, horizon)
             noise = gumbel_noise(logits_shape, gumbel_rng)
             try:
                 # weight phase: routing is a constant sample
                 rows = list(softmax((alpha_opt.value + noise) / tau, axis=2).swapaxes(0, 1))
-                idx = _batch(theta_batches, theta_rows)
+                idx = next(theta_batches)
                 losses, grads = backward(params, rows, data, idx, theta_scale)
                 theta_opt.step(grads)
 
                 # architecture phase: same noise, routing differentiated
-                idx = _batch(alpha_batches, alpha_rows)
+                idx = next(alpha_batches)
                 value = alpha_opt.value
                 grad = _architecture_grad(params, value, noise, tau, data, idx, alpha_scale)
                 if penalized:

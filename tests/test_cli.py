@@ -7,6 +7,8 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -1689,6 +1691,46 @@ class TestSearchCommand:
             "stage": "search",
             "step": 4,
             "message": "non-finite value at step 4: injected",
+        }
+
+    @pytest.mark.parametrize("workers, target", [("1", "run"), ("2", "run"), ("2", "group")])
+    def test_sigint_ends_in_one_line(self, workers, target, tmp_path):
+        # the signal goes once the run reports its first seed, so that some
+        # seeds are left whatever the machine's speed: to the run's own
+        # process, or to its process group, workers too, as a terminal's ^C
+        # does; the group is empty once no worker is left
+        cfg = base_config(seeds=list(range(6)))
+        cfg["search"].update(warmup_steps=100, search_steps=200, retrain_steps=100)
+        argv = ["search", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]
+        with subprocess.Popen(
+            [sys.executable, "-m", "bmtas.cli", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**fresh_env(), "BMTAS_WORKERS": workers},
+            start_new_session=True,
+        ) as proc:
+            try:
+                first = json.loads(proc.stderr.readline())
+                if target == "run":
+                    proc.send_signal(signal.SIGINT)
+                else:
+                    os.killpg(proc.pid, signal.SIGINT)
+                rest = proc.stderr.read()
+                assert proc.wait(timeout=120) == 130
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert first["event"] == "seed_done"
+        assert "Traceback" not in rest
+        events = [json.loads(line) for line in rest.splitlines()]
+        assert {e["event"] for e in events[:-1]} <= {"seed_done"}
+        assert len(events) < len(cfg["seeds"])
+        assert events[-1] == {
+            "event": "runtime_error",
+            "error": "interrupted",
+            "kind": "KeyboardInterrupt",
         }
 
     @pytest.mark.parametrize("workers", ["1", "2"])

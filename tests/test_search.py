@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,11 +20,14 @@ from bmtas.nncore import SGD, Adam, OperationParams
 from bmtas.partition import Partition
 from bmtas.schema import CONFIG_SCHEMA
 from bmtas.search import (
+    BATCH_BLOCK,
+    BATCH_SIZE,
     RetrainedModel,
     SearchConfig,
     SearchResult,
     _architecture_grad,
     _batch_sum,
+    _batches,
     _features,
     _fit,
     _loss_scale,
@@ -303,6 +307,39 @@ class TestSearch:
         )
         res = search(cfg, sg, data)
         assert all(k.num_blocks == 1 for k in res.structure.groupings)
+
+
+@pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 205, 512])
+@pytest.mark.parametrize("kind", ["range", "permutation-slice"])
+def test_batches_are_numpys_choice_bit_for_bit(size, kind):
+    # the oracle is the draw the blocks replace; a numpy release that changes
+    # Generator.choice or Generator.integers fails here
+    pool = np.arange(size)
+    if kind == "permutation-slice":  # as search's theta_rows are
+        pool = np.random.default_rng(size).permutation(size + 40)[40:]
+    for steps in (0, 1, BATCH_BLOCK - 1, BATCH_BLOCK, BATCH_BLOCK + 1, 2 * BATCH_BLOCK + 3):
+        want_rng, got_rng = np.random.default_rng(steps), np.random.default_rng(steps)
+        k = min(BATCH_SIZE, size)
+        want = [pool[want_rng.choice(size, size=k, replace=False)] for _ in range(steps)]
+        got = list(_batches(got_rng, pool, steps))
+        assert len(got) == steps
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got_rng.integers(0, 2**62, 3).tolist() == want_rng.integers(0, 2**62, 3).tolist()
+
+
+def test_a_stage_is_drawn_a_block_at_a_time():
+    # a stage of 10**9 steps, drawn whole, would need about 500 GB
+    rng = np.random.default_rng(0)  # numpy imports its random module here
+    tracemalloc.start()
+    try:
+        batches = _batches(rng, np.arange(512), 10**9)
+        for _ in range(BATCH_BLOCK + 1):  # into the second block
+            next(batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def branched_structure(num_tasks, num_layers):
