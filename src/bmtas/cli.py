@@ -101,7 +101,7 @@ def _load_json(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # the parser recurses once per nesting level
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -147,8 +147,7 @@ def _build_task_spec(cfg: dict) -> SyntheticTaskSpec:
 
 
 def _build_search_config(cfg: dict, seed: int) -> SearchConfig:
-    """Only the keys present are passed on, so SearchConfig's defaults apply.
-    Keys are its parameter names, except lambda for resource_weight."""
+    """Only the keys present are passed on, so SearchConfig's defaults apply."""
     s = dict(cfg.get("search", {}))
     if "lambda" in s:
         s["resource_weight"] = s.pop("lambda")
@@ -231,6 +230,8 @@ def cmd_search(args) -> int:
         if not workers.strip().isdecimal():
             raise ConfigError(f"BMTAS_WORKERS must be a whole number, got {workers!r}")
         workers = min(int(workers), len(jobs))  # a pool starts all its workers at once
+        for *_, config in jobs:  # here, before any output, data or worker is made
+            config.weights_for(task_spec.num_tasks)
         try:
             out_root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

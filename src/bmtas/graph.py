@@ -1,10 +1,6 @@
-"""Layered supergraph search space and branched-structure assembly.
-
-The search space is a chain of L layers with T parallel candidate
-operations each. A task's routing picks one candidate per layer; two
-tasks share computation at a layer only while their picks have agreed
-at every layer so far, so the per-layer task groupings form a
-refinement chain that never re-merges.
+"""Layered supergraph search space and branched-structure assembly: the
+chain of layers and its costs (`SupergraphSpec`, `CostTable`), and the
+grouping chain that a routing induces (`BranchedStructure`).
 """
 
 from __future__ import annotations

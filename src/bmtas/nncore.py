@@ -1,14 +1,6 @@
-"""Branched-network parameters and optimizers.
-
-`Tensor` holds one parameter array. `search`'s engine computes the
-branched network's forward and backward by hand over the stacked arrays of
-`OperationParams` (each layer's operations, and the task heads, stacked
-along a leading axis), reading each parameter's `.data` and returning the
-gradients as fresh arrays. `SGD` keeps every parameter in one flat buffer,
-of which each `.data` is a view, and steps it from a list of gradients in
-parameter order with whole-buffer ufuncs; `Adam` steps one array, the
-architecture logits, from its gradient. Both take a learning rate and read
-the rest from the constants below. Everything is double precision.
+"""Branched-network parameters, `Tensor` and `OperationParams`, and their
+optimizers, `SGD` and `Adam`, which take a learning rate and read the rest
+from the constants below. Everything is double precision.
 """
 
 from __future__ import annotations
@@ -142,7 +134,8 @@ class SGD:
 
 
 class Adam:
-    """Adam on one array, value, L2 weight decay ADAM_WEIGHT_DECAY folded into the gradient."""
+    """Adam on one array, value (the architecture logits), L2 weight decay
+    ADAM_WEIGHT_DECAY folded into the gradient."""
 
     def __init__(self, value, lr):
         self.value = np.asarray(value, dtype=np.float64)

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import BoundsError, DimensionMismatch
 
 # Largest task count a grouping may cover; the config schema's num_tasks
-# bound reads it. Neither the expected cost nor the grouping distribution
-# needs lattice tables.
+# bound reads it.
 MAX_TASKS = 8
 
 

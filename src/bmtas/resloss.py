@@ -1,23 +1,19 @@
-"""Exact expected resource cost of a routing distribution, and its gradient.
+"""Exact expected resource cost of a routing distribution, its gradient,
+and the per-layer distribution of the task grouping.
 
-Tasks share an operation at layer l while their edge picks agree at every
-layer 1..l, so the number of blocks at layer l is the number of distinct
-pick paths. Counting distinct paths by inclusion-exclusion over nonempty
-task subsets M (Moebius inversion on the Boolean lattice, Rota 1964):
+The number of blocks at layer l is the number of distinct pick paths up to
+it (see `graph.BranchedStructure`). Counting distinct paths by
+inclusion-exclusion over nonempty task subsets M (Moebius inversion on the
+Boolean lattice, Rota 1964):
 
     E[#blocks_l] = sum_M (-1)^(|M|-1) prod_{j<=l} A_j(M),
     A_j(M) = sum_c prod_{u in M} pi_j[u, c],
 
 where A_j(M) is the probability that all tasks of M pick one edge at layer
-j. Cost and gradient take O(2^T * T^2 * L) work and no partition lattice.
-
-The grouping distribution comes from the same subset table: the chance
-that kappa_l is a grouping k or coarser is a product of per-block agreement
-chances, and Moebius inversion over the coarsenings of k turns it into
-P(kappa_l = k). The grouping chain kappa_1, ..., kappa_L is Markov, kappa_l
-being the meet of kappa_{l-1} with the edge-equality partition of layer l;
-its per-layer transition kernel over the partition lattice, and a literal
-enumeration of every joint routing, are kept as oracles.
+j. Cost and gradient take O(2^T * T^2 * L) work and no partition lattice,
+and `grouping_distribution` reads the same subset table. The lattice's
+tables of meets are built only for two oracles: `transition_kernel` and an
+enumeration of every joint routing.
 """
 
 from __future__ import annotations
@@ -165,7 +161,9 @@ def _assignment_weights(pi: np.ndarray) -> np.ndarray:
 
 # an oracle; it stays here while benchmarks/tracing.py counts calls through this name
 def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
-    """P[m][k] = probability that meet(m, edge partition at `layer`) equals k.
+    """P[m][k] = probability that meet(m, edge partition at `layer`) equals k:
+    the grouping chain kappa_1, ..., kappa_L is Markov, kappa_l being the meet
+    of kappa_{l-1} with the edge-equality partition of layer l.
 
     Rows are distributions over the groupings of rgs_table(T); support stays
     inside the refinements of m because a meet never coarsens.
@@ -243,9 +241,9 @@ def _subsets(alpha: ArchitectureParams, table: CostTable) -> tuple:
     """Edge probabilities pi (T, L, T), unit costs (L,), and over task
     subsets M, indexed by the bitmask with bit u set iff u is in M: the sign
     (-1)^(|M|-1), 0 for the empty subset; prod[M] = prod_{u in M} pi[u]; and
-    agree[M, l] = A_l(M), the chance that all of M pick one edge at layer l,
-    and 1 for the empty subset: its T ones summed would grow to T^l over the
-    layers, past the largest float in a deep chain, and 0 * inf is NaN."""
+    agree[M, l] = A_l(M), and 1 for the empty subset: its T ones summed would
+    grow to T^l over the layers, past the largest float in a deep chain, and
+    0 * inf is NaN."""
     _check_dims(alpha, table)
     pi = softmax(alpha.logits, axis=2)
     prod = np.empty((1 << alpha.num_tasks,) + pi.shape[1:])

@@ -1,7 +1,6 @@
 """The run config's schema, `CONFIG_SCHEMA`, and a checker for its keywords in
 the words of jsonschema 4.26, with its best_match's choice among several
-errors, on a 2020-12 validator with Draft 4's types. Only `cli.load_config`
-imports this module, so that the other verbs do not compile it."""
+errors, on a 2020-12 validator with Draft 4's types."""
 
 import operator
 

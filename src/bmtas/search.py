@@ -3,34 +3,13 @@ an annealed Gumbel-Softmax, argmax discretization, and from-scratch
 retraining of the found structure. The soft sample multiplies candidate
 outputs directly (a mixture); there is no straight-through pass.
 
-One batched engine carries every stage. `_features` runs all tasks'
-encoders at once over the stacked operation arrays of `OperationParams`,
-layer by layer through `candidate_forward` and `mixed_layer_forward`;
-`head_forward` and `task_loss` finish the forward pass, and `backward` is
-its hand-written reverse pass: it returns the gradients of the
-omega-weighted task losses as fresh arrays in parameter order, or the
-gradient of each routing row. Each layer is routed either by one
-operation index per task (warm-up, retraining and `features`), which
-gathers the T weight slices used unless task t takes operation t, or by a
-(tasks, operations) array of Gumbel-Softmax mixture rows (the search). The
-task heads are one stacked affine map, so loss and head gradients are one
-batched call each. The architecture gradient is the softmax's chain rule on
-the row gradients. Arrays are combined in the order of the ops of the
-reverse-mode tape in `tests/tape.py`, the engine's test oracle. Three
-reductions fix the bits: numpy's sum mixes the operations, a left fold, but
-an accumulate mixes eight or more one-element terms, which numpy adds
-pairwise; batch sums fold a batch-major copy in one loop, as numpy folds a
-batch of width 2 or more, and keep numpy's pairwise sum at width 1; numpy's
-reduction sums a shared operation's gradient over tasks, pairwise for eight
-or more such terms.
-
-Every iteration draws fresh routing noise, takes one weight step on the
-large data split, one architecture step (task loss plus the weighted,
-normalized expected cost) on the small split, and resets weight momentum
-whenever the discretized architecture changes; the structure is derived
-again only when some task's argmax pick changes. Each stage draws its
-batches a block at a time, bit for bit as successive `Generator.choice`
-calls draw them, and gathers rows and routed weights with `take`.
+One batched engine carries every stage: `_features` and `head_forward` run
+all tasks' networks at once over the stacked arrays of `OperationParams`,
+and `backward` is their hand-written reverse pass. Arrays are combined in
+the order of the ops of the reverse-mode tape in `tests/tape.py`, the
+engine's test oracle; three reductions fix the bits, each stated where it
+runs: `mixed_layer_forward`'s, `_batch_sum`'s and `backward`'s sum over
+tasks.
 """
 
 from __future__ import annotations
@@ -100,10 +79,10 @@ class SearchConfig:
             if not all(w > 0 for w in self.omega):
                 raise ConfigError("omega weights must be positive")
 
-    def weights_for(self, dataset: Dataset) -> tuple[float, ...]:
+    def weights_for(self, num_tasks: int) -> tuple[float, ...]:
         if self.omega is None:
-            return (1.0,) * dataset.num_tasks
-        if len(self.omega) != dataset.num_tasks:
+            return (1.0,) * num_tasks
+        if len(self.omega) != num_tasks:
             raise ConfigError("omega length does not match the task count")
         return self.omega
 
@@ -126,22 +105,29 @@ class SearchResult(NamedTuple):
 
 
 def _batches(rng: np.random.Generator, pool: np.ndarray, steps: int):
-    """steps batches of k = min(BATCH_SIZE, len(pool)) rows of pool, each as
-    pool[rng.choice(len(pool), k, replace=False)] draws it: per block, one
-    integers call makes choice's Floyd draws, in 0..j for j = n-k .. n-1, then
-    its Fisher-Yates draws, in 0..i for i = k-1 .. 1, for every batch. choice
+    """steps batches of min(BATCH_SIZE, len(pool)) rows of pool, drawn
+    BATCH_BLOCK at a time by `_batch_block`; while suspended, the generator
+    holds only its block's rows."""
+    for start in range(0, steps, BATCH_BLOCK):
+        yield from _batch_block(rng, pool, min(BATCH_BLOCK, steps - start))
+
+
+def _batch_block(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.ndarray:
+    """count batches of k = min(BATCH_SIZE, len(pool)) rows of pool, each as
+    pool[rng.choice(len(pool), k, replace=False)] draws it: one integers call
+    makes choice's Floyd draws, in 0..j for j = n-k .. n-1, then its
+    Fisher-Yates draws, in 0..i for i = k-1 .. 1, for every batch. choice
     leaves Floyd only for n > 10000 and k > n // 50, which k <= 32 never meets."""
     n, k = len(pool), min(BATCH_SIZE, len(pool))
     bounds = np.r_[n - k + 1 : n + 1, k : 1 : -1]  # exclusive upper bounds
-    for start in range(0, steps, BATCH_BLOCK):
-        draws = rng.integers(bounds, size=(min(BATCH_BLOCK, steps - start), len(bounds)))
-        idx = draws[:, :k].copy()
-        for c in range(1, k):  # Floyd: a draw already taken takes j instead
-            idx[(idx[:, :c] == idx[:, c, None]).any(axis=1), c] = n - k + c
-        flat, first = idx.reshape(-1), np.arange(0, idx.size, k)
-        for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
-            flat[first + i], flat[first + j] = flat[first + j], flat[first + i]
-        yield from pool.take(idx)
+    draws = rng.integers(bounds, size=(count, len(bounds)))
+    idx = draws[:, :k].copy()
+    for c in range(1, k):  # Floyd: a draw already taken takes j instead
+        idx[(idx[:, :c] == idx[:, c, None]).any(axis=1), c] = n - k + c
+    flat, first = idx.reshape(-1), np.arange(0, idx.size, k)
+    for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
+        flat[first + i], flat[first + j] = flat[first + j], flat[first + i]
+    return pool.take(idx)
 
 
 def _loss_scale(omega, data: Dataset, pool: np.ndarray) -> np.ndarray:
@@ -170,7 +156,8 @@ def mixed_layer_forward(r: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def head_forward(params: OperationParams, h: np.ndarray) -> np.ndarray:
-    """Every task head on its task's encoder output h (T, B, enc_out)."""
+    """Every task head on its task's encoder output h (T, B, enc_out), as one
+    stacked affine map, so that loss and head gradients are one batched call each."""
     return h @ params.head_weights.data + params.head_biases.data[:, None]
 
 
@@ -189,13 +176,15 @@ def _features(params: OperationParams, routing, x: np.ndarray):
     the (input, outputs, weights) triple that `backward` reuses.
 
     routing[l] routes layer l+1, and its kind selects the computation. An
-    integer array of shape (T,) holds task t's operation index: the layer
-    gathers those T weight slices and runs each on its task's input,
-    (T, B, out); None routes task t to operation t and gathers nothing. A
-    (T, C) array's row t mixes the layer's C operations for task t: layer 1
-    runs each operation once on x, (1, C, B, out), deeper layers every
-    operation on every task's input, (T, C, B, out), and the outputs are
-    summed by a left fold in the tape's order, so that sums match it bitwise.
+    integer array of shape (T,) (retraining and `RetrainedModel.features`)
+    holds task t's operation index: the layer gathers those T weight slices
+    and runs each on its task's input, (T, B, out); None (warm-up) routes
+    task t to operation t and gathers nothing. A (T, C) array of
+    Gumbel-Softmax rows (the search) mixes, in row t, the layer's C
+    operations for task t: layer 1 runs each operation once on x,
+    (1, C, B, out), deeper layers every operation on every task's input,
+    (T, C, B, out), and the outputs are summed by a left fold in the tape's
+    order, so that sums match it bitwise.
     """
     h, cache = x[None], []
     for w, b, r in zip(params.weights, params.biases, routing):
@@ -239,7 +228,8 @@ def backward(params: OperationParams, routing, data: Dataset, idx, scale, row_gr
                 grads[:0] = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
             elif not row_grads:
                 # each task's term in its operation's slot and zeros elsewhere,
-                # summed over tasks by the mixture path's reduction and order
+                # summed over tasks by the mixture path's reduction and order:
+                # numpy's, pairwise for eight or more such terms
                 tasks = np.arange(len(r))
                 dw, db = np.zeros((len(r),) + w.shape), np.zeros((len(r),) + b.shape)
                 dw[tasks, r], db[tasks, r] = h.swapaxes(1, 2) @ dpre, dpre.sum(axis=1)
@@ -293,8 +283,7 @@ def warm_up(supergraph: SupergraphSpec, data: Dataset, config: SearchConfig) -> 
     """Assign candidate j to task j for config's warmup_steps of plain SGD.
 
     Candidates start identical; warm-up is what differentiates them, giving
-    the later search a meaningful candidate-task affinity to exploit. The
-    learning rate is config's theta_lr.
+    the later search a meaningful candidate-task affinity to exploit.
     """
     rng = rng_stream(config.seed, "warmup")
     params = OperationParams.init(supergraph, data.num_tasks, data.targets_train.shape[2], rng)
@@ -331,12 +320,18 @@ def search(
 ) -> SearchResult:
     """Run the alternating optimization and return the discretized result.
 
+    Every step draws fresh routing noise, takes one weight step on the large
+    data split and one architecture step (task loss plus the weighted,
+    normalized expected cost) on the small split, and resets weight momentum
+    whenever the discretized architecture changes; the structure is derived
+    again only when some task's argmax pick changes.
+
     When params is omitted, warm-up runs first with this config's settings.
     Raises ConfigError for fewer than two training rows and SearchError
     (with the partial trace attached) if training hits a non-finite value.
     """
     logits_shape = (data.num_tasks, supergraph.num_layers, data.num_tasks)
-    omega = config.weights_for(data)
+    omega = config.weights_for(data.num_tasks)
     n_train = data.inputs_train.shape[0]
     if n_train < 2:  # each split keeps at least one row
         raise ConfigError("search needs at least 2 training rows, one for each data split")
@@ -425,8 +420,8 @@ def retrain(
 ) -> RetrainedModel:
     """Train the branched network from fresh weights and score it on the test split.
 
-    One op instance per (layer, block); a shared op's learning rate, from
-    config's theta_lr, is divided by the number of tasks in its block.
+    One op instance per (layer, block); a shared op's learning rate is
+    divided by the number of tasks in its block.
     Initialization streams are keyed by the task names inside each block,
     which makes a fully branched run reproduce independently trained
     single-task networks exactly. Every stream is keyed by config.seed.
@@ -436,7 +431,7 @@ def retrain(
     if structure.num_layers != supergraph.num_layers:
         raise ConfigError("structure depth does not match the supergraph")
     names = data.task_names
-    seed, omega = config.seed, config.weights_for(data)
+    seed, omega = config.seed, config.weights_for(data.num_tasks)
 
     weights, biases, scales = [], [], []
     for layer, grouping in enumerate(structure.groupings, start=1):

@@ -421,6 +421,7 @@ def input_file(tmp_path, text, name="input.json"):
 
 
 ALPHA_2x1 = "[[[0, 0]], [[0, 0]]]"
+DEEP_JSON = "[" * 990 + "]" * 990  # 2 KB
 ALPHA_2x2 = "[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]"  # the worked example
 
 
@@ -606,6 +607,20 @@ BAD_INPUTS = {
         p, benchmark={"signal_scale": "BIG"}
     ),
     "seeds-repeat-a-seed": lambda p: bad_config(p, seeds=[0, 0, 0]),
+    "omega-length-differs-from-num_tasks": lambda p: bad_config(p, search={"omega": [1, 1]}),
+    # nested deeper than the JSON parser's recursion reaches
+    "search-config-nested-too-deeply": lambda p: [
+        "search", "--config", input_file(p, DEEP_JSON), "--out", str(p / "runs")
+    ],
+    "expected-cost-alpha-nested-too-deeply": lambda p: [
+        "expected-cost", "--alpha", input_file(p, DEEP_JSON)
+    ],
+    "eval-record-nested-too-deeply": lambda p: [
+        "eval", "--model", input_file(p, DEEP_JSON), "--baseline", input_file(p, record(), "b.json")
+    ],
+    "export-dot-structure-nested-too-deeply": lambda p: [
+        "export-dot", "--structure", input_file(p, DEEP_JSON)
+    ],
 }
 
 
@@ -626,6 +641,30 @@ def test_a_float_integer_names_its_path_and_type(tmp_path, capsys):
         "event": "config_error",
         "error": f"{argv[2]}: $.benchmark.num_tasks: 3.0 is not of type 'integer'",
     }
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c.endswith("nested-too-deeply")])
+def test_too_deep_a_file_is_named_in_one_line(case, tmp_path, capsys):
+    argv = BAD_INPUTS[case](tmp_path)
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{argv[2]}: maximum recursion depth exceeded")
+
+
+def test_a_wrong_omega_length_exits_before_anything_is_made(tmp_path, capsys, monkeypatch):
+    def too_late(*args, **kwargs):
+        raise AssertionError("a pool was started or data generated")
+
+    monkeypatch.setenv("BMTAS_WORKERS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", too_late)
+    monkeypatch.setattr(cli, "generate_tasks", too_late, raising=False)
+    argv = bad_config(tmp_path, search={"omega": [1, 1]}, seeds=[0, 1])
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "event": "config_error",
+        "error": "omega length does not match the task count",
+    }
+    assert not (tmp_path / "runs").exists()
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

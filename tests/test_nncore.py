@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -168,8 +166,7 @@ class TestLossWeights:
     def test_positive_only(self):
         with pytest.raises(ConfigError):
             SearchConfig(omega=(1.0, 0.0))
-        three_tasks = SimpleNamespace(num_tasks=3)
-        assert SearchConfig().weights_for(three_tasks) == (1.0, 1.0, 1.0)
+        assert SearchConfig().weights_for(3) == (1.0, 1.0, 1.0)
 
 
 @pytest.fixture

@@ -164,8 +164,8 @@ class TestSearchConfig:
         data, _ = small_benchmark()
         cfg = SearchConfig(omega=(1.0, 2.0))
         with pytest.raises(ConfigError):
-            cfg.weights_for(data)
-        assert SearchConfig().weights_for(data) == (1.0, 1.0, 1.0)
+            cfg.weights_for(data.num_tasks)
+        assert SearchConfig().weights_for(data.num_tasks) == (1.0, 1.0, 1.0)
 
 
 class TestWarmUp:
@@ -340,6 +340,21 @@ def test_a_stage_is_drawn_a_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_a_suspended_stage_holds_only_its_block_of_rows():
+    # a block's draws and indices are freed once its rows are taken; the
+    # search keeps two stages suspended at once
+    pool = np.arange(512)
+    batches = _batches(np.random.default_rng(0), pool, 10**9)
+    tracemalloc.start()
+    try:
+        first = next(batches)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rows = BATCH_BLOCK * len(first) * pool.itemsize
+    assert rows <= held < rows + 16_000
 
 
 def branched_structure(num_tasks, num_layers):
