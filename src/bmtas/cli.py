@@ -291,37 +291,35 @@ _ENTRY_TAIL = _ENTRY_BREAK + "}"
 @lru_cache(maxsize=None)
 def _probs_entries(num_tasks: int) -> np.ndarray:
     """Each grouping's probs entry in the report text up to its prob, after the
-    separator that ends the entry before it, as json.dumps(sort_keys=True,
-    indent=2) writes them; a read-only object array, for a mask to index."""
-    blocks = np.array([
-        f"{_BLOCK_BREAK}[{_TASK_BREAK}"
-        + f",{_TASK_BREAK}".join(str(t) for t in range(num_tasks) if mask >> t & 1)
-        + f"{_BLOCK_BREAK}]"
-        for mask in range(1 << num_tasks)
-    ], dtype=object)
+    separator that ends the entry before it, as json.dumps(sort_keys=True, indent=2)
+    writes them: one join each, in a read-only object array for a mask to index."""
+    tasks = [""]  # the task list of each mask; mask | 1 << t follows mask
+    for t in range(num_tasks):
+        tasks += [f"{inner},{_TASK_BREAK}{t}" if inner else str(t) for inner in tasks]
+    blocks = f"{_BLOCK_BREAK}[{_TASK_BREAK}" + np.array(tasks, dtype=object) + f"{_BLOCK_BREAK}]"
     later = "," + blocks  # a block after the first; no text for an empty one
     later[0] = ""
     masks = block_masks(num_tasks)
-    entries = f'{_ENTRY_TAIL},{_ENTRY_BREAK}{{{_KEY_BREAK}"partition": [' + blocks[masks[:, 0]]
-    for column in masks.T[1:]:
-        entries += later[column]
-    entries += f'{_KEY_BREAK}],{_KEY_BREAK}"prob": '
+    head = [f'{_ENTRY_TAIL},{_ENTRY_BREAK}{{{_KEY_BREAK}"partition": ['] * len(masks)
+    tail = [f'{_KEY_BREAK}],{_KEY_BREAK}"prob": '] * len(masks)
+    texts = map("".join, zip(head, blocks[masks[:, 0]], *later[masks.T[1:]], tail))
+    entries = np.fromiter(texts, dtype=object, count=len(masks))
     entries.setflags(write=False)
     return entries
 
 
 def _report_text(report: dict, dist) -> str:
-    """json.dumps(report, sort_keys=True, indent=2), each _HOLE filled with the
-    probs list of its layer: the groupings of positive probability, in order."""
+    """json.dumps(report, sort_keys=True, indent=2), each _HOLE filled with the probs
+    list of its layer: each grouping of positive probability, in order, and its prob's repr."""
     entries = _probs_entries(dist.rgs.shape[1])
     text = json.dumps(report, sort_keys=True, indent=2).split(json.dumps(_HOLE))
     parts = text[:1]
     for layer, rest in zip(dist.layers, text[1:]):
         keep = layer > 0
         body = [""] * (2 * int(keep.sum()))
-        if body:  # else repr([]) would split into [""], and json.dumps writes []
+        if body:  # else the list is empty, and json.dumps writes []
             body[::2] = entries[keep].tolist()
-            body[1::2] = repr(layer[keep].tolist())[1:-1].split(", ")
+            body[1::2] = map(repr, layer[keep].tolist())
             body[0] = "[" + body[0][len(_ENTRY_TAIL) + 1 :]  # not the first one's separator
         parts += body
         parts += (f"{_ENTRY_TAIL}\n      ]" if body else "[]", rest)
@@ -494,7 +492,10 @@ def main(argv=None) -> int:
         _log("runtime_error", error="standard output was closed early", kind="BrokenPipeError")
         return 1
     except ConfigError as exc:
-        _log("config_error", error=str(exc))
+        error = str(exc)  # a schema error quotes the whole value: keep its head and tail
+        if len(error) > 1000:
+            error = f"{error[:450]} ... {len(error) - 900} characters left out ... {error[-450:]}"
+        _log("config_error", error=error)
         return 2
     except (BmtasError, OSError) as exc:  # as from _write_atomic, which names its file
         _log("runtime_error", error=str(exc), kind=type(exc).__name__)

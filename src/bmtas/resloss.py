@@ -35,8 +35,9 @@ ENUM_GUARD = 10 ** 6
 # grouping-chain probabilities below this are zeroed and the layer renormalized
 CLAMP_EPS = 1e-15
 
-# label rows canonicalized per pass while the lattice tables are built
-_CHUNK = 1 << 17
+# label rows canonicalized per pass while the lattice tables are built, and
+# layers gathered per pass of grouping_distribution
+_CHUNK, _LAYER_BLOCK = 1 << 17, 32
 
 
 def softmax(x, axis=None) -> np.ndarray:
@@ -184,25 +185,27 @@ def transition_kernel(alpha: ArchitectureParams, layer: int) -> np.ndarray:
 def _merge_tables(num_tasks: int) -> tuple:
     """Per block count m: which groupings k of rgs_table(num_tasks) have m
     blocks, mu of each merge s of m blocks, and merged[j, s, k], the bitmask
-    of the union of k's blocks that s puts in block j, or 0. merged is
-    block-major, so each block's gather index is one contiguous array."""
+    of the union of k's blocks that s puts in block j, or 0. merged is built
+    flat, in row j * n + s for n merges: block-major, so each block's gather
+    index is one contiguous array."""
     rgs = rgs_table(num_tasks)
     masks = block_masks(num_tasks)
     sizes = rgs.max(axis=1) + 1
+    last = ((rgs > 0) * np.arange(num_tasks)).max(axis=1)  # the last nonzero entry
     factorials = np.array([math.factorial(k) for k in range(num_tasks)], dtype=np.float64)
     tables = []
     for m in range(1, num_tasks + 1):
         rows = sizes == m
-        merges = rgs[~rgs[:, m:].any(axis=1), :m]  # rgs_table(m): the rows with a zero tail
-        s = np.arange(len(merges))
-        counts = np.zeros(merges.shape, dtype=np.int64)  # block sizes of each merge
-        merged = np.zeros((m, len(s), rows.sum()), dtype=np.int64)
-        for block, bits in zip(merges.T, masks[rows, :m].T.copy()):  # contiguous rows
-            counts[s, block] += 1
-            merged[block, s] += bits  # k's blocks are disjoint: the sum is the union
-        less = np.maximum(counts - 1, 0)  # merged block sizes less one
+        merges = rgs[last < m, :m]  # rgs_table(m): the rows with a zero tail
+        n = len(merges)
+        s = np.arange(n)
+        counts = np.bincount((merges + m * s[:, None]).ravel(), minlength=n * m)
+        merged = np.zeros((m * n, rows.sum()), dtype=np.int64)
+        for flat, bits in zip(merges.T * n + s, masks[rows, :m].T.copy()):  # contiguous rows
+            merged[flat] += bits  # k's blocks are disjoint: the sum is the union
+        less = np.maximum(counts.reshape(n, m) - 1, 0)  # merged block sizes less one
         mu = (-1.0) ** less.sum(axis=1) * factorials[less].prod(axis=1)
-        tables.append((rows, mu, merged))
+        tables.append((rows, mu, merged.reshape(m, n, -1)))
     return tuple(tables)
 
 
@@ -214,17 +217,22 @@ def grouping_distribution(alpha: ArchitectureParams, table: CostTable) -> Groupi
     that B's tasks agree at layers 1..l. Moebius inversion over the merges
     sigma of k's blocks gives P(kappa_l = k) = sum_sigma mu(sigma) prod_{S in
     sigma} h_l(union of S), mu(sigma) = prod_{S in sigma} (-1)^(|S|-1) (|S|-1)!.
+    It gathers _LAYER_BLOCK layers at a time, so that its memory is bounded.
     """
     rgs = rgs_table(alpha.num_tasks)
     h = np.cumprod(_subsets(alpha, table)[4], axis=1)  # h[0] = 1 fills unused merge slots
     probs = np.empty((len(rgs), alpha.num_layers))
-    for rows, mu, merged in _merge_tables(alpha.num_tasks):
-        # h[merged].prod(axis=0) one block at a time, in block order: the same
-        # products, no 4-D gather; np.take is numpy's fast path for one axis
-        prod = np.take(h, merged[0], axis=0)
-        for idx in merged[1:]:
-            prod *= np.take(h, idx, axis=0)
-        probs[rows] = np.einsum("s,skl->kl", mu, prod)
+    # a one-layer block of a longer chain would have einsum sum over s innermost, rounding otherwise
+    edges = [*range(0, max(alpha.num_layers - 1, 1), _LAYER_BLOCK), alpha.num_layers]
+    for lo, hi in zip(edges, edges[1:]):
+        part = np.ascontiguousarray(h[:, lo:hi])  # a view, not a copy, for one block
+        for rows, mu, merged in _merge_tables(alpha.num_tasks):
+            # h[merged].prod(axis=0) one block at a time, in block order: the same
+            # products, no 4-D gather; np.take is numpy's fast path for one axis
+            prod = np.take(part, merged[0], axis=0)
+            for idx in merged[1:]:
+                prod *= np.take(part, idx, axis=0)
+            probs[rows, lo:hi] = np.einsum("s,skl->kl", mu, prod)
     probs = np.where(probs.T < CLAMP_EPS, 0.0, probs.T)
     return GroupingDistribution(rgs, probs / probs.sum(axis=1, keepdims=True))
 

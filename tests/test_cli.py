@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,7 +34,7 @@ from bmtas.graph import (
     structure_to_json,
 )
 from bmtas.nncore import OperationParams
-from bmtas.partition import MAX_TASKS, Partition, enumerate_partitions
+from bmtas.partition import MAX_TASKS, Partition, block_masks, enumerate_partitions, rgs_table
 from bmtas.resloss import (
     ENUM_GUARD,
     ArchitectureParams,
@@ -643,6 +644,33 @@ def test_a_float_integer_names_its_path_and_type(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda p: input_file(p, json.dumps(list(range(200_000)))), "is not of type 'object'"),
+        (
+            lambda p: bad_config(p, benchmark={"num_tasks": "x" * 300_000})[2],
+            "is not of type 'integer'",
+        ),
+    ],
+    ids=["config-is-a-long-array", "num_tasks-is-a-long-string"],
+)
+def test_a_long_config_error_keeps_its_head_and_tail(make, reason, tmp_path, capsys):
+    # the schema's message quotes the whole value: 1.5 MB and 300 KB here
+    path = make(tmp_path)
+    with pytest.raises(ConfigError) as error:
+        load_config(path)
+    full = str(error.value)
+    assert full.startswith(f"{path}: $") and full.endswith(reason) and len(full) > 300_000
+    assert main(["search", "--config", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 1000
+    assert json.loads(lines[0]) == {
+        "event": "config_error",
+        "error": f"{full[:450]} ... {len(full) - 900} characters left out ... {full[-450:]}",
+    }
+
+
 @pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c.endswith("nested-too-deeply")])
 def test_too_deep_a_file_is_named_in_one_line(case, tmp_path, capsys):
     argv = BAD_INPUTS[case](tmp_path)
@@ -932,6 +960,19 @@ class TestExpectedCost:
         assert report["expected_cost"] == pytest.approx(2732.76, abs=0.005)
         assert report["normalized"] == pytest.approx(report["expected_cost"] / 342)
 
+    def test_a_deep_chain_gathers_in_bounded_memory(self, tmp_path, capsys):
+        # the gather grows by about 0.9 MB a layer at T=8; all 342 layers at
+        # once peaked at 297 MB under tracemalloc, a block of them at 39 MB
+        alpha = self.write_alpha(tmp_path, np.zeros((8, 342, 8)).tolist())
+        tracemalloc.start()
+        try:
+            assert main(["expected-cost", "--alpha", alpha]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 64 * 2**20
+
     def test_calls_in_one_process_share_the_parser_and_no_options(self, tmp_path, capsys):
         alpha = self.write_alpha(tmp_path, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
         argv = ["expected-cost", "--alpha", alpha]
@@ -1016,6 +1057,24 @@ def test_expected_cost_output_matches_its_pinned_digests(tmp_path, monkeypatch, 
         assert main(argv) == 0
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == EXPECTED_COST_DIGESTS, PINNED_PLATFORM
+
+
+def test_cold_tables_give_the_pinned_digests(tmp_path, monkeypatch, capsys):
+    # each pinned call builds every per-T table afresh, as a new process does
+    caches = (
+        rgs_table, block_masks, resloss._subset_signs, resloss._merge_tables, cli._probs_entries
+    )
+    calls = []
+
+    def cold_main(argv):
+        for cache in caches:
+            cache.cache_clear()
+        calls.append(argv)
+        return cli.main(argv)
+
+    monkeypatch.setitem(globals(), "main", cold_main)
+    test_expected_cost_output_matches_its_pinned_digests(tmp_path, monkeypatch, capsys)
+    assert len(calls) == len(EXPECTED_COST_DIGESTS)
 
 
 # criterion 10's run config

@@ -463,6 +463,27 @@ def test_take_gather_matches_fancy_indexing_bit_for_bit(num_tasks, kind):
     assert np.array_equal(got, fancy_indexed_distribution(a, table))
 
 
+# every task leans to edge 0, so that the groupings stay mixed down a long chain
+# and the sums of the last layer do not round to 1 in any order
+BLOCK_LOGIT_KINDS = {
+    **GATHER_LOGIT_KINDS,
+    "agreeing": lambda rng, t, l: 0.5 * rng.standard_normal((t, l, t)) + 6.0 * (np.arange(t) == 0),
+}
+
+
+@pytest.mark.parametrize("num_layers", [resloss._LAYER_BLOCK + 1, 2 * resloss._LAYER_BLOCK + 1])
+@pytest.mark.parametrize("kind", sorted(BLOCK_LOGIT_KINDS))
+@pytest.mark.parametrize("num_tasks", [2, 7, 8])
+def test_layer_blocks_match_fancy_indexing_bit_for_bit(num_tasks, kind, num_layers):
+    # a last block one layer wide would make einsum sum the one-grouping table
+    # of block count T over s in its inner loop, which rounds differently
+    rng = np.random.default_rng(num_layers)
+    a = ArchitectureParams(BLOCK_LOGIT_KINDS[kind](rng, num_tasks, num_layers))
+    table = unit_table(num_layers)
+    got = grouping_distribution(a, table).layers
+    assert np.array_equal(got, fancy_indexed_distribution(a, table))
+
+
 @given(
     st.integers(1, 3).flatmap(
         lambda ndim: arrays(
