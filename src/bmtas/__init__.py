@@ -8,8 +8,10 @@ No module imports `dataclasses`, whose generated methods cost up to a
 millisecond of import time per class. A record that checks nothing is a
 `typing.NamedTuple`. A record that checks its input is a plain class whose
 `__init__` checks it and sets each attribute once; nothing assigns one
-later. Of the plain classes, `Partition`, `CostTable`, `SupergraphSpec`
-and `BranchedStructure` compare by value, and of those only `Partition` is
+later. `SGD.step`'s in-place update of `OperationParams.flat` is the one
+place where a parameter array changes after construction. Of the plain
+classes, `Partition`, `CostTable`, `SupergraphSpec` and
+`BranchedStructure` compare by value, and of those only `Partition` is
 hashable; the others compare by identity.
 """
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BoundsError, ConfigError, NumericError, SearchError
 from .eval import Dataset
 from .graph import BranchedStructure, SupergraphSpec, derive_groupings, structure_hash
-from .nncore import SGD, Adam, OperationParams, Tensor
+from .nncore import SGD, Adam, OperationParams
 from .resloss import ArchitectureParams, _cost_and_grad, softmax
 # benchmarks/tracing.py patches these names here; nothing in this module calls them
 from .resloss import expected_cost, expected_cost_grad
@@ -158,7 +158,7 @@ def mixed_layer_forward(r: np.ndarray, y: np.ndarray) -> np.ndarray:
 def head_forward(params: OperationParams, h: np.ndarray) -> np.ndarray:
     """Every task head on its task's encoder output h (T, B, enc_out), as one
     stacked affine map, so that loss and head gradients are one batched call each."""
-    return h @ params.head_weights.data + params.head_biases.data[:, None]
+    return h @ params.head_weights + params.head_biases[:, None]
 
 
 def task_loss(prediction: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +189,7 @@ def _features(params: OperationParams, routing, x: np.ndarray):
     h, cache = x[None], []
     for w, b, r in zip(params.weights, params.biases, routing):
         soft = r is not None and r.ndim == 2
-        w, b = w.data, b.data[:, None]
+        b = b[:, None]
         if r is not None and not soft:
             w, b = w.take(r, axis=0), b.take(r, axis=0)
         y = candidate_forward(h[:, None] if soft else h, w, b)
@@ -218,7 +218,7 @@ def backward(params: OperationParams, routing, data: Dataset, idx, scale, row_gr
     g += g  # d/d diff of diff * diff, one term per factor
     if not row_grads:
         head_grads = [h.swapaxes(1, 2) @ g, g.sum(axis=1)]
-    dh, grads = g @ params.head_weights.data.swapaxes(1, 2), []
+    dh, grads = g @ params.head_weights.swapaxes(1, 2), []
     for l in reversed(range(params.num_layers)):
         w, b, r, (h, y, wr) = params.weights[l], params.biases[l], routing[l], cache[l]
         if r is None or r.ndim == 1:
@@ -264,7 +264,7 @@ def _architecture_grad(params, logits, noise, tau, data, idx, scale) -> np.ndarr
 
 def _fit(stage, params, routing, data, omega, steps, rng, lr, lr_scales=None):
     """Plain momentum SGD at learning rate lr, one batch a step; errors name stage and step."""
-    opt = SGD(params.parameters(), lr, lr_scales)
+    opt = SGD(params, lr, lr_scales)
     all_rows = np.arange(data.inputs_train.shape[0])
     scale = _loss_scale(omega, data, all_rows)
     # a diverging step overflows; the finiteness checks of the engine and
@@ -347,7 +347,7 @@ def search(
     theta_batches = _batches(rng_stream(seed, "search", "theta-batches"), theta_rows, steps)
     alpha_batches = _batches(rng_stream(seed, "search", "alpha-batches"), alpha_rows, steps)
 
-    theta_opt = SGD(params.parameters(), config.theta_lr)
+    theta_opt = SGD(params, config.theta_lr)
     alpha_opt = Adam(np.zeros(logits_shape), config.alpha_lr)
     shared_cost = supergraph.cost_table.fully_shared_cost
     penalized, penalty = config.resource_weight > 0, config.resource_weight / shared_cost
@@ -441,8 +441,8 @@ def retrain(
         for block in blocks:
             stream = rng_stream(seed, "retrain-op", layer, *(names[t] for t in block))
             w.append(stream.normal(0.0, 1.0 / np.sqrt(in_dim), (in_dim, out_dim)))
-        weights.append(Tensor(np.stack(w)))
-        biases.append(Tensor(np.zeros((len(blocks), out_dim))))
+        weights.append(np.stack(w))
+        biases.append(np.zeros((len(blocks), out_dim)))
         share = np.array([1.0 / len(block) for block in blocks])
         scales += [share[:, None, None], share[:, None]]
 
@@ -452,8 +452,7 @@ def retrain(
         rng_stream(seed, "retrain-head", name).normal(0.0, scale, (enc_out, dim))
         for name in names
     ]
-    head_b = np.zeros((len(names), dim))
-    params = OperationParams(weights, biases, Tensor(np.stack(head_w)), Tensor(head_b))
+    params = OperationParams(weights, biases, np.stack(head_w), np.zeros((len(names), dim)))
     routing = [np.array(g.rgs) for g in structure.groupings]
     batches = rng_stream(seed, "retrain-batches")
     steps, lr = config.retrain_steps, config.theta_lr

@@ -1,5 +1,5 @@
-"""Shared helpers: finite differences, small random problem instances, a
-fresh interpreter and the numeric kernels that the pinned outputs name."""
+"""Shared helpers: finite differences, random logits, a fresh
+interpreter and the numeric kernels that the pinned outputs name."""
 
 import ctypes
 import os
@@ -8,12 +8,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
-
-from bmtas.graph import SupergraphSpec
-from bmtas.partition import Partition
-from bmtas.eval import SyntheticTaskSpec, generate_tasks
-from bmtas.seeding import rng_stream
 
 # the numeric kernels under which every pinned output was taken
 PINNED_KERNELS = {
@@ -105,22 +99,3 @@ def fresh_python(code: str) -> str:
 
 def random_alpha(rng, num_tasks, num_layers, scale=2.0):
     return scale * rng.standard_normal((num_tasks, num_layers, num_tasks))
-
-
-@pytest.fixture
-def pair_benchmark():
-    """4 tasks in two related pairs over a 3-layer chain, seeded."""
-
-    def make(seed):
-        spec = SyntheticTaskSpec(
-            num_tasks=4,
-            input_dim=16,
-            hidden_dim=8,
-            target_dim=4,
-            relatedness=Partition((0, 0, 1, 1)),
-        )
-        data = generate_tasks(spec, rng_stream(seed, "data"))
-        supergraph = SupergraphSpec([16, 8, 8, 8])
-        return spec, data, supergraph
-
-    return make

@@ -22,7 +22,7 @@ def features(params, routing, x):
     h, cache = x[None], []
     for w, b, r in zip(params.weights, params.biases, routing):
         soft = r.ndim == 2
-        w, b = (w.data, b.data[:, None]) if soft else (w.data[r], b.data[r, None])
+        w, b = (w, b[:, None]) if soft else (w[r], b[r, None])
         pre = (h[:, None] if soft else h) @ w + b
         if not np.isfinite(pre).all():
             raise NumericError("tensor holds NaN or Inf")
@@ -36,7 +36,7 @@ def backward_tasks(params, routing, data, idx, omega, row_grads=False):
     """Losses and gradients as `search.backward` returns them: without
     row_grads, one fresh array per parameter in parameter order."""
     h, cache = features(params, routing, data.inputs_train[idx])
-    hw, hb = params.head_weights.data, params.head_biases.data
+    hw, hb = params.head_weights, params.head_biases
     diff = h @ hw + hb[:, None] - data.targets_train[:, idx]
     size = diff[0].size
     losses = (diff * diff).sum(axis=(1, 2)) / size

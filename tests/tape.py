@@ -4,21 +4,20 @@ define-by-run reference that checks the gradients of the batched engine in
 
 Ops record their parents and a closure that maps the output gradient to
 parent gradients, and `backward` replays the tape in reverse topological
-order. `Tensor` extends the engine's parameter holder `bmtas.nncore.Tensor`
-with a `.grad` slot, so tape-built `OperationParams` feed `SGD`. A plain
-holder, such as one from `OperationParams.init`, has no `.grad`: it may
-enter a forward pass as a constant, and `leaves` wraps its arrays as tape
-leaves whose `.grad` `backward` fills. Everything is double precision; the
-vocabulary is affine + tanh operations, affine task heads of one width and
-MSE.
+order. The ops take the engine's `OperationParams`, whose plain arrays
+enter a forward pass as constants, or `TapeParams`, whose `Tensor` leaves
+`leaves` builds over the same arrays and whose `.grad` `backward` fills.
+Everything is double precision; the vocabulary is affine + tanh
+operations, affine task heads of one width and MSE.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from bmtas import nncore
-from bmtas.errors import BmtasError, BoundsError, DimensionMismatch, DomainError
+from bmtas.errors import BmtasError, BoundsError, DimensionMismatch, DomainError, NumericError
 from bmtas.nncore import OperationParams
 from bmtas.resloss import softmax as _softmax
 
@@ -37,24 +36,38 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _index(x: nncore.Tensor, idx) -> Tensor:
-    """x[idx] on the tape, for a tape Tensor or a plain parameter holder."""
+def _index(x, idx) -> Tensor:
+    """x[idx] on the tape, for a tape Tensor or a plain parameter array."""
+    value = x.data if isinstance(x, Holder) else x
 
     def grad_fn(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros_like(value)
         np.add.at(full, idx, g)
         return (full,)
 
-    return Tensor(np.array(x.data[idx]), (x,), grad_fn)
+    return Tensor(np.array(value[idx]), (x,), grad_fn)
 
 
-class Tensor(nncore.Tensor):
-    """A parameter holder plus the bookkeeping needed for reverse mode: its
-    gradient, grad, None until `backward` reaches it, and its parents.
+class Holder:
+    """A float64 array, data, checked finite at construction, so that a NaN
+    or Inf produced anywhere in a forward pass raises at once."""
 
-    Construction validates finiteness, so a NaN or Inf produced anywhere
-    in a forward pass raises immediately instead of corrupting training.
-    """
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise NumericError("tensor holds NaN or Inf")
+        self.data = arr
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+
+class Tensor(Holder):
+    """A value plus the bookkeeping needed for reverse mode: its gradient,
+    grad, None until `backward` reaches it, and its parents."""
 
     __slots__ = ("grad", "_parents", "_grad_fn")
 
@@ -134,8 +147,8 @@ class Tensor(nncore.Tensor):
         return Tensor(y, (self,), grad_fn)
 
 
-def _wrap(x) -> nncore.Tensor:
-    return x if isinstance(x, nncore.Tensor) else Tensor(x)
+def _wrap(x) -> Holder:
+    return x if isinstance(x, Holder) else Tensor(x)
 
 
 def _topo_order(root: Tensor) -> list:
@@ -149,7 +162,7 @@ def _topo_order(root: Tensor) -> list:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in getattr(node, "_parents", ()):  # a plain holder is a leaf
+        for parent in getattr(node, "_parents", ()):  # a plain array is a leaf
             stack.append((parent, False))
     order.reverse()
     return order
@@ -171,7 +184,7 @@ def backward(root: Tensor, seed: float = 1.0):
         if g is None:
             continue
         if not isinstance(node, Tensor):
-            raise ModeError("a plain parameter holder takes no gradient; wrap it with leaves")
+            raise ModeError("a plain parameter array takes no gradient; wrap it with leaves")
         node.grad = g if node.grad is None else node.grad + g
         grad_fn = getattr(node, "_grad_fn", None)
         if grad_fn is None:
@@ -186,17 +199,34 @@ def reset_grads(params):
         p.grad = None
 
 
-def leaves(params: OperationParams) -> OperationParams:
+class TapeParams(NamedTuple):
+    """The four fields of `OperationParams`, each parameter a tape `Tensor`."""
+
+    weights: list
+    biases: list
+    head_weights: Tensor
+    head_biases: Tensor
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.weights)
+
+    parameters = OperationParams.parameters
+
+
+def leaves(params: OperationParams) -> TapeParams:
     """params with each parameter a tape leaf over the same array."""
-    return OperationParams(
-        [Tensor(w.data) for w in params.weights],
-        [Tensor(b.data) for b in params.biases],
-        Tensor(params.head_weights.data),
-        Tensor(params.head_biases.data),
+    return TapeParams(
+        [Tensor(w) for w in params.weights],
+        [Tensor(b) for b in params.biases],
+        Tensor(params.head_weights),
+        Tensor(params.head_biases),
     )
 
 
-def candidate_forward(params: OperationParams, layer: int, candidate: int, x) -> Tensor:
+def candidate_forward(
+    params: OperationParams | TapeParams, layer: int, candidate: int, x
+) -> Tensor:
     """tanh(x W + b) for one candidate op; layer is 1-based."""
     if not 1 <= layer <= params.num_layers:
         raise BoundsError(f"layer {layer} out of range")
@@ -211,7 +241,7 @@ def candidate_forward(params: OperationParams, layer: int, candidate: int, x) ->
     return (x @ w + _index(params.biases[layer - 1], candidate)).tanh()
 
 
-def mixed_layer_forward(params: OperationParams, layer: int, z_row, x) -> Tensor:
+def mixed_layer_forward(params: OperationParams | TapeParams, layer: int, z_row, x) -> Tensor:
     """Convex mixture of all candidate outputs, weighted by the routing row.
 
     A Tensor z_row participates in differentiation (soft routing); a plain
@@ -233,7 +263,7 @@ def mixed_layer_forward(params: OperationParams, layer: int, z_row, x) -> Tensor
     return out
 
 
-def head_forward(params: OperationParams, task: int, features) -> Tensor:
+def head_forward(params: OperationParams | TapeParams, task: int, features) -> Tensor:
     """Affine task head; excluded from every resource cost."""
     if not 0 <= task < params.head_weights.shape[0]:
         raise BoundsError(f"task {task} out of range")

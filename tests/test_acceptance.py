@@ -136,18 +136,6 @@ def test_criterion_02_resource_gradient(capsys):
     assert ok
 
 
-def _flat(tensors):
-    return np.concatenate([t.data.ravel() for t in tensors])
-
-
-def _load_flat(tensors, vec):
-    at = 0
-    for t in tensors:
-        n = t.data.size
-        t.data = vec[at : at + n].reshape(t.data.shape).copy()
-        at += n
-
-
 def test_criterion_03_end_to_end_gradients(capsys):
     """The engine's search-loss gradients for theta and alpha vs finite differences."""
     t0 = time.time()
@@ -157,10 +145,10 @@ def test_criterion_03_end_to_end_gradients(capsys):
     # break candidate symmetry; the heads draw task by task, weight then bias,
     # in the order of the per-task head arrays this instance was drawn for
     for p in params.parameters()[:-2]:
-        p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
+        p[...] = p + 0.05 * rng.standard_normal(p.shape)
     for t in range(3):
-        params.head_weights.data[t] += 0.05 * rng.standard_normal((4, 2))
-        params.head_biases.data[t] += 0.05 * rng.standard_normal(2)
+        params.head_weights[t] += 0.05 * rng.standard_normal((4, 2))
+        params.head_biases[t] += 0.05 * rng.standard_normal(2)
     x_np = rng.normal(size=(8, 6))
     targets = [rng.normal(size=(8, 2)) for _ in range(3)]
     noise = gumbel_noise((3, 3, 3), rng)
@@ -196,15 +184,14 @@ def test_criterion_03_end_to_end_gradients(capsys):
     rows_const = routing_of(alpha0)
     grads = backward(params, rows_const, data, idx, scale)[1]
     grad_theta = np.concatenate([g.ravel() for g in grads])
-    tensors = params.parameters()
-    theta0 = _flat(tensors)
+    theta0 = params.flat.copy()  # every parameter, in the order of grads
 
     def loss_of_theta(vec):
-        _load_flat(tensors, vec)
+        params.flat[...] = vec
         return task_term(rows_const)
 
     fd_theta = central_diff(loss_of_theta, theta0.copy(), h=1e-5)
-    _load_flat(tensors, theta0)
+    params.flat[...] = theta0
     err_theta = relative_error(grad_theta, fd_theta)
 
     ok = err_alpha <= 1e-5 and err_theta <= 1e-5

@@ -33,7 +33,7 @@ from bmtas.graph import (
     structure_from_json,
     structure_to_json,
 )
-from bmtas.nncore import OperationParams
+from bmtas.nncore import OperationParams, Tensor
 from bmtas.partition import MAX_TASKS, Partition, block_masks, enumerate_partitions, rgs_table
 from bmtas.resloss import (
     ENUM_GUARD,
@@ -1156,6 +1156,23 @@ def test_search_artifacts_match_their_pinned_digests(pinned_runs):
         for run, pins in SEARCH_DIGESTS.items()
     }
     assert digests == SEARCH_DIGESTS, PINNED_PLATFORM
+
+
+def test_a_readme_search_constructs_no_tensor(tmp_path, monkeypatch):
+    # counted as benchmarks/tracing.py counts nncore.tensors, through __init__
+    calls, init = [], Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    seed, cfg = pinned_configs()["pairs/seed0"]
+    path = input_file(tmp_path, json.dumps(cfg), "pairs.json")
+    argv = ["search", "--config", path, "--seed", str(seed), "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert calls == []
 
 
 def test_a_pinned_run_on_two_blas_threads_writes_the_pinned_bytes(tmp_path):

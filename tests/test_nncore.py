@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -144,13 +146,13 @@ class TestBackwardContract:
         assert x.grad is None
 
     def test_plain_holders_enter_as_leaves(self, small_params):
-        # a holder from OperationParams.init has no .grad; leaves wraps its arrays
+        # an array of OperationParams takes no gradient; leaves wraps each one
         _, plain = small_params
         x = np.ones((1, 4))
         with pytest.raises(ModeError):
             backward(candidate_forward(plain, 1, 0, x).mean())
         params = leaves(plain)
-        assert all(p.data is q.data for p, q in zip(params.parameters(), plain.parameters()))
+        assert all(p.data is q for p, q in zip(params.parameters(), plain.parameters()))
         backward(candidate_forward(params, 1, 0, x).mean())
         assert params.weights[0].grad.shape == (2, 4, 3)
         assert np.all(params.weights[0].grad[1] == 0.0)
@@ -180,7 +182,7 @@ class TestOperationParams:
         _, params = small_params
         for w in params.weights:
             assert w.shape[0] == 2
-            assert np.array_equal(w.data[1], w.data[0])
+            assert np.array_equal(w[1], w[0])
 
     def test_mixture_invariant_at_init(self, small_params):
         # identical candidates make the mixed output routing-independent
@@ -194,29 +196,47 @@ class TestOperationParams:
         _, params = small_params
         w, b, heads = params.weights, params.biases, [params.head_weights, params.head_biases]
         got = params.parameters()  # l1.w, l1.b, l2.w, l2.b, head.w, head.b
-        assert got == [w[0], b[0], w[1], b[1], *heads]
+        assert len(got) == 6
+        assert all(g is p for g, p in zip(got, [w[0], b[0], w[1], b[1], *heads]))
         shapes = [p.shape for p in got]
         assert shapes == [(2, 4, 3), (2, 3), (2, 3, 3), (2, 3), (2, 3, 2), (2, 2)]
 
     def test_layer_shape_agreement_enforced(self):
-        heads = Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((2, 1)))
+        heads = np.zeros((2, 3, 1)), np.zeros((2, 1))
         with pytest.raises(DimensionMismatch):
             OperationParams(
-                weights=[Tensor(np.zeros((2, 2, 3)))],
-                biases=[Tensor(np.zeros((3, 3)))],
+                weights=[np.zeros((2, 2, 3))],
+                biases=[np.zeros((3, 3))],
                 head_weights=heads[0],
                 head_biases=heads[1],
             )
         with pytest.raises(DimensionMismatch):
-            flat = Tensor(np.zeros((2, 3)))  # one unstacked matrix
-            OperationParams([flat], [Tensor(np.zeros((2, 3)))], *heads)
+            flat = np.zeros((2, 3))  # one unstacked matrix
+            OperationParams([flat], [np.zeros((2, 3))], *heads)
 
     def test_heads_share_one_width(self):
-        layer = [Tensor(np.zeros((2, 4, 3)))], [Tensor(np.zeros((2, 3)))]
+        layer = [np.zeros((2, 4, 3))], [np.zeros((2, 3))]
         with pytest.raises(DimensionMismatch):
-            OperationParams(*layer, Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((2, 3))))
+            OperationParams(*layer, np.zeros((2, 3, 2)), np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
-            OperationParams(*layer, Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
+            OperationParams(*layer, np.zeros((3, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_refuses_nan_and_inf(self, field, bad):
+        fields = [[np.zeros((2, 4, 3))], [np.zeros((2, 3))], np.zeros((2, 3, 1)), np.zeros((2, 1))]
+        array = fields[field][0] if field < 2 else fields[field]
+        array.flat[-1] = bad
+        with pytest.raises(NumericError):
+            OperationParams(*fields)
+
+    def test_parameters_are_views_of_one_flat_copy(self, small_params):
+        _, params = small_params
+        weights = [w.copy() for w in params.weights]
+        copied = OperationParams(weights, params.biases, params.head_weights, params.head_biases)
+        assert all(p.base is copied.flat for p in copied.parameters())
+        assert not np.shares_memory(copied.flat, params.flat)
+        np.testing.assert_array_equal(copied.flat, params.flat)
 
 
 class TestForwardOps:
@@ -224,7 +244,7 @@ class TestForwardOps:
         _, params = small_params
         x = rng_stream(9).normal(size=(3, 4))
         got = candidate_forward(params, 1, 0, x)
-        want = np.tanh(x @ params.weights[0].data[0] + params.biases[0].data[0])
+        want = np.tanh(x @ params.weights[0][0] + params.biases[0][0])
         assert np.allclose(got.data, want)
 
     def test_candidate_forward_bounds(self, small_params):
@@ -239,7 +259,7 @@ class TestForwardOps:
 
     def test_mixed_layer_is_convex_combination(self, small_params):
         _, params = small_params
-        params.weights[0].data[1] += 1.0  # split candidates
+        params.weights[0][1] += 1.0  # split candidates
         x = rng_stream(10).normal(size=(2, 4))
         z = np.array([0.3, 0.7])
         got = mixed_layer_forward(params, 1, z, x)
@@ -270,9 +290,9 @@ class TestForwardOps:
     def test_layers_hold_their_own_operation_counts(self):
         # two operations at layer 1, one at layer 2, as in a retrained network
         rng = rng_stream(13)
-        weights = [Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=(1, 3, 3)))]
-        biases = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3)))]
-        heads = Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((1, 1)))
+        weights = [rng.normal(size=(2, 4, 3)), rng.normal(size=(1, 3, 3))]
+        biases = [np.zeros((2, 3)), np.zeros((1, 3))]
+        heads = np.zeros((1, 3, 1)), np.zeros((1, 1))
         params = OperationParams(weights, biases, *heads)
         x = rng.normal(size=(2, 4))
         h = candidate_forward(params, 1, 1, x)
@@ -288,7 +308,7 @@ class TestForwardOps:
         _, params = small_params
         feats = rng_stream(12).normal(size=(4, 3))
         got = head_forward(params, 1, feats)
-        want = feats @ params.head_weights.data[1] + params.head_biases.data[1]
+        want = feats @ params.head_weights[1] + params.head_biases[1]
         assert np.allclose(got.data, want)
         with pytest.raises(BoundsError):
             head_forward(params, 2, feats)
@@ -316,37 +336,47 @@ def reference_sgd(x0, grads, lr, momentum, weight_decay, steps):
     return out
 
 
+def packed(*arrays):
+    """What SGD reads of an OperationParams, flat and its views in the order
+    of parameters(), for arrays of any shapes."""
+    flat = np.concatenate(arrays, axis=None)
+    views = np.split(flat, np.cumsum([a.size for a in arrays[:-1]]))
+    views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
+    return SimpleNamespace(flat=flat, parameters=lambda: list(views))
+
+
 class TestSGD:
     def test_matches_reference_sequence(self):
         rng = np.random.default_rng(13)
         x0 = rng.normal(size=(3,))
         grads = [rng.normal(size=(3,)) for _ in range(4)]
-        p = Tensor(x0.copy())
-        opt = SGD([p], lr=0.1)
+        p = packed(x0)
+        opt = SGD(p, lr=0.1)
         want = reference_sgd(x0, grads, 0.1, SGD_MOMENTUM, SGD_WEIGHT_DECAY, 4)
         for i in range(4):
             opt.step([grads[i]])
-            assert np.allclose(p.data, want[i])
+            assert np.allclose(p.flat, want[i])
 
     def test_lr_scales(self):
         # from zero, so that the first step is the scaled gradient alone
-        p, q = Tensor(np.zeros(1)), Tensor(np.zeros(1))
-        opt = SGD([p, q], lr=1.0, lr_scales=[1.0, 0.25])
+        pq = packed(np.zeros(1), np.zeros(1))
+        opt = SGD(pq, lr=1.0, lr_scales=[1.0, 0.25])
         opt.step([np.ones(1), np.ones(1)])
-        assert p.data[0] == -1.0 and q.data[0] == -0.25
+        p, q = pq.parameters()
+        assert p[0] == -1.0 and q[0] == -0.25
         with pytest.raises(DimensionMismatch):
-            SGD([p], lr=1.0, lr_scales=[1.0, 2.0])
+            SGD(packed(np.zeros(1)), lr=1.0, lr_scales=[1.0, 2.0])
 
     def test_array_lr_scales_scale_each_operation(self):
         # one factor per stacked operation, as retraining's 1/|block|
-        w = Tensor(np.zeros((2, 1, 3)))
-        opt = SGD([w], lr=1.0, lr_scales=[np.array([[[1.0]], [[0.5]]])])
+        params = packed(np.zeros((2, 1, 3)))
+        opt = SGD(params, lr=1.0, lr_scales=[np.array([[[1.0]], [[0.5]]])])
         opt.step([np.ones((2, 1, 3))])
-        np.testing.assert_array_equal(w.data[:, 0], [[-1.0] * 3, [-0.5] * 3])
+        w = params.parameters()[0]
+        np.testing.assert_array_equal(w[:, 0], [[-1.0] * 3, [-0.5] * 3])
 
     def test_reset_momentum(self):
-        p = Tensor(np.zeros(2))
-        opt = SGD([p], lr=0.1)
+        opt = SGD(packed(np.zeros(2)), lr=0.1)
         opt.step([np.ones(2)])
         assert np.any(opt.velocity != 0)
         opt.reset_momentum()
@@ -358,7 +388,7 @@ class TestSGD:
         shapes = [(3, 4, 2), (3, 2), (2, 5)]
         scales = [rng.uniform(0.1, 1.0, (3, 1, 1)), rng.uniform(0.1, 1.0, (3, 1)), 1.0]
         want = [rng.normal(size=s) for s in shapes]
-        params = [Tensor(a.copy()) for a in want]
+        params = packed(*want)
         opt = SGD(params, lr=0.3, lr_scales=scales)
         velocity = [np.zeros(s) for s in shapes]
         for step in range(6):
@@ -373,11 +403,31 @@ class TestSGD:
                 velocity[i] *= SGD_MOMENTUM
                 velocity[i] += g
                 want[i] = want[i] - 0.3 * np.asarray(s) * velocity[i]
-            for p, w in zip(params, want):
-                np.testing.assert_array_equal(p.data, w)
-        # parameters and velocity share one buffer, each .data a view of it
-        assert opt.flat.base is opt.velocity.base
-        assert all(np.shares_memory(p.data, opt.flat) for p in params)
+            for p, w in zip(params.parameters(), want):
+                np.testing.assert_array_equal(p, w)
+        # the step wrote the parameters' own buffer
+        assert opt.flat is params.flat
+
+    def test_building_sgd_moves_no_parameter(self, small_params):
+        _, params = small_params
+        flat, arrays = params.flat, params.parameters()
+        before = flat.copy()
+        opt = SGD(params, lr=0.3)
+        assert params.flat is flat and opt.flat is flat
+        assert all(p is a for p, a in zip(params.parameters(), arrays))
+        np.testing.assert_array_equal(flat, before)
+
+    def test_a_second_sgd_steps_the_same_storage(self, small_params):
+        # warm-up's optimizer, then the search's, on one OperationParams
+        _, params = small_params
+        ones = [np.ones(p.shape) for p in params.parameters()]
+        SGD(params, lr=0.3).step(ones)
+        stepped, weights = params.flat.copy(), params.weights[0]
+        second = SGD(params, lr=0.3)
+        np.testing.assert_array_equal(params.flat, stepped)
+        second.step(ones)
+        assert not np.array_equal(params.flat, stepped)
+        assert params.weights[0] is weights and np.shares_memory(weights, second.flat)
 
 
 def reference_adam(x0, grads, lr, weight_decay, steps, betas=(0.9, 0.999), eps=1e-8):

@@ -41,7 +41,15 @@ from bmtas.search import (
 from bmtas.seeding import rng_stream
 import engine_reference
 from conftest import describe_kernels, host_kernels
-from tape import Tensor, backward, candidate_forward, head_forward, mixed_layer_forward, task_loss
+from tape import (
+    Tensor,
+    backward,
+    candidate_forward,
+    head_forward,
+    leaves,
+    mixed_layer_forward,
+    task_loss,
+)
 
 
 def small_benchmark(seed=0, num_tasks=3, train=128):
@@ -147,17 +155,19 @@ class TestSearchConfig:
         assert "share_private" not in CONFIG_SCHEMA["properties"]["benchmark"]["properties"]
         assert list(inspect.signature(SGD).parameters) == ["params", "lr", "lr_scales"]
         assert list(inspect.signature(Adam).parameters) == ["value", "lr"]
-        # the autodiff tape lives in the tests; nncore.Tensor holds a parameter
+        # the autodiff tape lives in the tests; nncore.Tensor is empty
         tape_names = {"backward", "reset_grads", "_topo_order", "_unbroadcast", "_wrap"}
         ops = {"candidate_forward", "mixed_layer_forward", "head_forward", "task_loss"}
         assert not (tape_names | ops) & set(dir(bmtas.nncore))
         assert not {"__matmul__", "softmax1d"} & set(dir(bmtas.nncore.Tensor))
         # gradients are return values: no holder keeps one, and nothing in
-        # the package reads or writes one on a parameter
+        # the package reads or writes one on a parameter, nor reads a
+        # holder's .data: parameters are plain arrays
         assert not hasattr(bmtas.nncore, "collect_grads")
         assert not hasattr(bmtas.nncore.Tensor, "grad")
         package = Path(bmtas.nncore.__file__).parent
-        uses = [f.name for f in package.glob("*.py") if re.search(r"\.grad\b", f.read_text())]
+        holder = re.compile(r"\.(grad|data)\b")
+        uses = [f.name for f in package.glob("*.py") if holder.search(f.read_text())]
         assert uses == []
 
     def test_weights_for_checks_length(self):
@@ -172,14 +182,14 @@ class TestWarmUp:
     def test_differentiates_candidates_and_learns(self):
         data, sg = small_benchmark()
         params = warm_up(sg, data, quick_config(warmup_steps=60, seed=0))
-        w = params.weights[0].data
+        w = params.weights[0]
         assert not np.allclose(w[0], w[1])
 
         def own_loss(t):
             h = data.inputs_test
             for layer in range(1, sg.num_layers + 1):
                 h = candidate_forward(params, layer, t, h).data
-            pred = h @ params.head_weights.data[t] + params.head_biases.data[t]
+            pred = h @ params.head_weights[t] + params.head_biases[t]
             return float(((pred - data.targets_test[t]) ** 2).mean())
 
         var = float(np.var(data.targets_test[0]))
@@ -389,12 +399,12 @@ class TestRetrain:
             solo = retrain(branched_structure(1, 2), sg, solo_data, cfg)
             assert joint.test_mse[name] == solo.test_mse[name]
             np.testing.assert_array_equal(
-                joint.params.head_weights.data[t], solo.params.head_weights.data[0]
+                joint.params.head_weights[t], solo.params.head_weights[0]
             )
             # fully branched: task t's block is operation t of every layer
             for layer in range(2):
-                w_joint = joint.params.weights[layer].data[t]
-                w_solo = solo.params.weights[layer].data[0]
+                w_joint = joint.params.weights[layer][t]
+                w_solo = solo.params.weights[layer][0]
                 np.testing.assert_array_equal(w_joint, w_solo)
 
     def test_learns_the_tasks(self):
@@ -412,7 +422,7 @@ class TestRetrain:
         model = retrain(derive_groupings(picks), sg, data, quick_config(seed=1))
         feats = model.features(data.inputs_test)
         assert feats.shape == (3, 64, 6)
-        hw, hb = model.params.head_weights.data, model.params.head_biases.data
+        hw, hb = model.params.head_weights, model.params.head_biases
         for t, name in enumerate(data.task_names):
             routing = [np.array([g.rgs[t]]) for g in model.structure.groupings]
             solo = _features(model.params, routing, data.inputs_test)[0]
@@ -439,14 +449,11 @@ class TestRetrain:
 def random_network(rng, num_tasks, counts, widths):
     """OperationParams with counts[l] random operations at layer l+1 and
     heads of one random width."""
-    weights = [
-        Tensor(rng.normal(size=(c, widths[l], widths[l + 1])))
-        for l, c in enumerate(counts)
-    ]
-    biases = [Tensor(rng.normal(size=(c, widths[l + 1]))) for l, c in enumerate(counts)]
+    weights = [rng.normal(size=(c, widths[l], widths[l + 1])) for l, c in enumerate(counts)]
+    biases = [rng.normal(size=(c, widths[l + 1])) for l, c in enumerate(counts)]
     dim = rng.integers(1, 4)
-    head_w = Tensor(rng.normal(size=(num_tasks, widths[-1], dim)))
-    head_b = Tensor(rng.normal(size=(num_tasks, dim)))
+    head_w = rng.normal(size=(num_tasks, widths[-1], dim))
+    head_b = rng.normal(size=(num_tasks, dim))
     return OperationParams(weights, biases, head_w, head_b)
 
 
@@ -508,10 +515,11 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
     idx = np.arange(batch)
     scale = _loss_scale(omega, data, idx)
 
-    leaves = [[Tensor(r[t]) for r in rows] for t in range(num_tasks)]
-    want_losses = tape_pass(params, leaves, x, targets, omega)
-    want_theta = [p.grad for p in params.parameters()]
-    want_rows = [np.stack([task[l].grad for task in leaves]) for l in range(num_layers)]
+    tape = leaves(params)
+    row_leaves = [[Tensor(r[t]) for r in rows] for t in range(num_tasks)]
+    want_losses = tape_pass(tape, row_leaves, x, targets, omega)
+    want_theta = [p.grad for p in tape.parameters()]
+    want_rows = [np.stack([task[l].grad for task in row_leaves]) for l in range(num_layers)]
     losses, theta = engine_backward(params, routing, data, idx, scale)
     assert max_diff(losses, want_losses) <= 1e-10
     assert max_diff(theta, want_theta) <= 1e-10
@@ -532,7 +540,7 @@ def test_engine_matches_tape(num_tasks, num_layers, batch, soft, seed):
             ]
             for t in range(num_tasks)
         ]
-        tape_pass(params, on_tape, x, targets, omega)
+        tape_pass(tape, on_tape, x, targets, omega)
         got = _architecture_grad(params, logits, noise, tau, data, idx, scale)
         assert max_diff([got], [alpha.grad]) <= 1e-10
 
@@ -677,8 +685,8 @@ def test_gradients_are_fresh_arrays():
     # SGD's, let three oracle tests compare a wrong gradient with itself
     data, sg = small_benchmark()
     params = warm_up(sg, data, quick_config(warmup_steps=0))
-    opt = SGD(params.parameters(), 0.3)
-    held = [p.data for p in params.parameters()] + [opt.flat]
+    opt = SGD(params, 0.3)
+    held = params.parameters() + [params.flat]
     rng = np.random.default_rng(0)
     rows = list(softmax(rng.normal(size=(3, sg.num_layers, 3)), axis=2).swapaxes(0, 1))
     picks = [np.array([0, 1, 1])] * sg.num_layers
@@ -694,9 +702,9 @@ def test_gradients_are_fresh_arrays():
         assert not all(np.array_equal(a, g) for a, g in zip(again, grads))
         assert all(same_bits(g, k) for g, k in zip(grads, kept))
         if not row_grads:
-            before = opt.flat.copy()
+            before = params.flat.copy()
             opt.step(grads)
-            assert not np.array_equal(opt.flat, before)
+            assert not np.array_equal(params.flat, before)
             assert all(same_bits(g, k) for g, k in zip(grads, kept))
 
 
@@ -709,10 +717,10 @@ class TestEngineGuards:
         # size: a pre-activation sums one product and zeros, so it overflows
         # to +-inf, and no BLAS kernel can add +inf and -inf partial sums
         col = (np.abs(data.inputs_train) > 1).sum(axis=0).argmax()
-        params.weights[0].data[...] = 0.0
-        params.weights[0].data[:, col] = np.finfo(np.float64).max
+        params.weights[0][...] = 0.0
+        params.weights[0][:, col] = np.finfo(np.float64).max
         with np.errstate(over="ignore"):
-            pre = data.inputs_train @ params.weights[0].data[0]
+            pre = data.inputs_train @ params.weights[0][0]
         assert np.isinf(pre).any() and np.isfinite(np.tanh(pre)).all()
         all_rows = np.arange(data.inputs_train.shape[0])
         scale = _loss_scale((1.0,) * 3, data, all_rows)
@@ -734,7 +742,7 @@ class TestEngineGuards:
         with pytest.raises(NumericError, match="^non-finite value at retrain step 2: tensor"):
             retrain(structure, sg, data, quick_config(theta_lr=1e300))
         params = warm_up(sg, data, quick_config(warmup_steps=0))
-        params.weights[0].data[...] = 1e308
+        params.weights[0][...] = 1e308
         with pytest.raises(SearchError, match="^non-finite value at step 1: tensor"):
             search(quick_config(), sg, data, params=params)
         # each training loop's errstate block closes when its error leaves it
